@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench bench-compare bench-json bench-smoke temper claims update faults loadgen-smoke check
+.PHONY: build vet test race bench bench-compare bench-json bench-smoke temper claims update routes faults loadgen-smoke check
 
 build:
 	$(GO) build ./...
@@ -41,7 +41,8 @@ bench-json:
 # guard that the benchmark harness itself keeps working. internal/core
 # carries the scale benchmarks (ISP100/ISP200 energy); the root package
 # carries the annealing-engine ones (AnnealISP100/AnnealISP200) and the
-# ISP200 slot pipeline; internal/update carries the flat planner.
+# ISP200 slot pipeline, the cold ISP200 route-table build and the ISP100
+# route repair; internal/update carries the flat planner.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/core ./internal/update
 
@@ -63,6 +64,17 @@ update:
 	$(GO) test -count=1 \
 		-run 'TestFlatPlannerDifferential|TestTimelineStepConsistency' \
 		./internal/update/
+
+# routes replays the route-table pinning suite with the test cache defeated:
+# the arena k-shortest-path kernel against the retained allocating one
+# (paths, weights and tie order, k up to 7), and the optical tables repaired
+# on a fiber cut against the retained cold builder — every single cut of
+# ISP40/ISP100/Internet2/InterDC, 300 seeded chains of 1-8 cuts (ISP200
+# among them) and the tie-heavy fixtures.
+routes:
+	$(GO) test -count=1 \
+		-run 'TestKShortestDifferential|TestKShortestAllocationFree|TestRouteRepairDifferential' \
+		./internal/graph/ ./internal/optical/
 
 # temper replays the committed 300-seed golden digests: the refactored
 # search loop in compat mode (Replicas=1, WarmStart=false) must reproduce
@@ -95,7 +107,7 @@ loadgen-smoke:
 
 # check is the tier-1 gate: clean build, vet, full tests, race-detected
 # internal tests (including the delta differential harnesses), the
-# tempering golden differential, the flat-planner differential, a one-shot
-# benchmark smoke, the seeded fault-injection matrix, and the admission
-# load-generator smoke.
-check: build vet test race temper claims update bench-smoke faults loadgen-smoke
+# tempering golden differential, the claim, flat-planner and route-table
+# differentials, a one-shot benchmark smoke, the seeded fault-injection
+# matrix, and the admission load-generator smoke.
+check: build vet test race temper claims update routes bench-smoke faults loadgen-smoke

@@ -8,13 +8,16 @@ package owan
 import (
 	"math"
 	"runtime"
+	"sort"
 	"testing"
 
 	"owan/internal/alloc"
 	"owan/internal/core"
 	"owan/internal/experiments"
 	"owan/internal/figdata"
+	"owan/internal/graph"
 	"owan/internal/metrics"
+	"owan/internal/optical"
 	"owan/internal/sim"
 	"owan/internal/topology"
 	"owan/internal/transfer"
@@ -216,6 +219,67 @@ func BenchmarkSimSlotISP200(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(slots), "ns/slot")
 	}
 	b.ReportMetric(float64(slots)/float64(b.N), "slots/op")
+}
+
+// BenchmarkRouteTablesISP200 is the cold optical set-up a starting controller
+// pays at the 200-site stress scale: the all-pairs k-shortest-path sweep
+// behind optical.NewState, on a network the route-table cache has not seen
+// (a fresh copy per op; the copy is outside the timer).
+func BenchmarkRouteTablesISP200(b *testing.B) {
+	base := topology.ISP(200, 10, 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		net := *base
+		b.StartTimer()
+		optical.NewState(&net)
+	}
+}
+
+// BenchmarkRouteRepairISP100 is the optical share of a fiber-cut response at
+// ISP100: State.WithoutFiber deriving the reduced network's route tables from
+// the live ones. How much it recomputes is set by how many site pairs route
+// over the cut fiber, so it is measured at the fiber with the median count
+// and at the one with the highest, among the cuts that leave the network
+// connected (a bridge touches many pairs and leaves them nothing to route).
+func BenchmarkRouteRepairISP100(b *testing.B) {
+	net := topology.ISP(100, 10, 1)
+	g := net.FiberGraph()
+	touch := map[int]int{} // fiber id -> ordered pairs with it on one of their 3 routes
+	var sc graph.Scratch
+	for u := 0; u < g.N(); u++ {
+		for v := 0; v < g.N(); v++ {
+			seen := map[int]bool{}
+			for p := g.KShortest(&sc, u, v, 3) - 1; p >= 0; p-- {
+				for _, e := range sc.PathEdges(p) {
+					if !seen[e.ID] {
+						seen[e.ID] = true
+						touch[e.ID]++
+					}
+				}
+			}
+		}
+	}
+	ids := make([]int, 0, len(net.Fibers))
+	for _, f := range net.Fibers {
+		if rest, _ := net.WithoutFiber(f.ID); rest.FiberGraph().Connected() {
+			ids = append(ids, f.ID)
+		}
+	}
+	sort.Slice(ids, func(i, j int) bool { return touch[ids[i]] < touch[ids[j]] })
+	s := optical.NewState(net)
+	for _, c := range []struct {
+		name  string
+		fiber int
+	}{{"median-touch", ids[len(ids)/2]}, {"worst-touch", ids[len(ids)-1]}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.WithoutFiber(c.fiber)
+			}
+			b.ReportMetric(float64(touch[c.fiber])/float64(g.N()*(g.N()-1)), "touched-frac")
+		})
+	}
 }
 
 func BenchmarkFig10cBreakdown(b *testing.B) {

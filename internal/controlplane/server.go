@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"owan/internal/core"
-	"owan/internal/optical"
 	"owan/internal/store"
 	"owan/internal/topology"
 	"owan/internal/transfer"
@@ -75,10 +74,8 @@ type Controller struct {
 	slot         int
 	completed    int
 	st           *store.Store
-	coreCfg      core.Config
 	// Cross-layer update scheduling (§3.3): the previous slot's realized
 	// state, and stats from the most recent consistent rollout.
-	opt        *optical.State
 	prevUpdate *update.State
 	updScratch *update.Scratch
 	lastPlan   UpdatePlanStats
@@ -220,7 +217,6 @@ func newController(ctx context.Context, st *store.Store, o serverOptions) (*Cont
 		conns:        map[*clientConn]bool{},
 		done:         make(chan struct{}),
 		st:           st,
-		coreCfg:      o.cfg,
 	}
 	// The hint scales with queue depth: a deeper queue takes longer to
 	// drain, so shed clients should stay away longer.
@@ -228,7 +224,6 @@ func newController(ctx context.Context, st *store.Store, o serverOptions) (*Cont
 	if c.retryAfter > time.Second {
 		c.retryAfter = time.Second
 	}
-	c.opt = optical.NewState(o.cfg.Net)
 	if err := c.recover(); err != nil {
 		return nil, err
 	}
@@ -287,7 +282,7 @@ func (c *Controller) toUpdateState(st *core.NetworkState) *update.State {
 	for _, l := range st.Effective.Links() {
 		k := [2]int{l.U, l.V}
 		circuits[k] = l.Count
-		fibers[k] = append([]int(nil), c.opt.FiberPathIDs(l.U, l.V)...)
+		fibers[k] = append([]int(nil), c.owan.FiberPathIDs(l.U, l.V)...)
 	}
 	// Flatten the allocation in sorted id order: map iteration would make
 	// the route order — and with it the planner's victim choices and
@@ -497,6 +492,7 @@ func (c *Controller) Close() {
 	for cc := range c.conns {
 		cc.c.Close()
 	}
+	c.owan.Close() // under c.mu, so never beside a Tick's search
 	c.mu.Unlock()
 	c.wg.Wait()
 }
@@ -855,25 +851,16 @@ func (c *Controller) FailFiber(fiberID int) error {
 		// succeeds.
 		return nil
 	}
-	idx := -1
-	for i, f := range c.Net.Fibers {
-		if f.ID == fiberID {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	nw := c.owan.WithoutFiber(fiberID)
+	if nw == c.owan {
 		return fmt.Errorf("unknown fiber %d", fiberID)
 	}
 	c.failed[fiberID] = true
-	clone := *c.Net
-	clone.Fibers = append(append([]topology.Fiber(nil), c.Net.Fibers[:idx]...), c.Net.Fibers[idx+1:]...)
-	cfg := c.coreCfg
-	cfg.Net = &clone
-	c.coreCfg = cfg
-	c.Net = &clone
-	c.owan = core.New(cfg)
-	c.opt = optical.NewState(&clone)
+	// The replaced core's evaluator goroutines are done; its provision cache
+	// and route tables live on in the new one.
+	c.owan.Close()
+	c.owan = nw
+	c.Net = nw.Net()
 	// Fiber ids changed meaning: drop the previous update state rather
 	// than diff across different physical networks.
 	c.prevUpdate = nil

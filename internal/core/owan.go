@@ -334,14 +334,29 @@ type Owan struct {
 // New creates a controller core for a network.
 func New(cfg Config) *Owan {
 	cfg = cfg.withDefaults()
+	return newOn(cfg, optical.NewState(cfg.Net))
+}
+
+// newOn is New for a defaulted cfg on an optical state already built for
+// cfg.Net.
+func newOn(cfg Config, opt *optical.State) *Owan {
 	return &Owan{
 		cfg:       cfg,
-		opt:       optical.NewState(cfg.Net),
+		opt:       opt,
 		al:        alloc.NewAllocator(),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		provCache: newProvisionCache(cfg.ProvisionCacheSize),
 	}
 }
+
+// Net returns the physical network the controller core optimizes: the one it
+// was configured with, or the reduced copy WithoutFiber made.
+func (o *Owan) Net() *topology.Network { return o.cfg.Net }
+
+// FiberPathIDs returns the fiber ids of the shortest fiber path between two
+// sites on the controller core's network (nil if none). The slice is shared;
+// callers must not mutate it.
+func (o *Owan) FiberPathIDs(u, v int) []int { return o.opt.FiberPathIDs(u, v) }
 
 // Close stops the evaluator worker pool. The controller stays usable — the
 // next ComputeNetworkState restarts the pool on the same warm contexts — so
@@ -412,28 +427,20 @@ func (o *Owan) SetUnitRegenWeights(on bool) {
 // their routes, so the failure-response search starts with a warm cache
 // instead of re-provisioning every candidate it has already seen.
 func (o *Owan) WithoutFiber(fiberID int) *Owan {
-	idx := -1
-	for i, f := range o.cfg.Net.Fibers {
-		if f.ID == fiberID {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	opt := o.opt.WithoutFiber(fiberID)
+	if opt.Network() == o.cfg.Net {
 		return o
 	}
-	clone := *o.cfg.Net
-	clone.Fibers = append(append([]topology.Fiber(nil), o.cfg.Net.Fibers[:idx]...), o.cfg.Net.Fibers[idx+1:]...)
 	cfg := o.cfg
-	cfg.Net = &clone
-	nw := New(cfg)
+	cfg.Net = opt.Network()
+	nw := newOn(cfg, opt)
 	if nw.provCache != nil && o.provCache != nil {
 		var links []topology.Link
 		nw.provCache.migrateFrom(o.provCache, func(key []byte, n int, direct bool) bool {
 			var kn int
 			var ok bool
 			kn, links, ok = topology.DecodeKey(key, links[:0])
-			if !ok || kn != n || n != clone.NumSites() {
+			if !ok || kn != n || n != cfg.Net.NumSites() {
 				return false
 			}
 			for _, l := range links {

@@ -9,11 +9,7 @@
 // between the same router pair).
 package graph
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "fmt"
 
 // Edge is a directed arc with a weight (distance, cost) and an application
 // payload id (for example, the index of the link it represents).
@@ -96,39 +92,53 @@ type item struct {
 type heap []item
 
 func (h *heap) push(it item) {
-	*h = append(*h, it)
-	i := len(*h) - 1
+	a := append(*h, it)
+	*h = a
+	i := len(a) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if (*h)[parent].dist <= (*h)[i].dist {
+		if a[parent].dist <= it.dist {
 			break
 		}
-		(*h)[parent], (*h)[i] = (*h)[i], (*h)[parent]
+		a[i] = a[parent]
 		i = parent
 	}
+	a[i] = it
 }
 
+// pop removes the minimum. The last entry sinks from the root through a
+// hole — children move up, it is written once — which makes the comparisons,
+// and leaves the array, exactly as swapping it down level by level would:
+// which of several equal distances surfaces first is part of every search's
+// tie order.
 func (h *heap) pop() item {
 	old := *h
 	top := old[0]
 	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
+	x := old[n]
+	old = old[:n]
+	*h = old
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && old[l].dist < old[small].dist {
-			small = l
-		}
-		if r < n && old[r].dist < old[small].dist {
-			small = r
-		}
-		if small == i {
+		l := 2*i + 1
+		if l >= n {
 			break
 		}
-		old[i], old[small] = old[small], old[i]
-		i = small
+		c, d := i, x.dist
+		if old[l].dist < d {
+			c, d = l, old[l].dist
+		}
+		if r := l + 1; r < n && old[r].dist < d {
+			c = r
+		}
+		if c == i {
+			break
+		}
+		old[i] = old[c]
+		i = c
+	}
+	if n > 0 {
+		old[i] = x
 	}
 	return top
 }
@@ -145,26 +155,11 @@ func (g *Graph) ShortestPath(src, dst int) *Path {
 // ShortestDistances runs Dijkstra from src and returns the distance to every
 // vertex (Inf for unreachable vertices).
 func (g *Graph) ShortestDistances(src int) []float64 {
+	var t Tree
+	g.ShortestTree(&t, src)
 	dist := make([]float64, g.n)
-	seen := make([]bool, g.n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[src] = 0
-	h := heap{}
-	h.push(item{src, 0})
-	for len(h) > 0 {
-		it := h.pop()
-		if seen[it.v] {
-			continue
-		}
-		seen[it.v] = true
-		for _, e := range g.adj[it.v] {
-			if nd := dist[it.v] + e.Weight; nd < dist[e.To] {
-				dist[e.To] = nd
-				h.push(item{e.To, nd})
-			}
-		}
+	for v := range dist {
+		dist[v] = t.Dist(v)
 	}
 	return dist
 }
@@ -212,46 +207,6 @@ func (g *Graph) Connected() bool {
 func (g *Graph) KShortestPaths(src, dst, k int) []*Path {
 	var sc Scratch
 	return g.KShortestPathsScratch(&sc, src, dst, k)
-}
-
-// stableSortByWeight orders candidate paths by nondecreasing weight,
-// preserving discovery order among ties (Yen's determinism contract).
-func stableSortByWeight(ps []*Path) {
-	sort.SliceStable(ps, func(a, b int) bool {
-		return ps[a].Weight < ps[b].Weight
-	})
-}
-
-func pathHasPrefix(p *Path, prefix []Edge) bool {
-	if len(p.Edges) < len(prefix) {
-		return false
-	}
-	for i, e := range prefix {
-		o := p.Edges[i]
-		if o.From != e.From || o.To != e.To || o.ID != e.ID {
-			return false
-		}
-	}
-	return true
-}
-
-func containsPath(ps []*Path, q *Path) bool {
-	for _, p := range ps {
-		if len(p.Edges) != len(q.Edges) {
-			continue
-		}
-		same := true
-		for i := range p.Edges {
-			if p.Edges[i] != q.Edges[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return true
-		}
-	}
-	return false
 }
 
 func reverse(e []Edge) {

@@ -3,29 +3,41 @@ package graph
 import (
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Scratch holds the per-query buffers of the shortest-path routines so that
 // repeated queries — the regenerator-route searches the optical layer issues
-// for every circuit of every candidate topology — stop allocating fresh
-// dist/seen/prev arrays and heaps each time. A Scratch may be reused across
-// graphs of different sizes (buffers grow monotonically) but must not be
-// shared between goroutines.
+// for every circuit of every candidate topology, and the all-pairs
+// k-shortest-path sweep behind its route tables — stop allocating fresh
+// dist/seen/prev arrays, heaps and paths each time. A Scratch may be reused
+// across graphs of different sizes (buffers grow monotonically) but must not
+// be shared between goroutines.
 type Scratch struct {
+	// Buffers of the mask Dijkstras (MaskShortestNodeWeighted*).
 	dist []float64
 	prev []Edge
 	seen []bool
 	h    heap
-	// Yen's-algorithm spur filters, reused by KShortestPathsScratch: the
-	// root-path vertices removed for the current spur search and the
-	// (from,to,id) triples of banned deviation edges. The banned set holds at
-	// most one edge per already-found path (≤ k entries), so a linear scan
-	// beats any hashed structure.
-	removed []bool
-	banned  [][3]int
 	// Multi-word visited set of MaskShortestNodeWeightedW (the >64-vertex
 	// twin of the single-word seen register).
 	seenW []uint64
+
+	// Per-vertex state of the Graph searches (search), valid for the run
+	// whose number is epoch: starting a run is one increment, not an O(n)
+	// clear.
+	vs    []vtx
+	epoch uint32
+	// The k-shortest-path kernel's working set (see KShortest): every path
+	// of a query — results and pending candidates — is a span of arena, so a
+	// query allocates nothing once the buffers have grown. banned holds the
+	// deviation edges excluded from the current spur search, at most one per
+	// result path, so a linear scan beats any hashed structure.
+	arena  []Edge
+	res    []span
+	cand   []span
+	banned []Edge
+	tied   bool
 }
 
 // grow sizes the buffers for a graph with n vertices.
@@ -184,169 +196,344 @@ func MaskShortestNodeWeightedW(sc *Scratch, reach []uint64, words int, nodeMask 
 	return hops, true
 }
 
-// ShortestPathScratch is ShortestPath with caller-owned scratch buffers: the
-// Dijkstra state lives in sc and only the returned *Path (which escapes to
-// the caller) is freshly allocated. Results are identical to ShortestPath.
-func (g *Graph) ShortestPathScratch(sc *Scratch, src, dst int) *Path {
-	sc.grow(g.n)
-	dist, prev, seen := sc.dist, sc.prev, sc.seen
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prev[i] = Edge{From: -1}
-		seen[i] = false
-	}
-	dist[src] = 0
-	sc.h = sc.h[:0]
-	sc.h.push(item{src, 0})
-	for len(sc.h) > 0 {
-		it := sc.h.pop()
-		if seen[it.v] {
-			continue
-		}
-		seen[it.v] = true
-		if it.v == dst {
-			break
-		}
-		for _, e := range g.adj[it.v] {
-			if nd := dist[it.v] + e.Weight; nd < dist[e.To] {
-				dist[e.To] = nd
-				prev[e.To] = e
-				sc.h.push(item{e.To, nd})
-			}
-		}
-	}
-	if math.IsInf(dist[dst], 1) {
-		return nil
-	}
-	var edges []Edge
-	for v := dst; v != src; v = prev[v].From {
-		edges = append(edges, prev[v])
-	}
-	reverse(edges)
-	return &Path{Edges: edges, Weight: dist[dst]}
+// vtx is one vertex's state in a Dijkstra run over a Graph.
+type vtx struct {
+	dist  float64
+	from  int32  // tail of the tree arc into the vertex, -1 at the source
+	arc   int32  // index of that arc in adj[from]
+	epoch uint32 // run this entry belongs to; any other value reads as unreached
+	done  bool   // settled (popped)
+	// tie records that a second arc reached the vertex at exactly dist: which
+	// of the two the tree holds then depends on the order they were relaxed
+	// in, so it may change when an unrelated edge is deleted.
+	tie bool
+	// removed deletes the vertex from the graph for the searches of one spur
+	// scan (the root-path vertices of Yen's algorithm). Unlike the fields
+	// above it is not tied to epoch: the kernel sets and clears it.
+	removed bool
 }
 
-// shortestPathFiltered is ShortestPathScratch restricted to the subgraph
-// obtained by deleting the vertices marked in removed and the individual
-// edges listed in banned. Removed vertices are skipped on the relaxation
-// side; since no edge into them ever relaxes, they are never expanded, which
-// is exactly equivalent to deleting them (the spur source is never removed).
-func (g *Graph) shortestPathFiltered(sc *Scratch, src, dst int, removed []bool, banned [][3]int) *Path {
-	sc.grow(g.n)
-	dist, prev, seen := sc.dist, sc.prev, sc.seen
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prev[i] = Edge{From: -1}
-		seen[i] = false
+// span is one path of a k-shortest-path query: n edges at arena[off:].
+type span struct {
+	off, n int32
+	// dev is the index of the path's first edge that is not on the result
+	// path it was derived from, result number parent (Lawler's bookkeeping;
+	// -1 and 0 for the first path).
+	dev, parent int32
+	weight      float64
+}
+
+// search runs Dijkstra from src over g without the vertices flagged removed
+// and without the arcs out of src listed in banned, leaving the tree in
+// sc.vs. It stops once dst is settled; dst < 0 settles everything reachable.
+// Ties are broken by insertion order (the heap compares distances only and
+// relaxation is a strict test), which keeps results deterministic for a
+// deterministically built graph.
+func (g *Graph) search(sc *Scratch, src, dst int, banned []Edge) {
+	sc.fit(g.n)
+	sc.epoch++
+	if sc.epoch == 0 { // wrapped: entries stamped by runs 2^32 ago must not revive
+		for i := range sc.vs {
+			sc.vs[i].epoch = 0
+		}
+		sc.epoch = 1
 	}
-	dist[src] = 0
+	vs, ep := sc.vs, sc.epoch
+	vs[src] = vtx{from: -1, epoch: ep}
 	sc.h = sc.h[:0]
 	sc.h.push(item{src, 0})
 	for len(sc.h) > 0 {
 		it := sc.h.pop()
-		if seen[it.v] {
+		u := &vs[it.v]
+		if u.done {
 			continue
 		}
-		seen[it.v] = true
+		u.done = true
 		if it.v == dst {
 			break
 		}
-		for _, e := range g.adj[it.v] {
-			if removed[e.To] || bannedEdge(banned, e) {
+		du := u.dist
+		// A banned edge is edge i of a path that follows the root to the spur
+		// node, so it leaves src: no other vertex needs the scan.
+		bn := banned
+		if it.v != src {
+			bn = nil
+		}
+		out := g.adj[it.v]
+		for j := range out {
+			e := &out[j]
+			t := &vs[e.To]
+			if t.removed || (bn != nil && bannedEdge(bn, *e)) {
 				continue
 			}
-			if nd := dist[it.v] + e.Weight; nd < dist[e.To] {
-				dist[e.To] = nd
-				prev[e.To] = e
+			if t.epoch != ep {
+				*t = vtx{dist: math.Inf(1), from: -1, epoch: ep}
+			}
+			if nd := du + e.Weight; nd < t.dist {
+				t.dist, t.from, t.arc, t.tie = nd, int32(it.v), int32(j), false
 				sc.h.push(item{e.To, nd})
+			} else if nd == t.dist {
+				t.tie = true
 			}
 		}
 	}
-	if math.IsInf(dist[dst], 1) {
-		return nil
-	}
-	var edges []Edge
-	for v := dst; v != src; v = prev[v].From {
-		edges = append(edges, prev[v])
-	}
-	reverse(edges)
-	return &Path{Edges: edges, Weight: dist[dst]}
 }
 
-func bannedEdge(banned [][3]int, e Edge) bool {
+// fit sizes the per-vertex state for a graph with n vertices.
+func (sc *Scratch) fit(n int) {
+	if len(sc.vs) < n {
+		sc.vs = make([]vtx, n)
+	}
+}
+
+// reached reports whether the last search from sc settled or relaxed v, and
+// at what distance.
+func (sc *Scratch) reached(v int) (float64, bool) {
+	t := &sc.vs[v]
+	if t.epoch != sc.epoch || math.IsInf(t.dist, 1) {
+		return math.Inf(1), false
+	}
+	return t.dist, true
+}
+
+// appendTreePath appends the tree path to dst of the last search run on
+// tree to sc's arena, and reports whether any vertex on it was tied.
+func (g *Graph) appendTreePath(sc, tree *Scratch, dst int) (tied bool) {
+	start := len(sc.arena)
+	for v := dst; tree.vs[v].from >= 0; v = int(tree.vs[v].from) {
+		t := &tree.vs[v]
+		sc.arena = append(sc.arena, g.adj[t.from][t.arc])
+		tied = tied || t.tie
+	}
+	reverse(sc.arena[start:])
+	return tied
+}
+
+func bannedEdge(banned []Edge, e Edge) bool {
 	for _, b := range banned {
-		if b[0] == e.From && b[1] == e.To && b[2] == e.ID {
+		if b.To == e.To && b.ID == e.ID && b.From == e.From {
 			return true
 		}
 	}
 	return false
 }
 
-// KShortestPathsScratch is KShortestPaths with caller-owned scratch: all
-// internal Dijkstra runs share sc's buffers, and the per-spur-node filtering
-// happens inline during edge relaxation instead of materializing a filtered
-// copy of the graph. Results are identical to KShortestPaths: the filtered
-// search relaxes exactly the edges the subgraph copy would contain, in the
-// same order, so ties break the same way.
-func (g *Graph) KShortestPathsScratch(sc *Scratch, src, dst, k int) []*Path {
+// ShortestPathScratch is ShortestPath with caller-owned scratch buffers: the
+// Dijkstra state lives in sc and only the returned *Path (which escapes to
+// the caller) is freshly allocated. Results are identical to ShortestPath.
+func (g *Graph) ShortestPathScratch(sc *Scratch, src, dst int) *Path {
+	if g.KShortest(sc, src, dst, 1) == 0 {
+		return nil
+	}
+	return sc.path(0)
+}
+
+// Tree is a single-source shortest-path tree over a Graph: the distances
+// ShortestDistances returns plus the tree itself, from which KShortestFrom
+// reads the first path to every destination. The zero value is ready for
+// use, and reuse recycles its buffers.
+type Tree struct {
+	g  *Graph
+	sc Scratch
+}
+
+// ShortestTree runs Dijkstra from src to every vertex, into t.
+func (g *Graph) ShortestTree(t *Tree, src int) {
+	t.g = g
+	g.search(&t.sc, src, -1, nil)
+}
+
+// Dist returns the distance from the tree's source to v (Inf if
+// unreachable).
+func (t *Tree) Dist(v int) float64 {
+	d, _ := t.sc.reached(v)
+	return d
+}
+
+// KShortest computes up to k loopless shortest paths from src to dst in
+// nondecreasing weight order (Yen's algorithm) and returns how many exist.
+// The paths stay in sc — read them with PathWeight, PathEdges and PathsTied —
+// until its next query; nothing is allocated once sc's buffers have grown.
+//
+// Spur searches filter root-path vertices and deviation edges inline during
+// relaxation instead of materializing a filtered copy of the graph: they
+// relax exactly the edges the copy would contain, in the same order, so ties
+// break the same way. Candidates of equal weight are taken in discovery
+// order.
+func (g *Graph) KShortest(sc *Scratch, src, dst, k int) int {
+	sc.reset()
 	if k <= 0 {
-		return nil
+		return 0
 	}
-	first := g.ShortestPathScratch(sc, src, dst)
-	if first == nil {
-		return nil
+	g.search(sc, src, dst, nil)
+	if _, ok := sc.reached(dst); !ok {
+		return 0
 	}
-	if cap(sc.removed) < g.n {
-		sc.removed = make([]bool, g.n)
+	return g.yen(sc, sc, dst, k)
+}
+
+// KShortestFrom is KShortest from t's source with the first path read off t
+// instead of searched for: the one Dijkstra run a per-source sweep already
+// makes for its distances serves every destination. A search that stops at
+// dst is a prefix of the full run, so the path and its tie flags are the
+// same.
+func (g *Graph) KShortestFrom(sc *Scratch, t *Tree, dst, k int) int {
+	if t.g != g {
+		panic("graph: KShortestFrom on a tree of another graph")
 	}
-	removed := sc.removed[:g.n]
-	for i := range removed {
-		removed[i] = false
+	sc.reset()
+	if k <= 0 {
+		return 0
 	}
-	result := []*Path{first}
-	var candidates []*Path
-	for len(result) < k {
-		prevPath := result[len(result)-1]
-		prevVerts := prevPath.Vertices()
-		for i := 0; i < len(prevPath.Edges); i++ {
-			spurNode := prevVerts[i]
-			rootEdges := prevPath.Edges[:i]
-			banned := sc.banned[:0]
-			for _, p := range result {
-				if pathHasPrefix(p, rootEdges) && len(p.Edges) > i {
-					e := p.Edges[i]
-					banned = append(banned, [3]int{e.From, e.To, e.ID})
+	if _, ok := t.sc.reached(dst); !ok {
+		return 0
+	}
+	return g.yen(sc, &t.sc, dst, k)
+}
+
+func (sc *Scratch) reset() {
+	sc.arena, sc.res, sc.cand, sc.tied = sc.arena[:0], sc.res[:0], sc.cand[:0], false
+}
+
+// PathWeight returns the weight of path i of the last k-shortest query.
+func (sc *Scratch) PathWeight(i int) float64 { return sc.res[i].weight }
+
+// PathEdges returns the edges of path i of the last k-shortest query. The
+// slice aliases sc and is valid, read-only, until its next query.
+func (sc *Scratch) PathEdges(i int) []Edge { return sc.edges(sc.res[i]) }
+
+// PathsTied reports whether the last k-shortest query met a tie it had to
+// break by order: a vertex of a path it built reached over two arcs at
+// exactly the same distance, or a candidate within rounding of the one
+// selected. Without one, deleting an edge that none of the returned paths
+// uses leaves the answer unchanged — every tree arc on them is still the
+// only one at its distance, and a candidate that loses the edge only gets
+// longer — which is what lets a caller that caches the answer keep it.
+func (sc *Scratch) PathsTied() bool { return sc.tied }
+
+func (sc *Scratch) edges(p span) []Edge { return sc.arena[p.off : p.off+p.n] }
+
+func (sc *Scratch) path(i int) *Path {
+	return &Path{Edges: append([]Edge(nil), sc.PathEdges(i)...), Weight: sc.res[i].weight}
+}
+
+// selectSlack is the relative weight difference under which two candidates
+// count as tied. The same path found from two spur nodes sums its weights in
+// two orders and may differ in the last bits, so "equal" has to cover that.
+const selectSlack = 1e-9
+
+// yen is the body of KShortest. The first path is the tree path to dst of
+// the finished search in first (sc itself, or a Tree's scratch).
+func (g *Graph) yen(sc, first *Scratch, dst, k int) int {
+	sc.fit(g.n)
+	d0, _ := first.reached(dst)
+	sc.tied = g.appendTreePath(sc, first, dst)
+	sc.res = append(sc.res, span{n: int32(len(sc.arena)), parent: -1, weight: d0})
+	for len(sc.res) < k {
+		r := len(sc.res) - 1
+		prev := sc.res[r]
+		for i := 0; i < int(prev.n); i++ {
+			pe := sc.edges(prev)
+			root, spurNode := pe[:i], pe[i].From
+			// Ban edge i of every result path that follows the root. fresh:
+			// a path found since prev's parent was scanned adds one.
+			sc.banned = sc.banned[:0]
+			fresh := false
+			for q, p := range sc.res {
+				if int(p.n) <= i || !sameRoute(sc.edges(p)[:i], root) {
+					continue
+				}
+				if e := sc.edges(p)[i]; !bannedEdge(sc.banned, e) {
+					sc.banned = append(sc.banned, e)
+					fresh = fresh || q > int(prev.parent)
 				}
 			}
-			sc.banned = banned
-			for _, v := range prevVerts[:i] {
-				removed[v] = true
+			// Lawler's skip: before prev's deviation point the root is its
+			// parent's, and with no fresh ban so is the whole spur search —
+			// its outcome is already among the candidates or results.
+			if i >= int(prev.dev) || fresh {
+				g.spur(sc, r, i, spurNode, dst)
 			}
-			spur := g.shortestPathFiltered(sc, spurNode, dst, removed, banned)
-			for _, v := range prevVerts[:i] {
-				removed[v] = false
-			}
-			if spur == nil {
-				continue
-			}
-			var total []Edge
-			total = append(total, rootEdges...)
-			total = append(total, spur.Edges...)
-			w := spur.Weight
-			for _, e := range rootEdges {
-				w += e.Weight
-			}
-			cand := &Path{Edges: total, Weight: w}
-			if !containsPath(candidates, cand) && !containsPath(result, cand) {
-				candidates = append(candidates, cand)
-			}
+			sc.vs[spurNode].removed = true
 		}
-		if len(candidates) == 0 {
+		for _, e := range sc.edges(prev) {
+			sc.vs[e.From].removed = false
+		}
+		if len(sc.cand) == 0 {
 			break
 		}
-		stableSortByWeight(candidates)
-		result = append(result, candidates[0])
-		candidates = candidates[1:]
+		best := 0
+		for c, p := range sc.cand {
+			if p.weight < sc.cand[best].weight {
+				best = c
+			}
+		}
+		sel := sc.cand[best]
+		for c, p := range sc.cand {
+			if c != best && p.weight <= sel.weight*(1+selectSlack) {
+				sc.tied = true
+			}
+		}
+		sc.res = append(sc.res, sel)
+		sc.cand = append(sc.cand[:best], sc.cand[best+1:]...)
 	}
-	return result
+	return len(sc.res)
+}
+
+// spur searches for the best deviation from result path r at edge i and
+// files it as a candidate unless it is already known.
+func (g *Graph) spur(sc *Scratch, r, i, spurNode, dst int) {
+	g.search(sc, spurNode, dst, sc.banned)
+	w, ok := sc.reached(dst)
+	if !ok {
+		return
+	}
+	start := len(sc.arena)
+	sc.arena = append(sc.arena, sc.edges(sc.res[r])[:i]...)
+	if g.appendTreePath(sc, sc, dst) {
+		sc.tied = true
+	}
+	c := span{off: int32(start), n: int32(len(sc.arena) - start), dev: int32(i), parent: int32(r), weight: w}
+	for _, e := range sc.arena[start : start+i] {
+		c.weight += e.Weight
+	}
+	if sc.known(sc.cand, c) || sc.known(sc.res, c) {
+		sc.arena = sc.arena[:start]
+		return
+	}
+	sc.cand = append(sc.cand, c)
+}
+
+// sameRoute compares two edge sequences by endpoints and id.
+func sameRoute(a, b []Edge) bool {
+	for i, e := range b {
+		if o := a[i]; o.To != e.To || o.ID != e.ID || o.From != e.From {
+			return false
+		}
+	}
+	return true
+}
+
+func (sc *Scratch) known(ps []span, c span) bool {
+	ce := sc.edges(c)
+	for _, p := range ps {
+		if p.n == c.n && slices.Equal(sc.edges(p), ce) {
+			return true
+		}
+	}
+	return false
+}
+
+// KShortestPathsScratch is KShortestPaths with caller-owned scratch: only
+// the returned paths are allocated.
+func (g *Graph) KShortestPathsScratch(sc *Scratch, src, dst, k int) []*Path {
+	n := g.KShortest(sc, src, dst, k)
+	if n == 0 {
+		return nil
+	}
+	out := make([]*Path, n)
+	for i := range out {
+		out[i] = sc.path(i)
+	}
+	return out
 }

@@ -23,9 +23,7 @@ package optical
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/bits"
-	"sync"
 
 	"owan/internal/bitset"
 	"owan/internal/graph"
@@ -110,6 +108,9 @@ func (c *Circuit) LengthKm() float64 {
 // State is the mutable occupancy of the optical layer for one Network.
 type State struct {
 	net *topology.Network
+	// rt is where the route tables below come from; WithoutFiber derives the
+	// next state's tables from it.
+	rt *routeTables
 	// fiberUse and fiberWaves are indexed by fiber ID (ids survive
 	// removals, so the slices are sized to the maximum id; removed ids
 	// hold a nil set and zero wavelengths).
@@ -235,170 +236,39 @@ type provScratch struct {
 	segAns   []int32
 }
 
-// fiberRoute is one candidate fiber realization of a segment.
-type fiberRoute struct {
-	ids []int
-	km  float64
-}
-
-// kFiberPaths is how many fiber routes per site pair a segment may try.
-const kFiberPaths = 3
-
-// routeTables is the immutable fiber-layer precomputation of one network:
-// all-pairs shortest fiber distances, the primary and alternate fiber routes
-// per site pair, and the static reach adjacency. Everything here is a pure
-// function of the Network, read-only after construction, and shared by every
-// State built on that network.
-type routeTables struct {
-	fiberGraph *graph.Graph
-	pairDist   [][]float64
-	pairPath   [][][]int
-	pairAlts   [][][]fiberRoute
-	inReach    []bool
-	regenReach bitset.Set
-	reachMask  []uint64
-	reachMaskW bitset.Set
-	maskW      int
-}
-
-// The route-table cache: building the tables runs an all-pairs k-shortest-
-// path sweep, which dominates NewState, yet callers routinely rebuild states
-// on the same network (the controller re-provisions every slot; experiments
-// evaluate many algorithms per topology cell). A small LRU keyed by Network
-// identity makes every rebuild after the first free. The cache is bounded so
-// transient networks (one per figure cell) cannot accumulate; identical
-// results from racing builders make the race benign, so the lock is dropped
-// during the expensive build.
-const routeCacheSize = 8
-
-var (
-	routeMu    sync.Mutex
-	routeCache []*struct {
-		net *topology.Network
-		rt  *routeTables
-	}
-)
-
-func lookupRouteTables(net *topology.Network) *routeTables {
-	routeMu.Lock()
-	for i, e := range routeCache {
-		if e.net == net {
-			copy(routeCache[1:i+1], routeCache[:i])
-			routeCache[0] = e
-			routeMu.Unlock()
-			return e.rt
-		}
-	}
-	routeMu.Unlock()
-	rt := buildRouteTables(net)
-	routeMu.Lock()
-	if len(routeCache) == routeCacheSize {
-		routeCache = routeCache[:routeCacheSize-1]
-	}
-	routeCache = append([]*struct {
-		net *topology.Network
-		rt  *routeTables
-	}{{net, rt}}, routeCache...)
-	routeMu.Unlock()
-	return rt
-}
-
-func buildRouteTables(net *topology.Network) *routeTables {
-	ns := net.NumSites()
-	rt := &routeTables{
-		fiberGraph: net.FiberGraph(),
-		pairDist:   make([][]float64, ns),
-		pairPath:   make([][][]int, ns),
-		pairAlts:   make([][][]fiberRoute, ns),
-		inReach:    make([]bool, ns*ns),
-	}
-	var sc graph.Scratch
-	for u := 0; u < ns; u++ {
-		rt.pairDist[u] = rt.fiberGraph.ShortestDistances(u)
-		rt.pairPath[u] = make([][]int, ns)
-		rt.pairAlts[u] = make([][]fiberRoute, ns)
-		for v := 0; v < ns; v++ {
-			if u == v || math.IsInf(rt.pairDist[u][v], 1) {
-				continue
-			}
-			paths := rt.fiberGraph.KShortestPathsScratch(&sc, u, v, kFiberPaths)
-			for pi, p := range paths {
-				ids := make([]int, len(p.Edges))
-				for i, e := range p.Edges {
-					ids[i] = e.ID
-				}
-				if pi == 0 {
-					rt.pairPath[u][v] = ids
-				} else if p.Weight <= net.ReachKm {
-					// Alternates are only useful if they themselves stay
-					// within optical reach.
-					rt.pairAlts[u][v] = append(rt.pairAlts[u][v], fiberRoute{ids: ids, km: p.Weight})
-				}
-			}
-			rt.inReach[u*ns+v] = rt.pairDist[u][v] <= net.ReachKm && rt.pairPath[u][v] != nil
-		}
-	}
-	rt.maskW = bitset.Words(ns)
-	if ns <= 64 {
-		rt.reachMask = make([]uint64, ns)
-		for u := 0; u < ns; u++ {
-			for v := 0; v < ns; v++ {
-				if rt.inReach[u*ns+v] {
-					rt.reachMask[u] |= 1 << uint(v)
-				}
-			}
-		}
-	} else {
-		rt.reachMaskW = make(bitset.Set, ns*rt.maskW)
-		for u := 0; u < ns; u++ {
-			row := rt.reachMaskW[u*rt.maskW : (u+1)*rt.maskW]
-			for v := 0; v < ns; v++ {
-				if rt.inReach[u*ns+v] {
-					row.Set(v)
-				}
-			}
-		}
-	}
-	// Static regenerator reachability: one BFS per source over the reach
-	// adjacency, expanding only through sites whose static regenerator pool
-	// is nonzero (the source itself needs no regenerator to transmit).
-	rt.regenReach = make(bitset.Set, ns*rt.maskW)
-	queue := make([]int, 0, ns)
-	seen := make([]bool, ns)
-	for u := 0; u < ns; u++ {
-		row := rt.regenReach[u*rt.maskW : (u+1)*rt.maskW]
-		clear(seen)
-		seen[u] = true
-		queue = append(queue[:0], u)
-		for head := 0; head < len(queue); head++ {
-			x := queue[head]
-			for v := 0; v < ns; v++ {
-				if seen[v] || !rt.inReach[x*ns+v] {
-					continue
-				}
-				seen[v] = true
-				row.Set(v)
-				if net.Sites[v].Regenerators > 0 {
-					queue = append(queue, v)
-				}
-			}
-		}
-	}
-	return rt
-}
-
 // NewState builds an empty optical state for the network.
 func NewState(net *topology.Network) *State {
-	ns := net.NumSites()
-	maxID := 0
-	for _, f := range net.Fibers {
-		if f.ID > maxID {
-			maxID = f.ID
-		}
+	return newState(net, lookupRouteTables(net))
+}
+
+// WithoutFiber returns an empty optical state, as NewState builds it, for
+// the receiver's network less the given fiber (failure handling, §3.4); its
+// network is a copy, see Network. The route tables are derived from the
+// receiver's by repair — only the site pairs whose fiber routes could have
+// involved the fiber are recomputed, the rest is shared — where NewState on
+// a reduced copy of the network would run the whole all-pairs sweep again.
+// Occupancy and ablation settings of the receiver are not carried over. If
+// the network has no such fiber the result is a fresh state on that same
+// network.
+func (s *State) WithoutFiber(fiberID int) *State {
+	net, ok := s.net.WithoutFiber(fiberID)
+	if !ok {
+		return newState(s.net, s.rt)
 	}
-	rt := lookupRouteTables(net)
+	rt := s.rt.withoutFiber(net, fiberID)
+	storeRouteTables(net, rt)
+	return newState(net, rt)
+}
+
+// Network returns the physical network the state was built for.
+func (s *State) Network() *topology.Network { return s.net }
+
+func newState(net *topology.Network, rt *routeTables) *State {
+	ns := net.NumSites()
+	maxID := maxFiberID(net)
 	s := &State{
 		net:        net,
+		rt:         rt,
 		fiberUse:   make([]waveSet, maxID+1),
 		fiberWaves: make([]int, maxID+1),
 		regenFree:  make([]int, ns),
@@ -530,6 +400,7 @@ func (s *State) scratchBuf() *provScratch {
 func (s *State) Clone() *State {
 	c := &State{
 		net:              s.net,
+		rt:               s.rt,
 		fiberUse:         make([]waveSet, len(s.fiberUse)),
 		fiberFree:        make([]waveSet, len(s.fiberFree)),
 		fiberFree0:       s.fiberFree0,

@@ -311,20 +311,12 @@ func (s *TEScheduler) OnFiberFailure(fiberID int) {
 	if s.Net == nil {
 		return
 	}
-	idx := -1
-	for i, f := range s.Net.Fibers {
-		if f.ID == fiberID {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	net, ok := s.Net.WithoutFiber(fiberID)
+	if !ok {
 		return
 	}
-	clone := *s.Net
-	clone.Fibers = append(append([]topology.Fiber(nil), s.Net.Fibers[:idx]...), s.Net.Fibers[idx+1:]...)
-	s.Net = &clone
-	s.override = topology.InitialTopology(&clone)
+	s.Net = net
+	s.override = topology.InitialTopology(net)
 }
 
 // Schedule implements Scheduler.

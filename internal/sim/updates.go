@@ -59,20 +59,8 @@ func newUpdatePlanner(net *topology.Network, initial *topology.LinkSet) *updateP
 // while the previous slot's state keeps the routes its circuits actually
 // occupied.
 func (p *updatePlanner) onFiberFailure(fiberID int) {
-	idx := -1
-	for i, f := range p.net.Fibers {
-		if f.ID == fiberID {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return
-	}
-	clone := *p.net
-	clone.Fibers = append(append([]topology.Fiber(nil), p.net.Fibers[:idx]...), p.net.Fibers[idx+1:]...)
-	p.net = &clone
-	p.opt = optical.NewState(p.net)
+	p.opt = p.opt.WithoutFiber(fiberID)
+	p.net = p.opt.Network()
 }
 
 // plan computes the consistent-update schedule for this slot's transition

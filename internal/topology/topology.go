@@ -58,6 +58,20 @@ func (n *Network) FiberGraph() *graph.Graph {
 	return g
 }
 
+// WithoutFiber returns a copy of the network that lacks the fiber with the
+// given id (failure handling, §3.4). Sites and every other fiber — ids and
+// order included — are shared with or copied from the receiver unchanged.
+// ok is false, and the receiver itself is returned, when no fiber has the id.
+func (n *Network) WithoutFiber(id int) (_ *Network, ok bool) {
+	idx := slices.IndexFunc(n.Fibers, func(f Fiber) bool { return f.ID == id })
+	if idx < 0 {
+		return n, false
+	}
+	clone := *n
+	clone.Fibers = append(append([]Fiber(nil), n.Fibers[:idx]...), n.Fibers[idx+1:]...)
+	return &clone, true
+}
+
 // Validate checks structural invariants: fiber endpoints in range, positive
 // lengths and wavelength counts, connectivity, and at least one router port
 // per router site.

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -230,5 +231,30 @@ func TestValidateCatchesBadInputs(t *testing.T) {
 	n.Fibers = n.Fibers[:2] // disconnect
 	if err := n.Validate(); err == nil {
 		t.Error("disconnected fiber graph not caught")
+	}
+}
+
+// TestWithoutFiber: the copy lacks exactly the named fiber, keeps the ids
+// and order of the rest (fiber ids are keys elsewhere, not positions), and
+// leaves the receiver alone; an unknown id is reported, not ignored.
+func TestWithoutFiber(t *testing.T) {
+	n := Internet2(15)
+	before := append([]Fiber(nil), n.Fibers...)
+	cut, ok := n.WithoutFiber(before[3].ID)
+	if !ok || cut == n {
+		t.Fatal("known fiber not removed")
+	}
+	want := append(append([]Fiber(nil), before[:3]...), before[4:]...)
+	if !slices.Equal(cut.Fibers, want) {
+		t.Errorf("fibers after the cut = %v, want %v", cut.Fibers, want)
+	}
+	if !slices.Equal(n.Fibers, before) {
+		t.Error("WithoutFiber changed the receiver's fibers")
+	}
+	if cut.NumSites() != n.NumSites() || cut.ReachKm != n.ReachKm || cut.ThetaGbps != n.ThetaGbps {
+		t.Error("WithoutFiber changed more than the fibers")
+	}
+	if same, ok := cut.WithoutFiber(before[3].ID); ok || same != cut {
+		t.Error("removing an absent fiber should return the receiver and false")
 	}
 }
