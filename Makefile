@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench bench-compare bench-json bench-smoke temper claims update routes faults loadgen-smoke check
+.PHONY: build vet test race bench bench-compare bench-json bench-smoke temper claims update routes faults ctl loadgen-smoke check
 
 build:
 	$(GO) build ./...
@@ -96,18 +96,31 @@ faults:
 			-run 'TestFaultInjectionEndToEnd' ./internal/controlplane/ || exit 1; \
 	done
 
+# ctl replays the controller's slot discipline under the race detector with
+# the test cache defeated: a submit issued mid-search acks at idle latency
+# and joins the next slot; Tick, wire submits, status reads and fiber cuts
+# run against each other and end in Close with no goroutine left; a store
+# holding only the records each slot changed recovers like one rewritten in
+# full every slot.
+ctl:
+	$(GO) test -race -count=3 \
+		-run 'TestSubmitDuringSearch|TestSlotOpsConcurrent|TestRecoveryEquivalence' \
+		./internal/controlplane/
+
 # loadgen-smoke drives a fixed-seed 1k-client fleet through the admission
-# pipeline over the in-memory transport and audits the store token by
-# token: -check exits nonzero (dumping server counters, fault stats, and
-# the latency summary) on any lost or duplicated submit or a p99 above
-# the bound. Small enough for CI; `owan-loadgen -clients 100000` is the
-# full-scale run behind results/loadgen.dat.
+# pipeline over the in-memory transport, beside a scheduler ticking every
+# 100 ms (20 submits per client, so the load spans several slots), and
+# audits the store token by token: -check exits nonzero (dumping server
+# counters, fault stats, and the latency summary) on any lost or duplicated
+# submit or a p99 above the bound. Small enough for CI; `owan-loadgen
+# -clients 100000` is the full-scale run behind results/loadgen.dat.
 loadgen-smoke:
-	$(GO) run ./cmd/owan-loadgen -clients 1000 -seed 1 -check -max-p99 20s -quiet
+	$(GO) run ./cmd/owan-loadgen -clients 1000 -submits 20 -seed 1 -tick 100ms -check -max-p99 20s -quiet
 
 # check is the tier-1 gate: clean build, vet, full tests, race-detected
 # internal tests (including the delta differential harnesses), the
 # tempering golden differential, the claim, flat-planner and route-table
 # differentials, a one-shot benchmark smoke, the seeded fault-injection
-# matrix, and the admission load-generator smoke.
-check: build vet test race temper claims update routes bench-smoke faults loadgen-smoke
+# matrix, the controller's slot-discipline tests, and the admission
+# load-generator smoke.
+check: build vet test race temper claims update routes bench-smoke faults ctl loadgen-smoke

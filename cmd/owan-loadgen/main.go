@@ -33,7 +33,7 @@ func main() {
 		shards   = flag.Int("shards", 0, "admission shards (0 = controller default)")
 		qdepth   = flag.Int("queue-depth", 0, "per-shard queue depth (0 = controller default)")
 		maxcli   = flag.Int("max-clients", 0, "controller client cap (0 = unlimited)")
-		tick     = flag.Duration("tick", 0, "run controller slot ticks at this interval during the load (0 = off)")
+		tick     = flag.Duration("tick", 0, "run controller slot ticks at this interval during the load (0 = admission alone)")
 		slot     = flag.Float64("slot", 300, "modeled slot duration in seconds")
 		rpcTO    = flag.Duration("rpc-timeout", 5*time.Second, "per-attempt client timeout")
 		subDL    = flag.Duration("submit-deadline", 2*time.Minute, "per-submit overall patience before a client counts the submit lost")
@@ -87,8 +87,8 @@ func main() {
 			a.Submits, a.ThroughputPerSec, res.Lost, res.Duplicated)
 		fmt.Printf("  latency    p50 %.2fms  p99 %.2fms  mean %.2fms\n",
 			a.P50LatencySec*1000, a.P99LatencySec*1000, a.MeanLatencySec*1000)
-		fmt.Printf("  overloads  %d (rate %.4f), resyncs checked %d\n",
-			a.Overloads, a.OverloadRate, res.ResyncChecked)
+		fmt.Printf("  overloads  %d (rate %.4f), resyncs checked %d, slots run %d\n",
+			a.Overloads, a.OverloadRate, res.ResyncChecked, res.Slots)
 	}
 
 	if *out != "" {
@@ -115,6 +115,9 @@ func main() {
 		}
 		if want := res.Clients * *submits; res.Admission.Submits != want {
 			fail("admitted %d of %d submits", res.Admission.Submits, want)
+		}
+		if *tick > 0 && res.Slots == 0 {
+			fail("-tick %s but no slot ran during the %.2fs load", *tick, res.Elapsed.Seconds())
 		}
 		if p99 := time.Duration(res.Admission.P99LatencySec * float64(time.Second)); p99 > *maxP99 {
 			fail("p99 submit latency %s exceeds bound %s", p99, *maxP99)

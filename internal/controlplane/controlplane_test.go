@@ -68,13 +68,20 @@ func newTestController(t *testing.T, st *store.Store) (*Controller, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return ctrl, serve(t, ctrl)
+}
+
+// serve starts ctrl on a loopback listener and returns its address; the
+// test's cleanup closes the controller.
+func serve(t *testing.T, ctrl *Controller) string {
+	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	go ctrl.Serve(lis)
 	t.Cleanup(ctrl.Close)
-	return ctrl, lis.Addr().String()
+	return lis.Addr().String()
 }
 
 func TestSubmitAndTick(t *testing.T) {

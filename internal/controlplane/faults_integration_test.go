@@ -245,12 +245,16 @@ func runFaultScenario(t *testing.T, seed int64) {
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
-	// The successor tracks exactly the submitted transfers — a duplicate
-	// created by a replayed submit would show up here.
+	// The successor's store holds exactly the submitted transfers — a
+	// duplicate created by a replayed submit would be one record more — and
+	// every finished one has left its live state.
+	if n := len(st2.Keys("transfer/")); n != total {
+		t.Errorf("successor's store holds %d transfer records, want %d", n, total)
+	}
 	ctrl2.mu.Lock()
-	n := len(ctrl2.transfers)
+	live, done := len(ctrl2.transfers), ctrl2.completed
 	ctrl2.mu.Unlock()
-	if n != total {
-		t.Errorf("successor tracks %d transfers, want %d", n, total)
+	if live != 0 || done != total {
+		t.Errorf("successor holds %d live transfers with %d completed, want 0 and %d", live, done, total)
 	}
 }

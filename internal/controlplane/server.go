@@ -55,15 +55,28 @@ type Controller struct {
 	retryAfter time.Duration // backpressure hint handed to shed clients
 	admitGate  chan struct{} // test-only stall for shard workers
 
+	// slotMu serializes the slot-level operations — Tick, FailFiber, Close —
+	// with each other and never with admission. It alone guards the state
+	// only they touch: the optimizer core, the current topology, the failed
+	// fibers and the update planner's previous state. Net is written under
+	// slotMu and mu together, so holding either is enough to read it. Lock
+	// order: slotMu before mu.
+	slotMu     sync.Mutex
+	owan       *core.Owan
+	topo       *topology.LinkSet
+	failed     map[int]bool // fiber ids already failed (idempotent reports)
+	prevUpdate *update.State
+	updScratch *update.Scratch
+
+	// mu guards everything admission, status and the connection handlers
+	// share with a slot's snapshot and commit phases. It is never held
+	// across a search, a route-table repair, a store write or a send.
 	mu        sync.Mutex
-	owan      *core.Owan
-	topo      *topology.LinkSet
-	transfers map[int]*transfer.Transfer
-	owners    map[int]int         // transfer id -> submitting site
-	sites     map[int]*clientConn // site -> most recent live connection
-	tokens    map[string]int      // idempotency token -> transfer id
-	tokenByID map[int]string      // reverse of tokens, for persistence
-	failed    map[int]bool        // fiber ids already failed (idempotent reports)
+	transfers map[int]*transfer.Transfer // live transfers; commit evicts the finished
+	owners    map[int]int                // live transfer id -> submitting site
+	sites     map[int]*clientConn        // site -> most recent live connection
+	tokens    map[string]int             // idempotency token -> transfer id, finished ones too
+	tokenByID map[int]string             // reverse of tokens for live transfers, for persistence
 	// resyncNeeded marks sites whose rate push was dropped (write timeout
 	// or dead connection): the next snapshot resync from that site clears
 	// the mark. Purely observational — pushes resume at the next tick once
@@ -72,13 +85,14 @@ type Controller struct {
 	nRegistered  int
 	nextID       int
 	slot         int
-	completed    int
-	st           *store.Store
-	// Cross-layer update scheduling (§3.3): the previous slot's realized
-	// state, and stats from the most recent consistent rollout.
-	prevUpdate *update.State
-	updScratch *update.Scratch
-	lastPlan   UpdatePlanStats
+	// admitSlot is the first slot that can still schedule a new arrival:
+	// slot, or slot+1 from the moment a Tick has snapshotted slot's demand
+	// until it commits.
+	admitSlot int
+	completed int
+	circuits  int // circuits in the topology of the last committed slot
+	st        *store.Store
+	lastPlan  UpdatePlanStats // the most recent consistent rollout (§3.3)
 
 	shards []*admitShard
 
@@ -224,9 +238,11 @@ func newController(ctx context.Context, st *store.Store, o serverOptions) (*Cont
 	if c.retryAfter > time.Second {
 		c.retryAfter = time.Second
 	}
+	c.circuits = c.topo.TotalCircuits()
 	if err := c.recover(); err != nil {
 		return nil, err
 	}
+	c.admitSlot = c.slot
 	c.shards = make([]*admitShard, o.shards)
 	for i := range c.shards {
 		c.shards[i] = &admitShard{jobs: make(chan admitJob, o.queueDepth)}
@@ -301,16 +317,19 @@ func (c *Controller) toUpdateState(st *core.NetworkState) *update.State {
 	return &update.State{Circuits: circuits, CircuitFibers: fibers, Routes: routes}
 }
 
-// scheduleUpdate builds the consistent rollout from the previous slot's
-// state and records its stats.
-func (c *Controller) scheduleUpdate(next *update.State) {
-	defer func() { c.prevUpdate = next }()
-	if c.prevUpdate == nil {
-		return
+// planUpdate builds the consistent rollout from the previous slot's state
+// to next and returns its stats; ok is false when there is no previous state
+// to roll out from (the first slot, or the first after a fiber cut). Slot-level
+// state only: the caller holds slotMu.
+func (c *Controller) planUpdate(next *update.State) (stats UpdatePlanStats, ok bool) {
+	prev := c.prevUpdate
+	c.prevUpdate = next
+	if prev == nil {
+		return UpdatePlanStats{}, false
 	}
 	used := map[int]int{}
-	for k, n := range c.prevUpdate.Circuits {
-		for _, fid := range c.prevUpdate.CircuitFibers[k] {
+	for k, n := range prev.Circuits {
+		for _, fid := range prev.CircuitFibers[k] {
 			used[fid] += n
 		}
 	}
@@ -323,17 +342,16 @@ func (c *Controller) scheduleUpdate(next *update.State) {
 	if c.updScratch == nil {
 		c.updScratch = update.NewScratch()
 	}
-	plan, err := c.updScratch.BuildPlan(update.Config{Theta: c.Net.ThetaGbps, FiberFree: free}, c.prevUpdate, next)
+	plan, err := c.updScratch.BuildPlan(update.Config{Theta: c.Net.ThetaGbps, FiberFree: free}, prev, next)
 	if err != nil {
-		c.lastPlan = UpdatePlanStats{Err: err.Error()}
-		return
+		return UpdatePlanStats{Err: err.Error()}, true
 	}
-	c.lastPlan = UpdatePlanStats{
+	return UpdatePlanStats{
 		Rounds:  len(plan.Rounds),
 		Ops:     plan.NumOps(),
 		Seconds: plan.Seconds(),
 		Detours: plan.ForcedDetours,
-	}
+	}, true
 }
 
 // persistedTransfer is the store representation of a transfer. Site is
@@ -381,22 +399,33 @@ func tKey(site, id int) string { return fmt.Sprintf("transfer/s%d/%08d", site, i
 // sitePrefix is the store key prefix holding one site's transfer records.
 func sitePrefix(site int) string { return fmt.Sprintf("transfer/s%d/", site) }
 
-// recordLocked marshals a transfer's durable record (caller holds c.mu);
-// the write itself happens outside the lock via store.PutBatch.
-func (c *Controller) recordLocked(t *transfer.Transfer) (store.KV, bool) {
+// persistLocked captures a transfer's durable record (caller holds c.mu);
+// marshalRecords turns the captures into a store batch once the lock is
+// released.
+func (c *Controller) persistLocked(t *transfer.Transfer) persistedTransfer {
 	site, ok := c.owners[t.ID]
 	if !ok {
 		site = -1
 	}
-	b, err := json.Marshal(persistedTransfer{
+	return persistedTransfer{
 		Req: t.Request, Remaining: t.Remaining, Done: t.Done,
 		Site: site, Token: c.tokenByID[t.ID],
-	})
-	if err != nil {
-		log.Printf("controlplane: persist transfer %d: %v", t.ID, err)
-		return store.KV{}, false
 	}
-	return store.KV{Key: tKey(site, t.ID), Value: b}, true
+}
+
+// marshalRecords marshals captured records into a store batch, with room
+// for one more entry.
+func marshalRecords(recs ...persistedTransfer) []store.KV {
+	kvs := make([]store.KV, 0, len(recs)+1)
+	for _, p := range recs {
+		b, err := json.Marshal(p)
+		if err != nil {
+			log.Printf("controlplane: persist transfer %d: %v", p.Req.ID, err)
+			continue
+		}
+		kvs = append(kvs, store.KV{Key: tKey(p.Site, p.Req.ID), Value: b})
+	}
+	return kvs
 }
 
 // recover rebuilds in-memory transfer state from the store (controller
@@ -404,6 +433,8 @@ func (c *Controller) recordLocked(t *transfer.Transfer) (store.KV, bool) {
 // reconfigure the network state at the next time slot"). The next-id
 // counter resumes past the largest recovered id, so ids stay unique
 // across takeovers; tokens and ownership come back with the transfers.
+// Finished transfers come back as a count and a token only, the state a
+// controller that had run those slots itself would hold.
 func (c *Controller) recover() error {
 	if b, ok := c.st.Get("meta/slot"); ok {
 		if err := json.Unmarshal(b, &c.slot); err != nil {
@@ -416,22 +447,27 @@ func (c *Controller) recover() error {
 		if err := json.Unmarshal(b, &p); err != nil {
 			return fmt.Errorf("controlplane: corrupt transfer record %s: %w", k, err)
 		}
-		t := transfer.NewTransfer(p.Req)
-		t.Remaining = p.Remaining
-		t.Done = p.Done
-		c.transfers[t.ID] = t
-		if t.ID >= c.nextID {
-			c.nextID = t.ID + 1
-		}
-		if t.Done {
-			c.completed++
-		}
-		if p.Site >= 0 {
-			c.owners[t.ID] = p.Site
+		id := p.Req.ID
+		if id >= c.nextID {
+			c.nextID = id + 1
 		}
 		if p.Token != "" {
-			c.tokens[p.Token] = t.ID
-			c.tokenByID[t.ID] = p.Token
+			c.tokens[p.Token] = id
+		}
+		if p.Done {
+			// Finished: counted, and its token still answers a replay, but
+			// it is not live state (as if commit had evicted it here).
+			c.completed++
+			continue
+		}
+		t := transfer.NewTransfer(p.Req)
+		t.Remaining = p.Remaining
+		c.transfers[id] = t
+		if p.Site >= 0 {
+			c.owners[id] = p.Site
+		}
+		if p.Token != "" {
+			c.tokenByID[id] = p.Token
 		}
 	}
 	return nil
@@ -476,24 +512,25 @@ func (c *Controller) Addr() net.Addr {
 }
 
 // Close stops serving, closes all connections, and stops the admission
-// shard workers. Safe to call more than once.
+// shard workers and the evaluator pool. A Tick or FailFiber in flight is
+// waited out, not cancelled; a Tick that starts afterwards is a no-op. Safe
+// to call more than once.
 func (c *Controller) Close() {
 	c.mu.Lock()
-	if c.closing {
-		c.mu.Unlock()
-		c.wg.Wait()
-		return
+	if !c.closing {
+		c.closing = true
+		close(c.done)
+		if c.lis != nil {
+			c.lis.Close()
+		}
+		for cc := range c.conns {
+			cc.c.Close()
+		}
 	}
-	c.closing = true
-	close(c.done)
-	if c.lis != nil {
-		c.lis.Close()
-	}
-	for cc := range c.conns {
-		cc.c.Close()
-	}
-	c.owan.Close() // under c.mu, so never beside a Tick's search
 	c.mu.Unlock()
+	c.slotMu.Lock()
+	c.owan.Close()
+	c.slotMu.Unlock()
 	c.wg.Wait()
 }
 
@@ -610,7 +647,7 @@ func (c *Controller) handle(cc *clientConn) {
 				Slot:      c.slot,
 				Active:    c.activeCountLocked(),
 				Completed: c.completed,
-				Circuits:  c.topo.TotalCircuits(),
+				Circuits:  c.circuits,
 			}
 			c.mu.Unlock()
 			cc.send(&Message{Type: MsgStatusReply, Seq: m.Seq, Status: st})
@@ -679,23 +716,23 @@ func (c *Controller) admitBatch(batch []admitJob) {
 		m  Message
 	}
 	replies := make([]reply, 0, len(batch))
-	kvs := make([]store.KV, 0, len(batch))
+	recs := make([]persistedTransfer, 0, len(batch))
 	admitted := 0
 	c.mu.Lock()
 	for _, j := range batch {
-		id, kv, err := c.submitLocked(j.req, j.cc.site, j.token)
+		id, rec, fresh, err := c.submitLocked(j.req, j.cc.site, j.token)
 		if err != nil {
 			replies = append(replies, reply{j.cc, Message{Type: MsgError, Seq: j.seq, Code: ErrCodeBadRequest, Err: err.Error()}})
 			continue
 		}
-		if kv.Key != "" {
-			kvs = append(kvs, kv)
+		if fresh {
+			recs = append(recs, rec)
 		}
 		admitted++
 		replies = append(replies, reply{j.cc, Message{Type: MsgSubmitAck, Seq: j.seq, ID: id}})
 	}
 	c.mu.Unlock()
-	c.st.PutBatch(kvs)
+	c.st.PutBatch(marshalRecords(recs...))
 	// Count before acking: once a client holds an ack, the counters must
 	// already reflect its admission.
 	c.ctr.admitted.Add(uint64(admitted))
@@ -708,7 +745,7 @@ func (c *Controller) admitBatch(batch []admitJob) {
 func (c *Controller) activeCountLocked() int {
 	n := 0
 	for _, t := range c.transfers {
-		if !t.Done && t.Arrival <= c.slot {
+		if t.Arrival <= c.slot {
 			n++
 		}
 	}
@@ -725,27 +762,32 @@ func (c *Controller) Submit(r WireRequest) (int, error) {
 // and tests; the wire path batches through admitBatch instead).
 func (c *Controller) submit(r WireRequest, site int, token string) (int, error) {
 	c.mu.Lock()
-	id, kv, err := c.submitLocked(r, site, token)
+	id, rec, fresh, err := c.submitLocked(r, site, token)
 	c.mu.Unlock()
 	if err != nil {
 		return 0, err
 	}
-	if kv.Key != "" {
-		c.st.Put(kv.Key, kv.Value)
+	if fresh {
+		c.st.PutBatch(marshalRecords(rec))
 	}
 	return id, nil
 }
 
 // submitLocked registers a transfer request for a site and returns its id
-// plus the durable record to write (empty key when the submission was an
-// idempotent replay). site -1 means no owner. A non-empty token makes the
-// call idempotent: resubmitting a token the controller has already seen —
-// including one recovered from the store after failover — returns the
-// original id without creating a duplicate transfer.
-func (c *Controller) submitLocked(r WireRequest, site int, token string) (int, store.KV, error) {
+// plus the durable record to write (fresh is false when the submission was
+// an idempotent replay and there is nothing to write). site -1 means no
+// owner. A non-empty token makes the call idempotent: resubmitting a token
+// the controller has already seen — including one recovered from the store
+// after failover, or one whose transfer has finished — returns the original
+// id without creating a duplicate transfer.
+//
+// The transfer arrives in admitSlot, the first slot that can schedule it: a
+// submit admitted while a Tick is searching slot s was not in that slot's
+// demand snapshot, so it arrives — and its deadline counts — from s+1.
+func (c *Controller) submitLocked(r WireRequest, site int, token string) (id int, rec persistedTransfer, fresh bool, err error) {
 	if token != "" {
 		if id, ok := c.tokens[token]; ok {
-			return id, store.KV{}, nil
+			return id, persistedTransfer{}, false, nil
 		}
 	}
 	req := transfer.Request{
@@ -753,17 +795,17 @@ func (c *Controller) submitLocked(r WireRequest, site int, token string) (int, s
 		Src:       r.Src,
 		Dst:       r.Dst,
 		SizeGbits: r.SizeGbits,
-		Arrival:   c.slot,
+		Arrival:   c.admitSlot,
 		Deadline:  transfer.NoDeadline,
 	}
 	if r.DeadlineSlots > 0 {
-		req.Deadline = c.slot + r.DeadlineSlots
+		req.Deadline = c.admitSlot + r.DeadlineSlots
 	}
 	if r.Src < 0 || r.Src >= c.Net.NumSites() || r.Dst < 0 || r.Dst >= c.Net.NumSites() {
-		return 0, store.KV{}, fmt.Errorf("site out of range")
+		return 0, persistedTransfer{}, false, fmt.Errorf("site out of range")
 	}
 	if err := req.Validate(); err != nil {
-		return 0, store.KV{}, err
+		return 0, persistedTransfer{}, false, err
 	}
 	c.nextID++
 	t := transfer.NewTransfer(req)
@@ -775,11 +817,7 @@ func (c *Controller) submitLocked(r WireRequest, site int, token string) (int, s
 		c.tokens[token] = req.ID
 		c.tokenByID[req.ID] = token
 	}
-	kv, ok := c.recordLocked(t)
-	if !ok {
-		return req.ID, store.KV{}, nil
-	}
-	return req.ID, kv, nil
+	return req.ID, c.persistLocked(t), true, nil
 }
 
 // snapshotSite builds the resync snapshot for a site by replaying the
@@ -842,9 +880,14 @@ func (c *Controller) ResyncPending() []int {
 // optimizer so subsequent slots avoid it. The current topology is kept;
 // circuits that can no longer be provisioned simply lose capacity in the
 // next ProvisionTopology pass, and the annealing search routes around them.
+//
+// It is a slot-level operation: a search in flight is waited out (the slot
+// it was computing still lands on the network it started on) and the next
+// Tick is the first on the reduced network. The route-table repair runs
+// under slotMu alone, so a cut stalls admission no more than a search does.
 func (c *Controller) FailFiber(fiberID int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.slotMu.Lock()
+	defer c.slotMu.Unlock()
 	if c.failed[fiberID] {
 		// Already failed: reports are idempotent so a client retrying
 		// after a lost ack (or several sites noticing the same failure)
@@ -860,10 +903,12 @@ func (c *Controller) FailFiber(fiberID int) error {
 	// and route tables live on in the new one.
 	c.owan.Close()
 	c.owan = nw
-	c.Net = nw.Net()
 	// Fiber ids changed meaning: drop the previous update state rather
 	// than diff across different physical networks.
 	c.prevUpdate = nil
+	c.mu.Lock()
+	c.Net = nw.Net()
+	c.mu.Unlock()
 	return nil
 }
 
@@ -871,58 +916,104 @@ func (c *Controller) FailFiber(fiberID int) error {
 // transfers, pushes rate allocations to the submitting clients, and
 // advances fluid progress accounting. It returns the search stats.
 //
+// A slot runs in three phases, so that admission never waits out a search.
+// Snapshot, under mu: pick the transfers that have arrived by this slot and
+// move admitSlot on, so whatever is admitted from here arrives in the next
+// one. Search and plan, under slotMu alone: order the demand, anneal, plan
+// the consistent update — the transfers in the snapshot are only read, and
+// only a commit ever writes them. Commit, under mu: advance the transfers
+// that were given a rate, evict the finished, publish the slot. The work
+// under mu is O(live) pointer copies in the snapshot and O(served) in the
+// commit; records are marshalled and written after it is released, and only
+// for transfers whose state changed (an unserved transfer's record would be
+// byte-identical to the one in the store).
+//
 // Rate pushes are routed by owning *site*, not by the connection that
 // submitted: a client that reconnected (possibly to a standby controller
 // that took over this store) is re-adopted at its next hello and keeps
 // receiving allocations for its in-flight transfers. Pushes happen after
-// the state lock is released and fan out one goroutine per admission
+// both locks are released and fan out one goroutine per admission
 // shard; each send is bounded by WriteTimeout, and a send that fails
 // (slow, partitioned, or dead client) drops the connection and marks the
 // site for snapshot resync instead of stalling the rest of its shard.
 func (c *Controller) Tick() core.SearchStats {
+	c.slotMu.Lock()
+
+	// Snapshot.
 	c.mu.Lock()
-	var active []*transfer.Transfer
+	if c.closing {
+		c.mu.Unlock()
+		c.slotMu.Unlock()
+		return core.SearchStats{}
+	}
+	slot := c.slot
+	active := make([]*transfer.Transfer, 0, len(c.transfers))
 	for _, t := range c.transfers {
-		if !t.Done && t.Arrival <= c.slot {
+		if t.Arrival <= slot {
 			active = append(active, t)
 		}
 	}
-	transfer.Order(active, transfer.SJF, c.slot, 0) // deterministic order
-	st := c.owan.ComputeNetworkState(c.topo, active, c.slot, c.SlotSeconds)
-	c.topo = st.Topology
-	c.scheduleUpdate(c.toUpdateState(st))
+	c.admitSlot = slot + 1
+	c.mu.Unlock()
 
-	// Record allocations and advance accounting.
-	now := float64(c.slot) * c.SlotSeconds
-	perConn := map[*clientConn][]WireRate{}
-	kvs := make([]store.KV, 0, len(active))
+	// Search and plan.
+	transfer.Order(active, transfer.SJF, slot, 0) // deterministic order
+	st := c.owan.ComputeNetworkState(c.topo, active, slot, c.SlotSeconds)
+	c.topo = st.Topology
+	plan, planned := c.planUpdate(c.toUpdateState(st))
+	served := active[:0]
 	for _, t := range active {
+		if len(st.Alloc[t.ID]) > 0 {
+			served = append(served, t)
+		}
+	}
+	circuits := st.Topology.TotalCircuits()
+
+	// Commit.
+	now := float64(slot) * c.SlotSeconds
+	perConn := map[*clientConn][]WireRate{}
+	recs := make([]persistedTransfer, 0, len(served))
+	c.mu.Lock()
+	for _, t := range served {
 		t.Alloc = st.Alloc[t.ID]
-		for _, pr := range t.Alloc {
-			if site, ok := c.owners[t.ID]; ok {
-				if cc := c.sites[site]; cc != nil {
+		if site, ok := c.owners[t.ID]; ok {
+			if cc := c.sites[site]; cc != nil {
+				for _, pr := range t.Alloc {
 					perConn[cc] = append(perConn[cc], WireRate{TransferID: t.ID, Path: pr.Path, RateGbps: pr.Rate})
 				}
 			}
 		}
-		sent := t.Advance(now, c.SlotSeconds, c.slot)
-		if t.Deadline != transfer.NoDeadline && c.slot <= t.Deadline {
+		sent := t.Advance(now, c.SlotSeconds, slot)
+		if t.Deadline != transfer.NoDeadline && slot <= t.Deadline {
 			t.DeliveredByDeadline += sent
 		}
 		t.Alloc = nil
+		if sent > 0 {
+			recs = append(recs, c.persistLocked(t))
+		}
 		if t.Done {
 			c.completed++
-		}
-		if kv, ok := c.recordLocked(t); ok {
-			kvs = append(kvs, kv)
+			delete(c.transfers, t.ID)
+			delete(c.owners, t.ID)
+			delete(c.tokenByID, t.ID)
 		}
 	}
 	c.slot++
-	if b, err := json.Marshal(c.slot); err == nil {
-		kvs = append(kvs, store.KV{Key: "meta/slot", Value: b})
+	c.circuits = circuits
+	if planned {
+		c.lastPlan = plan
 	}
 	c.mu.Unlock()
+
+	// The store write stays under slotMu so that two slots' records can
+	// never land out of order.
+	kvs := marshalRecords(recs...)
+	if b, err := json.Marshal(slot + 1); err == nil {
+		kvs = append(kvs, store.KV{Key: "meta/slot", Value: b})
+	}
 	c.st.PutBatch(kvs)
+	c.slotMu.Unlock()
+
 	c.pushRates(perConn)
 	return st.Stats
 }

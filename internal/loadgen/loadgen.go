@@ -41,9 +41,10 @@ type Config struct {
 	MaxClients  int
 	SlotSeconds float64
 	// TickEvery, when positive, runs controller slot ticks (rate pushes
-	// included) concurrently with the submission load. Off by default:
-	// with 10^4+ pending transfers a tick's annealing search dominates
-	// the run on small machines.
+	// included) concurrently with the submission load, so the audit is
+	// taken against a running scheduler: a tick's search runs off the
+	// controller lock and does not hold admission up. Zero measures
+	// admission alone.
 	TickEvery time.Duration
 
 	// Client-side patience.
@@ -117,7 +118,10 @@ type Result struct {
 	// ResyncChecked counts snapshot entries cross-checked against client
 	// acks through the v2 resync exchange after the run.
 	ResyncChecked int
-	Elapsed       time.Duration
+	// Slots counts the controller slots that ran during the load (zero
+	// without TickEvery).
+	Slots   int
+	Elapsed time.Duration
 }
 
 // clientOutcome is one client's tally, merged after the fleet joins.
@@ -225,6 +229,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
+	slots := ctrl.Slot()
 
 	// Merge the fleet's tallies.
 	acked := map[string]int{}
@@ -244,6 +249,7 @@ func Run(cfg Config) (*Result, error) {
 		Submits:   cfg.Clients * cfg.SubmitsPerClient,
 		Admission: metrics.ComputeAdmission(latencies, overloads, elapsed.Seconds()),
 		Counters:  ctrl.Counters(),
+		Slots:     slots,
 		Elapsed:   elapsed,
 	}
 	if faultInj != nil {
