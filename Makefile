@@ -13,9 +13,12 @@ test:
 
 # The annealing engine evaluates energies on a worker pool; run the whole
 # internal tree under the race detector so any shared-state regression in
-# the concurrent code is caught before it ships.
+# the concurrent code is caught before it ships. The route-table
+# differentials in internal/optical alone take about ten minutes under the
+# race detector on two cores, past go test's default timeout, hence the
+# explicit one.
 race:
-	$(GO) test -race ./internal/...
+	$(GO) test -race -timeout 30m ./internal/...
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
@@ -41,7 +44,7 @@ bench-json:
 # guard that the benchmark harness itself keeps working. internal/core
 # carries the scale benchmarks (ISP100/ISP200 energy); the root package
 # carries the annealing-engine ones (AnnealISP100/AnnealISP200) and the
-# ISP200 slot pipeline, the cold ISP200 route-table build and the ISP100
+# ISP200 slot pipeline, the cold ISP40/100/200 route-table builds and the ISP100
 # route repair; internal/update carries the flat planner.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/core ./internal/update
@@ -67,14 +70,18 @@ update:
 
 # routes replays the route-table pinning suite with the test cache defeated:
 # the arena k-shortest-path kernel against the retained allocating one
-# (paths, weights and tie order, k up to 7), and the optical tables repaired
-# on a fiber cut against the retained cold builder — every single cut of
-# ISP40/ISP100/Internet2/InterDC, 300 seeded chains of 1-8 cuts (ISP200
-# among them) and the tie-heavy fixtures.
+# (paths, weights and tie order, k up to 7), unbounded and weight-bounded
+# (ties at the bound, tie flags sound under edge deletion); the optical
+# tables repaired on a fiber cut against the retained unbounded cold builder
+# — every single cut of ISP40/ISP100/Internet2/InterDC, 300 seeded chains of
+# 1-8 cuts (ISP200 among them), the tie-heavy fixtures, and a sweep of
+# optical reaches from 300 km to unbounded; the tables' lifetime (freed with
+# their network); and the simulator's update planner adopting the scheduler's
+# repaired network, so a cut is repaired once.
 routes:
 	$(GO) test -count=1 \
-		-run 'TestKShortestDifferential|TestKShortestAllocationFree|TestRouteRepairDifferential' \
-		./internal/graph/ ./internal/optical/
+		-run 'TestKShortestDifferential|TestKShortestBoundedDifferential|TestKShortestAllocationFree|TestRouteRepairDifferential|TestRouteTablesReachSweep|TestRouteTablesDieWithNetwork|TestPlannerSharesSchedulerCut|TestStateWithoutFiber' \
+		./internal/graph/ ./internal/optical/ ./internal/sim/
 
 # temper replays the committed 300-seed golden digests: the refactored
 # search loop in compat mode (Replicas=1, WarmStart=false) must reproduce

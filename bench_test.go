@@ -9,6 +9,7 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"strconv"
 	"testing"
 
 	"owan/internal/alloc"
@@ -221,36 +222,61 @@ func BenchmarkSimSlotISP200(b *testing.B) {
 	b.ReportMetric(float64(slots)/float64(b.N), "slots/op")
 }
 
-// BenchmarkRouteTablesISP200 is the cold optical set-up a starting controller
-// pays at the 200-site stress scale: the all-pairs k-shortest-path sweep
-// behind optical.NewState, on a network the route-table cache has not seen
-// (a fresh copy per op; the copy is outside the timer).
-func BenchmarkRouteTablesISP200(b *testing.B) {
-	base := topology.ISP(200, 10, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		net := *base
-		b.StartTimer()
-		optical.NewState(&net)
+// BenchmarkRouteTables is the cold optical set-up a starting controller pays:
+// the all-pairs k-shortest-path sweep behind optical.NewState, on a network
+// whose tables have not been built (a fresh copy per op; the copy is outside
+// the timer), at 40, 100 and 200 sites. The sweep computes alternates only
+// for pairs whose primary route is within optical reach, so out-of-reach-frac
+// — the share of ordered site pairs whose shortest fiber route is longer than
+// ReachKm — says how much of it is primaries alone.
+func BenchmarkRouteTables(b *testing.B) {
+	for _, sites := range []int{40, 100, 200} {
+		base := topology.ISP(sites, 10, 1)
+		b.Run("isp"+strconv.Itoa(sites), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				net := *base
+				b.StartTimer()
+				optical.NewState(&net)
+			}
+			b.StopTimer()
+			g, out := base.FiberGraph(), 0
+			for u := 0; u < g.N(); u++ {
+				for v, d := range g.ShortestDistances(u) {
+					if v != u && d > base.ReachKm {
+						out++
+					}
+				}
+			}
+			b.ReportMetric(float64(out)/float64(g.N()*(g.N()-1)), "out-of-reach-frac")
+		})
 	}
 }
 
 // BenchmarkRouteRepairISP100 is the optical share of a fiber-cut response at
 // ISP100: State.WithoutFiber deriving the reduced network's route tables from
-// the live ones. How much it recomputes is set by how many site pairs route
-// over the cut fiber, so it is measured at the fiber with the median count
-// and at the one with the highest, among the cuts that leave the network
-// connected (a bridge touches many pairs and leaves them nothing to route).
+// the live ones. How much it recomputes is set by how many site pairs the
+// repair index lists under the cut fiber, so it is measured at the fiber with
+// the median count and at the one with the highest, among the cuts that leave
+// the network connected (a bridge touches many pairs and leaves them nothing
+// to route). The counts follow the index's rule: a pair lists the fibers of
+// its primary and of the alternates within the padded reach.
 func BenchmarkRouteRepairISP100(b *testing.B) {
 	net := topology.ISP(100, 10, 1)
 	g := net.FiberGraph()
-	touch := map[int]int{} // fiber id -> ordered pairs with it on one of their 3 routes
+	touch := map[int]int{} // fiber id -> ordered pairs whose indexed routes use it
+	bound := net.ReachKm * (1 + graph.SelectSlack)
 	var sc graph.Scratch
+	var tree graph.Tree
 	for u := 0; u < g.N(); u++ {
+		g.ShortestTree(&tree, u)
 		for v := 0; v < g.N(); v++ {
+			if v == u {
+				continue
+			}
 			seen := map[int]bool{}
-			for p := g.KShortest(&sc, u, v, 3) - 1; p >= 0; p-- {
+			for p := g.KShortestFrom(&sc, &tree, v, 3, bound) - 1; p >= 0; p-- {
 				for _, e := range sc.PathEdges(p) {
 					if !seen[e.ID] {
 						seen[e.ID] = true

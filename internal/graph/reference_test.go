@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -229,7 +230,7 @@ func TestKShortestDifferential(t *testing.T) {
 			sameKernelAnswer(t, &sc, g.KShortest(&sc, src, dst, k), want, where)
 			tied := sc.PathsTied()
 			g.ShortestTree(&tree, src)
-			sameKernelAnswer(t, &sc, g.KShortestFrom(&sc, &tree, dst, k), want, where+" (from tree)")
+			sameKernelAnswer(t, &sc, g.KShortestFrom(&sc, &tree, dst, k, math.Inf(1)), want, where+" (from tree)")
 			if sc.PathsTied() != tied {
 				t.Fatalf("%s: %d->%d k=%d: tied %v searched, %v from the tree", where, src, dst, k, tied, sc.PathsTied())
 			}
@@ -259,6 +260,101 @@ func TestKShortestDifferential(t *testing.T) {
 	}
 }
 
+// withoutEdge copies g less every arc with the given id — both directions of
+// an undirected edge, as a fiber cut removes them — keeping the rest in their
+// order, which is the order ties are broken in.
+func withoutEdge(g *Graph, id int) *Graph {
+	h := New(g.n)
+	for _, out := range g.adj {
+		for _, e := range out {
+			if e.ID != id {
+				h.AddEdge(e.From, e.To, e.Weight, e.ID)
+			}
+		}
+	}
+	return h
+}
+
+// TestKShortestBoundedDifferential holds the bounded tree-seeded kernel to
+// the unbounded reference: the first path always, then the reference's
+// paths in its order up to the first one heavier than the bound — for k up to
+// 7 and bounds below the first path, exactly at a path's weight (ties at the
+// bound, with several equal paths on the tie fixtures), one ulp under it,
+// between the lightest and heaviest, and +Inf. Its tie flag may only be
+// narrower than the unbounded query's (equal at +Inf), and it must still be
+// sound for what was returned: an untied bounded answer is the answer again
+// once any edge none of its paths uses is deleted — the assumption the optical
+// repair index rests on.
+func TestKShortestBoundedDifferential(t *testing.T) {
+	var sc Scratch
+	var tree, cutTree Tree
+	cutsChecked := 0
+	check := func(g *Graph, rng *rand.Rand, queries int, where string) {
+		for q := 0; q < queries; q++ {
+			src, dst, k := rng.Intn(g.n), rng.Intn(g.n), 1+rng.Intn(7)
+			want := refKShortestPaths(g, src, dst, k)
+			g.ShortestTree(&tree, src)
+			g.KShortestFrom(&sc, &tree, dst, k, math.Inf(1))
+			unboundedTied := sc.PathsTied()
+			bounds := []float64{math.Inf(1)}
+			if len(want) > 0 {
+				w := want[rng.Intn(len(want))].Weight
+				bounds = append(bounds, w, math.Nextafter(w, math.Inf(-1)), want[0].Weight-1,
+					(want[0].Weight+want[len(want)-1].Weight)/2)
+			}
+			for _, bound := range bounds {
+				n := min(1, len(want))
+				for n < len(want) && want[n].Weight <= bound {
+					n++
+				}
+				at := fmt.Sprintf("%s: %d->%d k=%d bound %v", where, src, dst, k, bound)
+				sameKernelAnswer(t, &sc, g.KShortestFrom(&sc, &tree, dst, k, bound), want[:n], at)
+				tied := sc.PathsTied()
+				if tied && !unboundedTied || math.IsInf(bound, 1) && tied != unboundedTied {
+					t.Fatalf("%s: tied %v, unbounded query tied %v", at, tied, unboundedTied)
+				}
+				if tied || n == 0 {
+					continue
+				}
+				used := map[int]bool{}
+				for _, p := range want[:n] {
+					for _, e := range p.Edges {
+						used[e.ID] = true
+					}
+				}
+				for tries := 0; tries < 3; tries++ {
+					out := g.adj[rng.Intn(g.n)]
+					if len(out) == 0 {
+						continue
+					}
+					id := out[rng.Intn(len(out))].ID
+					if used[id] {
+						continue
+					}
+					h := withoutEdge(g, id)
+					h.ShortestTree(&cutTree, src)
+					sameKernelAnswer(t, &sc, h.KShortestFrom(&sc, &cutTree, dst, k, bound), want[:n],
+						fmt.Sprintf("%s, less edge %d", at, id))
+					cutsChecked++
+				}
+			}
+		}
+	}
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		check(randomGraph(rng), rng, 8, "random graph")
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		for _, g := range tieGraphs(rng) {
+			check(g, rng, 40, "tie fixture")
+		}
+	}
+	if cutsChecked == 0 {
+		t.Error("no untied answer was checked against an edge deletion")
+	}
+}
+
 // TestKShortestAllocationFree pins the kernel's steady state: once the
 // scratch has grown, a query allocates nothing, searched or tree-seeded.
 func TestKShortestAllocationFree(t *testing.T) {
@@ -276,7 +372,7 @@ func TestKShortestAllocationFree(t *testing.T) {
 	g.ShortestTree(&tree, 0)
 	query := func() {
 		for dst := 1; dst < 60; dst++ {
-			if g.KShortest(&sc, 0, dst, 3) == 0 || g.KShortestFrom(&sc, &tree, dst, 3) == 0 {
+			if g.KShortest(&sc, 0, dst, 3) == 0 || g.KShortestFrom(&sc, &tree, dst, 3, math.Inf(1)) == 0 {
 				t.Fatalf("no path 0->%d", dst)
 			}
 		}

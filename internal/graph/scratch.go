@@ -229,7 +229,12 @@ type span struct {
 // Ties are broken by insertion order (the heap compares distances only and
 // relaxation is a strict test), which keeps results deterministic for a
 // deterministically built graph.
-func (g *Graph) search(sc *Scratch, src, dst int, banned []Edge) {
+//
+// It also stops before settling anything farther than limit. Up to that point
+// it is the unlimited run step for step — every push is still made, so the
+// heap, and with it the order equal distances surface in, is the same — and a
+// vertex it settles has the same tree path and tie flags.
+func (g *Graph) search(sc *Scratch, src, dst int, banned []Edge, limit float64) {
 	sc.fit(g.n)
 	sc.epoch++
 	if sc.epoch == 0 { // wrapped: entries stamped by runs 2^32 ago must not revive
@@ -244,6 +249,9 @@ func (g *Graph) search(sc *Scratch, src, dst int, banned []Edge) {
 	sc.h.push(item{src, 0})
 	for len(sc.h) > 0 {
 		it := sc.h.pop()
+		if it.dist > limit {
+			break
+		}
 		u := &vs[it.v]
 		if u.done {
 			continue
@@ -286,11 +294,12 @@ func (sc *Scratch) fit(n int) {
 	}
 }
 
-// reached reports whether the last search from sc settled or relaxed v, and
-// at what distance.
+// reached reports whether the last search from sc settled v, and at what
+// distance. A limited search can stop with v relaxed but not settled; its
+// tentative distance is not an answer.
 func (sc *Scratch) reached(v int) (float64, bool) {
 	t := &sc.vs[v]
-	if t.epoch != sc.epoch || math.IsInf(t.dist, 1) {
+	if t.epoch != sc.epoch || !t.done {
 		return math.Inf(1), false
 	}
 	return t.dist, true
@@ -340,7 +349,7 @@ type Tree struct {
 // ShortestTree runs Dijkstra from src to every vertex, into t.
 func (g *Graph) ShortestTree(t *Tree, src int) {
 	t.g = g
-	g.search(&t.sc, src, -1, nil)
+	g.search(&t.sc, src, -1, nil, math.Inf(1))
 }
 
 // Dist returns the distance from the tree's source to v (Inf if
@@ -365,11 +374,11 @@ func (g *Graph) KShortest(sc *Scratch, src, dst, k int) int {
 	if k <= 0 {
 		return 0
 	}
-	g.search(sc, src, dst, nil)
+	g.search(sc, src, dst, nil, math.Inf(1))
 	if _, ok := sc.reached(dst); !ok {
 		return 0
 	}
-	return g.yen(sc, sc, dst, k)
+	return g.yen(sc, sc, dst, k, math.Inf(1))
 }
 
 // KShortestFrom is KShortest from t's source with the first path read off t
@@ -377,7 +386,16 @@ func (g *Graph) KShortest(sc *Scratch, src, dst, k int) int {
 // makes for its distances serves every destination. A search that stops at
 // dst is a prefix of the full run, so the path and its tie flags are the
 // same.
-func (g *Graph) KShortestFrom(sc *Scratch, t *Tree, dst, k int) int {
+//
+// bound caps the weight of the paths after the first: the first path is
+// always returned, and the others are KShortest's, in its order, up to the
+// first one heavier than bound (math.Inf(1) returns all k). Nothing heavier
+// is worked for: there is no spur round when the first path already exceeds
+// bound, a spur search stops expanding past bound less its root's weight,
+// and the selection stops at the first candidate over bound. PathsTied then
+// reports the ties met in building the returned paths and the candidates
+// within reach of the bound.
+func (g *Graph) KShortestFrom(sc *Scratch, t *Tree, dst, k int, bound float64) int {
 	if t.g != g {
 		panic("graph: KShortestFrom on a tree of another graph")
 	}
@@ -388,7 +406,7 @@ func (g *Graph) KShortestFrom(sc *Scratch, t *Tree, dst, k int) int {
 	if _, ok := t.sc.reached(dst); !ok {
 		return 0
 	}
-	return g.yen(sc, &t.sc, dst, k)
+	return g.yen(sc, &t.sc, dst, k, bound)
 }
 
 func (sc *Scratch) reset() {
@@ -408,7 +426,8 @@ func (sc *Scratch) PathEdges(i int) []Edge { return sc.edges(sc.res[i]) }
 // selected. Without one, deleting an edge that none of the returned paths
 // uses leaves the answer unchanged — every tree arc on them is still the
 // only one at its distance, and a candidate that loses the edge only gets
-// longer — which is what lets a caller that caches the answer keep it.
+// longer, and one past a bound stays past it — which is what lets a caller
+// that caches the answer keep it.
 func (sc *Scratch) PathsTied() bool { return sc.tied }
 
 func (sc *Scratch) edges(p span) []Edge { return sc.arena[p.off : p.off+p.n] }
@@ -417,24 +436,39 @@ func (sc *Scratch) path(i int) *Path {
 	return &Path{Edges: append([]Edge(nil), sc.PathEdges(i)...), Weight: sc.res[i].weight}
 }
 
-// selectSlack is the relative weight difference under which two candidates
+// SelectSlack is the relative weight difference under which two candidates
 // count as tied. The same path found from two spur nodes sums its weights in
 // two orders and may differ in the last bits, so "equal" has to cover that.
-const selectSlack = 1e-9
+const SelectSlack = 1e-9
 
-// yen is the body of KShortest. The first path is the tree path to dst of
-// the finished search in first (sc itself, or a Tree's scratch).
-func (g *Graph) yen(sc, first *Scratch, dst, k int) int {
+// yen is the body of KShortest and KShortestFrom. The first path is the tree
+// path to dst of the finished search in first (sc itself, or a Tree's
+// scratch); later paths stop at the first one heavier than bound.
+func (g *Graph) yen(sc, first *Scratch, dst, k int, bound float64) int {
 	sc.fit(g.n)
 	d0, _ := first.reached(dst)
 	sc.tied = g.appendTreePath(sc, first, dst)
 	sc.res = append(sc.res, span{n: int32(len(sc.arena)), parent: -1, weight: d0})
+	if d0 > bound {
+		return 1
+	}
+	// A spur search may stop past the bound padded by the slack: a candidate
+	// at the bound sums its weight in another order than the search does.
+	padded := bound * (1 + SelectSlack)
 	for len(sc.res) < k {
 		r := len(sc.res) - 1
 		prev := sc.res[r]
+		rootW := 0.0
 		for i := 0; i < int(prev.n); i++ {
 			pe := sc.edges(prev)
 			root, spurNode := pe[:i], pe[i].From
+			if i > 0 {
+				rootW += pe[i-1].Weight
+			}
+			limit := padded - rootW
+			if limit < 0 {
+				break // roots only grow: no later spur can come back within the bound
+			}
 			// Ban edge i of every result path that follows the root. fresh:
 			// a path found since prev's parent was scanned adds one.
 			sc.banned = sc.banned[:0]
@@ -452,7 +486,7 @@ func (g *Graph) yen(sc, first *Scratch, dst, k int) int {
 			// parent's, and with no fresh ban so is the whole spur search —
 			// its outcome is already among the candidates or results.
 			if i >= int(prev.dev) || fresh {
-				g.spur(sc, r, i, spurNode, dst)
+				g.spur(sc, r, i, spurNode, dst, limit)
 			}
 			sc.vs[spurNode].removed = true
 		}
@@ -469,8 +503,11 @@ func (g *Graph) yen(sc, first *Scratch, dst, k int) int {
 			}
 		}
 		sel := sc.cand[best]
+		if sel.weight > bound {
+			break
+		}
 		for c, p := range sc.cand {
-			if c != best && p.weight <= sel.weight*(1+selectSlack) {
+			if c != best && p.weight <= sel.weight*(1+SelectSlack) {
 				sc.tied = true
 			}
 		}
@@ -480,10 +517,11 @@ func (g *Graph) yen(sc, first *Scratch, dst, k int) int {
 	return len(sc.res)
 }
 
-// spur searches for the best deviation from result path r at edge i and
-// files it as a candidate unless it is already known.
-func (g *Graph) spur(sc *Scratch, r, i, spurNode, dst int) {
-	g.search(sc, spurNode, dst, sc.banned)
+// spur searches for the best deviation from result path r at edge i, no
+// farther than limit from the spur node, and files it as a candidate unless
+// it is already known.
+func (g *Graph) spur(sc *Scratch, r, i, spurNode, dst int, limit float64) {
+	g.search(sc, spurNode, dst, sc.banned, limit)
 	w, ok := sc.reached(dst)
 	if !ok {
 		return

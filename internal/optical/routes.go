@@ -39,10 +39,13 @@ type routeTables struct {
 
 	// The repair index. fiberPairs[fiberOff[f]:fiberOff[f+1]] lists, in
 	// ascending order, the ordered pairs u*ns+v whose k-shortest-path answer
-	// has fiber f on any of its kFiberPaths paths — including alternates the
-	// tables then dropped for exceeding ReachKm, because a dropped path still
-	// took a slot of the answer: lose it and the next candidate moves up into
-	// pairAlts. tied holds the pairs whose answer met a tie (see
+	// has fiber f on one of its paths — the answer bounded at the padded
+	// reach (reachBound): the primary and the alternates that can be in
+	// pairAlts. Nothing past reach needs indexing. Yen returns paths in
+	// nondecreasing weight and a cut only removes paths, so a path longer
+	// than ReachKm, and every path ranked after it, is longer before and
+	// after any cut: losing it can never bring an alternate into pairAlts.
+	// tied holds the pairs whose answer met a tie (see
 	// graph.Scratch.PathsTied). For every other pair, deleting a fiber its
 	// paths do not use leaves pairDist, pairPath and pairAlts as they are.
 	fiberOff   []int32
@@ -50,55 +53,36 @@ type routeTables struct {
 	tied       bitset.Set
 }
 
-// The route-table cache. Building the tables is an all-pairs k-shortest-path
-// sweep, by far the most expensive part of NewState, and one network is
-// routinely given to several states: the controller core, the update planner
-// and the control plane each hold one, and experiments evaluate many
-// algorithms per topology cell. A small LRU makes every build after the first
-// free; tables derived by WithoutFiber enter it under their reduced network
-// (they share most rows with their parent, so a run of cuts displaces whole
-// tables of networks no longer in use with entries that cost a fraction).
-// It is keyed by Network identity, not content: a caller that builds an equal
-// network afresh is asking for a fresh set-up. The cache is bounded so
-// transient networks (one per figure cell) cannot accumulate; identical
-// results from racing builders make the race benign, so the lock is dropped
-// during the expensive build.
-const routeCacheSize = 8
+// routeTablesKey is the key the tables are memoized under on their Network.
+//
+// Building them is an all-pairs k-shortest-path sweep, by far the most
+// expensive part of NewState, and one network is routinely given to several
+// states: the controller core, the update planner and the control plane each
+// hold one. So the tables are kept with their *Network (topology.Network.
+// Memo): every NewState after the first is free, tables derived by
+// WithoutFiber are kept with the reduced network, and all of them become
+// garbage with their network — a run of set-ups pins nothing. The key is
+// Network identity, not content: a caller that builds an equal network
+// afresh is asking for a fresh set-up.
+type routeTablesKey struct{}
 
-type routeCacheEntry struct {
-	net *topology.Network
-	rt  *routeTables
+// tablesOf returns net's tables, calling build for them on net's first use.
+func tablesOf(net *topology.Network, build func() *routeTables) *routeTables {
+	return net.Memo(routeTablesKey{}, func() any { return build() }).(*routeTables)
 }
 
-var (
-	routeMu    sync.Mutex
-	routeCache []routeCacheEntry
-)
+// cutKey is the key a network's copy without one fiber is memoized under on
+// that network (State.WithoutFiber). Every state on a network that is told
+// of the same cut — the controller core's and the update planner's — so
+// lands on one reduced *Network, and its tables are repaired once. A network
+// keeps the copies cut from it, and their tables, as long as it lives.
+type cutKey struct{ fiber int }
 
-func lookupRouteTables(net *topology.Network) *routeTables {
-	routeMu.Lock()
-	for i, e := range routeCache {
-		if e.net == net {
-			copy(routeCache[1:i+1], routeCache[:i])
-			routeCache[0] = e
-			routeMu.Unlock()
-			return e.rt
-		}
-	}
-	routeMu.Unlock()
-	rt := buildRouteTables(net)
-	storeRouteTables(net, rt)
-	return rt
-}
-
-func storeRouteTables(net *topology.Network, rt *routeTables) {
-	routeMu.Lock()
-	defer routeMu.Unlock()
-	if len(routeCache) == routeCacheSize {
-		routeCache = routeCache[:routeCacheSize-1]
-	}
-	routeCache = slices.Insert(routeCache, 0, routeCacheEntry{net, rt})
-}
+// reachBound is the weight past which the k-shortest queries stop: ReachKm,
+// padded by the kernel's tie slack so that routes at the boundary — equal in
+// km to one just past it, but summed in another order — are still computed
+// and filtered by the same km <= ReachKm test as every other alternate.
+func reachBound(net *topology.Network) float64 { return net.ReachKm * (1 + graph.SelectSlack) }
 
 // pairUse is one entry of the repair index before it is grouped by fiber.
 type pairUse struct{ fiber, pair int32 }
@@ -119,6 +103,7 @@ type rowBuilder struct {
 	g     *graph.Graph
 	ns    int
 	reach float64
+	bound float64 // reachBound
 	tree  graph.Tree
 	sc    graph.Scratch
 	// mark[f] == stamp while fiber f has been indexed for the current pair.
@@ -139,13 +124,14 @@ type routeSeg struct {
 }
 
 func newRowBuilder(g *graph.Graph, net *topology.Network) *rowBuilder {
-	return &rowBuilder{g: g, ns: net.NumSites(), reach: net.ReachKm, mark: make([]int32, maxFiberID(net)+1)}
+	return &rowBuilder{g: g, ns: net.NumSites(), reach: net.ReachKm, bound: reachBound(net), mark: make([]int32, maxFiberID(net)+1)}
 }
 
 // build fills row: one Dijkstra tree from the source for the distances and
-// every first path, then the alternates of each destination. The routes of a
-// row share one id array and one fiberRoute array, so a row costs a handful
-// of allocations however many pairs it holds.
+// every first path, then the alternates of each destination, searched only as
+// far as reachBound. The routes of a row share one id array and one
+// fiberRoute array, so a row costs a handful of allocations however many
+// pairs it holds.
 func (b *rowBuilder) build(row *routeRow) {
 	b.g.ShortestTree(&b.tree, row.u)
 	b.ids, b.segs, b.uses, b.tied = b.ids[:0], b.segs[:0], b.uses[:0], b.tied[:0]
@@ -184,7 +170,7 @@ func (b *rowBuilder) pair(row *routeRow, v int) {
 	if v == row.u {
 		return
 	}
-	n := b.g.KShortestFrom(&b.sc, &b.tree, v, kFiberPaths)
+	n := b.g.KShortestFrom(&b.sc, &b.tree, v, kFiberPaths, b.bound)
 	if n == 0 {
 		return
 	}

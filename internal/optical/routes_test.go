@@ -4,8 +4,10 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strconv"
 	"testing"
+	"time"
 
 	"owan/internal/graph"
 	"owan/internal/topology"
@@ -13,9 +15,10 @@ import (
 
 // referenceRouteTables is the route-table builder as it stood before the
 // tables learnt to repair themselves: one serial sweep, every pair searched
-// from scratch through the allocating graph API, nothing indexed. It is the
-// reference the repair differential holds withoutFiber (and, through it, the
-// row-packed parallel cold build) to; a repair that wrongly kept its
+// from scratch through the allocating graph API, nothing indexed, and no
+// reach bound — every pair's full k-shortest answer, filtered afterwards. It
+// is the reference the differentials hold withoutFiber and the row-packed,
+// reach-bounded parallel cold build to; a repair that wrongly kept its
 // parent's reach masks differs from it in them.
 func referenceRouteTables(net *topology.Network) *routeTables {
 	ns := net.NumSites()
@@ -124,7 +127,15 @@ func parallelNetwork() *topology.Network {
 // clampedISP is an ISP instance in which topology.ISP's 50 km floor on fiber
 // length applies to six fibers close enough together to form equal-length
 // detours (found by search: most seeds clamp a few fibers yet tie nothing).
-func clampedISP() *topology.Network { return topology.ISP(150, 8, 51) }
+// At the default 2000 km reach every pair with such a detour is past reach,
+// where the tables stop computing alternates, and nothing is tied; at 5000 km
+// 167 of its 248 tied pairs are in reach and 29 % of pairs are still past it,
+// so the fixture exercises ties and the reach bound together.
+func clampedISP() *topology.Network {
+	n := topology.ISP(150, 8, 51)
+	n.ReachKm = 5000
+	return n
+}
 
 // TestRouteRepairDifferential pins withoutFiber to the retained cold builder:
 // the repaired tables must equal what a from-scratch build on the reduced
@@ -230,9 +241,95 @@ func TestRouteRepairDifferential(t *testing.T) {
 	}
 }
 
+// TestRouteTablesReachSweep holds the reach-bounded build to the retained
+// unbounded builder across optical reaches, from one where nearly every pair
+// is past reach (primaries only, no spur round) to one where none is (the
+// bound never bites): cold tables on every network, and on all but ISP200 a
+// sample of repairs with their index checked against a cold build's.
+func TestRouteTablesReachSweep(t *testing.T) {
+	builds := []func() *topology.Network{
+		func() *topology.Network { return topology.Internet2(8) },
+		func() *topology.Network { return topology.InterDC(25, 5, 8, 2) },
+		func() *topology.Network { return topology.ISP(40, 10, 1) },
+		func() *topology.Network { return topology.ISP(100, 10, 1) },
+	}
+	if !testing.Short() {
+		builds = append(builds, func() *topology.Network { return topology.ISP(200, 10, 1) })
+	}
+	for ri, reach := range []float64{300, 1000, 2000, 1e9} {
+		for _, build := range builds {
+			net := build()
+			net.ReachKm = reach
+			t.Run(net.Name+strconv.Itoa(net.NumSites())+"/reach"+strconv.FormatFloat(reach, 'g', -1, 64), func(t *testing.T) {
+				t.Parallel()
+				base := buildRouteTables(net)
+				sameTables(t, base, net, "cold")
+				if net.NumSites() > 100 {
+					return
+				}
+				step := 8
+				if net.NumSites() > 64 {
+					step = 32
+				}
+				for i, f := range net.Fibers {
+					if i%step != ri {
+						continue
+					}
+					cut, _ := net.WithoutFiber(f.ID)
+					where := "less fiber " + strconv.Itoa(f.ID)
+					got := base.withoutFiber(cut, f.ID)
+					sameTables(t, got, cut, where)
+					sameIndex(t, got, cut, where)
+				}
+			})
+		}
+	}
+}
+
+// TestRouteTablesDieWithNetwork pins the tables' lifetime to their
+// network's: a live network's second NewState reuses its tables, and once a
+// network is unreachable a collection frees them — cold tables while a
+// network repaired from them lives on, then the repaired ones — so nothing
+// global holds a table.
+func TestRouteTablesDieWithNetwork(t *testing.T) {
+	freed := make(chan struct{}, 1)
+	onFree := func(*routeTables) { freed <- struct{}{} }
+	awaitFree := func(what string) {
+		t.Helper()
+		for i := 0; i < 100; i++ {
+			runtime.GC()
+			select {
+			case <-freed:
+				return
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+		t.Fatalf("%s still held after 100 collections", what)
+	}
+
+	net := topology.ISP(40, 10, 1)
+	s := NewState(net)
+	if NewState(net).rt != s.rt {
+		t.Fatal("a second NewState on a live network rebuilt its tables")
+	}
+	cut := s.WithoutFiber(net.Fibers[3].ID).Network()
+	runtime.SetFinalizer(s.rt, onFree)
+	net, s = nil, nil
+	awaitFree("the tables of an unreachable network")
+
+	rt := NewState(cut).rt
+	if NewState(cut).rt != rt {
+		t.Fatal("a second NewState on a live reduced network rebuilt its tables")
+	}
+	runtime.SetFinalizer(rt, onFree)
+	cut, rt = nil, nil
+	awaitFree("the repaired tables of an unreachable network")
+}
+
 // TestStateWithoutFiber pins the exported derivation path: a fresh empty
-// state on a reduced copy of the network, on repaired tables cached under
-// it, and a well-defined answer for a fiber that is not there.
+// state on a reduced copy of the network, on repaired tables kept with it,
+// the same copy for every state on the network cut at that fiber, and a
+// well-defined answer for a fiber that is not there.
 func TestStateWithoutFiber(t *testing.T) {
 	net := topology.ISP(40, 10, 1)
 	s := NewState(net)
@@ -248,7 +345,10 @@ func TestStateWithoutFiber(t *testing.T) {
 	}
 	sameTables(t, cut.rt, cut.Network(), "State.WithoutFiber")
 	if again := NewState(cut.Network()); again.rt != cut.rt {
-		t.Error("NewState on the derived network rebuilt its tables instead of finding them cached")
+		t.Error("NewState on the derived network rebuilt its tables instead of reusing the ones kept with it")
+	}
+	if other := NewState(net).WithoutFiber(net.Fibers[5].ID); other.Network() != cut.Network() || other.rt != cut.rt {
+		t.Error("a second state cut at the same fiber repaired its own copy instead of sharing the first")
 	}
 	if same := s.WithoutFiber(-1); same.Network() != net || same.rt != s.rt || same.Circuits() != 0 {
 		t.Error("WithoutFiber of an unknown fiber should be a fresh state on the same network")

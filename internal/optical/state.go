@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"owan/internal/bitset"
 	"owan/internal/graph"
@@ -236,9 +237,11 @@ type provScratch struct {
 	segAns   []int32
 }
 
-// NewState builds an empty optical state for the network.
+// NewState builds an empty optical state for the network. Its route tables
+// are built on the first NewState for that *Network and kept with it, so
+// later states on the same network share them and they are freed with it.
 func NewState(net *topology.Network) *State {
-	return newState(net, lookupRouteTables(net))
+	return newState(net, tablesOf(net, func() *routeTables { return buildRouteTables(net) }))
 }
 
 // WithoutFiber returns an empty optical state, as NewState builds it, for
@@ -249,15 +252,17 @@ func NewState(net *topology.Network) *State {
 // a reduced copy of the network would run the whole all-pairs sweep again.
 // Occupancy and ablation settings of the receiver are not carried over. If
 // the network has no such fiber the result is a fresh state on that same
-// network.
+// network. The reduced network is kept with the receiver's (cutKey): every
+// state on one network cut at one fiber gets the same copy and tables.
 func (s *State) WithoutFiber(fiberID int) *State {
-	net, ok := s.net.WithoutFiber(fiberID)
-	if !ok {
+	if !slices.ContainsFunc(s.net.Fibers, func(f topology.Fiber) bool { return f.ID == fiberID }) {
 		return newState(s.net, s.rt)
 	}
-	rt := s.rt.withoutFiber(net, fiberID)
-	storeRouteTables(net, rt)
-	return newState(net, rt)
+	net := s.net.Memo(cutKey{fiberID}, func() any {
+		net, _ := s.net.WithoutFiber(fiberID)
+		return net
+	}).(*topology.Network)
+	return newState(net, tablesOf(net, func() *routeTables { return s.rt.withoutFiber(net, fiberID) }))
 }
 
 // Network returns the physical network the state was built for.

@@ -28,25 +28,28 @@ func (s *GreedyScheduler) OnFiberFailure(fiberID int) {
 }
 
 // injectFailures delivers the fiber failures configured for a slot to a
-// failure-aware scheduler — and to the update planner, whose optical layer
-// must re-derive fiber routes on what survives — and returns how many were
-// delivered.
+// failure-aware scheduler and then to the update planner, whose optical layer
+// must re-derive fiber routes on what survives, and returns how many the
+// scheduler was given. When both started on the same network the cut is
+// repaired once: optical.State.WithoutFiber keeps the reduced network with
+// its parent, so the planner lands on the copy, and the route tables, the
+// scheduler's core repaired.
 func injectFailures(cfg *Config, slot int, planner *updatePlanner) int {
 	ids := cfg.FiberFailures[slot]
 	if len(ids) == 0 {
 		return 0
 	}
-	for _, id := range ids {
-		if planner != nil {
+	delivered := 0
+	if fa, ok := cfg.Scheduler.(FailureAware); ok {
+		for _, id := range ids {
+			fa.OnFiberFailure(id)
+		}
+		delivered = len(ids)
+	}
+	if planner != nil {
+		for _, id := range ids {
 			planner.onFiberFailure(id)
 		}
 	}
-	fa, ok := cfg.Scheduler.(FailureAware)
-	if !ok {
-		return 0
-	}
-	for _, id := range ids {
-		fa.OnFiberFailure(id)
-	}
-	return len(ids)
+	return delivered
 }

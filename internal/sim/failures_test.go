@@ -2,11 +2,13 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"owan/internal/core"
 	"owan/internal/topology"
 	"owan/internal/transfer"
+	"owan/internal/workload"
 )
 
 func TestFiberFailureRerouted(t *testing.T) {
@@ -55,6 +57,66 @@ func TestFailureNotAwareSchedulerTolerated(t *testing.T) {
 		FiberFailures: map[int][]int{0: {1}},
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPlannerSharesSchedulerCut pins the once-per-cut repair: a run whose
+// update planner and scheduler start on one network, so that the planner
+// lands on the reduced network the scheduler's core repaired, gives the
+// Result of one whose scheduler runs on a copy of it, so that every cut is
+// repaired twice; and after every delivered cut — one fiber, two at once, an
+// unknown one — the planner is on the scheduler's network.
+func TestPlannerSharesSchedulerCut(t *testing.T) {
+	net := topology.ISP(40, 10, 1)
+	reqs, err := workload.Generate(workload.Config{
+		Sites: net.NumSites(), MeanSizeGbits: 500 * workload.GB, TotalDemandGbits: 200 * workload.TB,
+		Load: 1, DurationSlots: 4, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cuts := map[int][]int{2: {net.Fibers[5].ID}, 4: {net.Fibers[9].ID, net.Fibers[17].ID}, 6: {999}}
+	newSched := func(net *topology.Network) *OwanScheduler {
+		o := core.New(core.Config{Net: net, Policy: transfer.SJF, Seed: 2, MaxIterations: 80})
+		return &OwanScheduler{O: o, SlotSeconds: 300}
+	}
+	run := func(schedNet *topology.Network) *Result {
+		s := newSched(schedNet)
+		defer s.Close()
+		res, err := Run(Config{
+			Net: net, Initial: topology.InitialTopology(net),
+			Scheduler: s, Requests: reqs,
+			SlotSeconds: 300, MaxSlots: 9,
+			ReconfigSeconds: 4, PlanUpdates: true, FiberFailures: cuts,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	copied := *net
+	shared, separate := run(net), run(&copied)
+	if !reflect.DeepEqual(shared.Updates, separate.Updates) || !reflect.DeepEqual(shared.SlotThroughput, separate.SlotThroughput) ||
+		!reflect.DeepEqual(shared.Churn, separate.Churn) {
+		t.Fatalf("sharing the scheduler's cut changed the run:\nshared   %+v %v %v\nseparate %+v %v %v",
+			shared.Updates, shared.SlotThroughput, shared.Churn, separate.Updates, separate.SlotThroughput, separate.Churn)
+	}
+	if shared.Slots <= 6 || shared.Updates[6].Ops == 0 {
+		t.Fatalf("%d slots, %+v: the slots after the cuts planned nothing", shared.Slots, shared.Updates)
+	}
+
+	s := newSched(net)
+	defer s.Close()
+	cfg := Config{Scheduler: s, FiberFailures: cuts}
+	p := newUpdatePlanner(net, topology.InitialTopology(net))
+	for slot := 0; slot < 8; slot++ {
+		injectFailures(&cfg, slot, p)
+		if p.net != s.O.Net() || p.opt.Network() != s.O.Net() {
+			t.Fatalf("slot %d: the planner is not on the scheduler's network", slot)
+		}
+	}
+	if got := len(p.net.Fibers); got != len(net.Fibers)-3 {
+		t.Fatalf("%d fibers left after three cuts of %d", got, len(net.Fibers))
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"owan/internal/graph"
 )
@@ -43,6 +44,50 @@ type Network struct {
 	Fibers    []Fiber
 	ThetaGbps float64 // θ: capacity of one wavelength (== one circuit == one port)
 	ReachKm   float64 // η: optical reach before regeneration is required
+
+	memo *memo // see Memo
+}
+
+// memo holds what Memo has computed for one *Network. owner is that Network:
+// a struct copy carries the pointer along but is not its owner, so it starts
+// empty — the copy may have been edited since.
+type memo struct {
+	owner *Network
+	vals  map[any]*memoEntry
+}
+
+type memoEntry struct {
+	once sync.Once
+	val  any
+}
+
+// memoMu guards the memo of every Network. It is held only to find an entry;
+// the entry's Once runs the build, so a long build for one network holds up
+// no other.
+var memoMu sync.Mutex
+
+// Memo returns build's result for n under key, computing it on the first call
+// for this *Network and key; later calls, concurrent ones included, wait for
+// and share that result. It is kept with n and becomes garbage with it, so
+// derived data — the optical layer's route tables, and the copies of n it
+// cuts one fiber from — costs nothing once its network is gone. The memo is per pointer, not per content: an equal
+// network built afresh, or a struct copy (whose fields may since have been
+// changed), computes its own. A copy does keep the original's memo reachable
+// until its own first Memo call. The network must not be modified once
+// Memo has been called on it, and build must not call Memo on n with key.
+func (n *Network) Memo(key any, build func() any) any {
+	memoMu.Lock()
+	if n.memo == nil || n.memo.owner != n {
+		n.memo = &memo{owner: n, vals: map[any]*memoEntry{}}
+	}
+	e := n.memo.vals[key]
+	if e == nil {
+		e = new(memoEntry)
+		n.memo.vals[key] = e
+	}
+	memoMu.Unlock()
+	e.once.Do(func() { e.val = build() })
+	return e.val
 }
 
 // NumSites returns the number of sites.
@@ -69,6 +114,7 @@ func (n *Network) WithoutFiber(id int) (_ *Network, ok bool) {
 	}
 	clone := *n
 	clone.Fibers = append(append([]Fiber(nil), n.Fibers[:idx]...), n.Fibers[idx+1:]...)
+	clone.memo = nil // the copy must not keep the receiver's derived data alive
 	return &clone, true
 }
 

@@ -3,6 +3,7 @@ package topology
 import (
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -256,5 +257,45 @@ func TestWithoutFiber(t *testing.T) {
 	}
 	if same, ok := cut.WithoutFiber(before[3].ID); ok || same != cut {
 		t.Error("removing an absent fiber should return the receiver and false")
+	}
+}
+
+// TestMemoPerPointer pins Memo's contract: one build per *Network and key,
+// shared by concurrent callers; a struct copy — possibly edited since — and
+// a WithoutFiber copy each compute their own.
+func TestMemoPerPointer(t *testing.T) {
+	type key struct{}
+	n := Internet2(15)
+	builds := 0
+	build := func() any { builds++; return builds }
+	var wg sync.WaitGroup
+	got := make([]any, 8)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = n.Memo(key{}, build)
+		}()
+	}
+	wg.Wait()
+	for _, v := range got {
+		if v != 1 {
+			t.Fatalf("concurrent first calls returned %v, want all 1", got)
+		}
+	}
+	if v := n.Memo(struct{ other int }{}, build); v != 2 {
+		t.Errorf("a second key shared the first's value: %v", v)
+	}
+	copied := *n
+	copied.ReachKm /= 2
+	if v := copied.Memo(key{}, build); v != 3 {
+		t.Errorf("a struct copy reused the original's memo: %v", v)
+	}
+	cut, _ := n.WithoutFiber(n.Fibers[0].ID)
+	if v := cut.Memo(key{}, build); v != 4 {
+		t.Errorf("a WithoutFiber copy reused the original's memo: %v", v)
+	}
+	if v := n.Memo(key{}, build); v != 1 {
+		t.Errorf("the original lost its value to a copy: %v", v)
 	}
 }
