@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench bench-compare bench-json bench-smoke temper claims update routes faults ctl loadgen-smoke check
+.PHONY: build vet test race bench bench-smoke temper claims update routes faults ctl loadgen-smoke check
 
 build:
 	$(GO) build ./...
@@ -23,29 +23,13 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 
-# bench-compare benchmarks the hot paths at BASE (default HEAD~1, from a
-# temporary worktree) and at the working tree, then prints a benchstat
-# comparison (or a plain old/new/delta table when benchstat is absent).
-# Non-gating: the report never fails the build.
-BASE ?= HEAD~1
-bench-compare:
-	sh scripts/benchcompare.sh $(BASE)
-
-# bench-json runs the hot-path benchmarks — the >64-site ISP100/ISP200
-# energy and annealing benchmarks, the flat update planner (and its retained
-# map-based reference), and the end-to-end ISP200 slot pipeline — and writes
-# the results as a JSON map (name -> ns/op, allocs/op; schema in DESIGN.md
-# §8) so the numbers can be committed and diffed across PRs.
-BENCH_JSON ?= BENCH_PR10.json
-bench-json:
-	sh scripts/benchjson.sh 'BenchmarkAnneal|BenchmarkEnergyISP|BenchmarkProvisionTopology|BenchmarkClaimRepair|BenchmarkUpdatePlan|BenchmarkSimSlot' $(BENCH_JSON) './...'
-
 # bench-smoke compiles and runs every benchmark exactly once — a fast CI
 # guard that the benchmark harness itself keeps working. internal/core
 # carries the scale benchmarks (ISP100/ISP200 energy); the root package
 # carries the annealing-engine ones (AnnealISP100/AnnealISP200) and the
-# ISP200 slot pipeline, the cold ISP40/100/200 route-table builds and the ISP100
-# route repair; internal/update carries the flat planner.
+# ISP200 slot pipeline, the ISP40/100/200 controller set-up and cold
+# route-table builds and the ISP100 route repair; internal/update carries the
+# flat planner.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/core ./internal/update
 
@@ -69,19 +53,23 @@ update:
 		./internal/update/
 
 # routes replays the route-table pinning suite with the test cache defeated:
-# the arena k-shortest-path kernel against the retained allocating one
+# the topology builders pinned by fingerprint (268 networks) and held to the
+# retained cubic spanning tree and regenerator placement (2-300 sites, a sweep
+# of reaches and pool sizes); the word-parallel reach search against a queue
+# BFS; the arena k-shortest-path kernel against the retained allocating one
 # (paths, weights and tie order, k up to 7), unbounded and weight-bounded
 # (ties at the bound, tie flags sound under edge deletion); the optical
 # tables repaired on a fiber cut against the retained unbounded cold builder
 # — every single cut of ISP40/ISP100/Internet2/InterDC, 300 seeded chains of
 # 1-8 cuts (ISP200 among them), the tie-heavy fixtures, and a sweep of
-# optical reaches from 300 km to unbounded; the tables' lifetime (freed with
+# optical reaches from 300 km to unbounded, with the regenerator reachability
+# held to the retained byte-scan BFS; the tables' lifetime (freed with
 # their network); and the simulator's update planner adopting the scheduler's
 # repaired network, so a cut is repaired once.
 routes:
 	$(GO) test -count=1 \
-		-run 'TestKShortestDifferential|TestKShortestBoundedDifferential|TestKShortestAllocationFree|TestRouteRepairDifferential|TestRouteTablesReachSweep|TestRouteTablesDieWithNetwork|TestPlannerSharesSchedulerCut|TestStateWithoutFiber' \
-		./internal/graph/ ./internal/optical/ ./internal/sim/
+		-run 'TestBuilderFingerprints|TestPrimTreeDifferential|TestPlaceRegeneratorsDifferential|TestClosureMatchesBFS|TestKShortestDifferential|TestKShortestBoundedDifferential|TestKShortestAllocationFree|TestRouteRepairDifferential|TestRouteTablesReachSweep|TestRouteTablesDieWithNetwork|TestPlannerSharesSchedulerCut|TestStateWithoutFiber' \
+		./internal/topology/ ./internal/bitset/ ./internal/graph/ ./internal/optical/ ./internal/sim/
 
 # temper replays the committed 300-seed golden digests: the refactored
 # search loop in compat mode (Replicas=1, WarmStart=false) must reproduce

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strconv"
 	"testing"
+	"time"
 
 	"owan/internal/alloc"
 	"owan/internal/core"
@@ -220,6 +221,36 @@ func BenchmarkSimSlotISP200(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(slots), "ns/slot")
 	}
 	b.ReportMetric(float64(slots)/float64(b.N), "slots/op")
+}
+
+// BenchmarkSetup is the set-up a starting controller pays, timed over the
+// interval the benchmark's setup_s measures: building the network
+// (topology.ISP — its spanning tree and regenerator placement), core.New
+// (nearly all of it the cold optical route tables) and the initial topology,
+// at 40, 100 and 200 sites. build-frac and tables-frac are the shares of the
+// first two in that interval.
+func BenchmarkSetup(b *testing.B) {
+	for _, sites := range []int{40, 100, 200} {
+		b.Run("isp"+strconv.Itoa(sites), func(b *testing.B) {
+			b.ReportAllocs()
+			var build, tables, total time.Duration
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				net := topology.ISP(sites, 10, 1)
+				t1 := time.Now()
+				cfg := core.DefaultConfig(net)
+				cfg.Seed = 1
+				o := core.New(cfg)
+				t2 := time.Now()
+				topology.InitialTopology(net)
+				t3 := time.Now()
+				build, tables, total = build+t1.Sub(t0), tables+t2.Sub(t1), total+t3.Sub(t0)
+				o.Close()
+			}
+			b.ReportMetric(build.Seconds()/total.Seconds(), "build-frac")
+			b.ReportMetric(tables.Seconds()/total.Seconds(), "tables-frac")
+		})
+	}
 }
 
 // BenchmarkRouteTables is the cold optical set-up a starting controller pays:
@@ -554,9 +585,9 @@ func BenchmarkAnnealTemperedR4Cold(b *testing.B) { benchAnnealTempered(b, 4, fal
 // a single chain whose repeated-demand slots start low and early-exit.
 func BenchmarkAnnealTemperedWarmOnly(b *testing.B) { benchAnnealTempered(b, 1, true) }
 
-// TestMemoizedCacheNoRegression guards the energy cache against the cost
-// regression BENCH_PR4.json recorded (cache-on allocating ~38% more than
-// cache-off from per-put key copies): on the memoization-friendly workload
+// TestMemoizedCacheNoRegression guards the energy cache against a cost
+// regression it once had (cache-on allocating ~38% more than cache-off from
+// per-put key copies): on the memoization-friendly workload
 // the cache must not allocate more than the uncached search, and must not
 // be meaningfully slower.
 func TestMemoizedCacheNoRegression(t *testing.T) {

@@ -120,6 +120,36 @@ func (s Set) AppendBits(dst []int) []int {
 	return dst
 }
 
+// Closure sets out to src plus everything reachable from src over the
+// adjacency rows — vertex v's neighbors are the set rows[v*w:(v+1)*w], where
+// w = len(out) — by paths whose interior vertices all lie in through: a
+// breadth-first search that expands src and the members of through it
+// reaches, a word of neighbors at a time. done is scratch of out's length; it
+// ends as the expanded vertices. through, done and out must have equal
+// length, and out must not alias rows.
+func Closure(out, done Set, rows []uint64, through Set, src int) {
+	w := len(out)
+	out.Zero()
+	done.Zero()
+	out.Set(src)
+	done.Set(src)
+	out.Or(Set(rows[src*w : (src+1)*w]))
+	// Expand until a pass over the words finds nothing new: a vertex reached
+	// in a later word is picked up in the same pass, one in an earlier word in
+	// the next.
+	for grew := true; grew; {
+		grew = false
+		for wi := range out {
+			for m := out[wi] & through[wi] &^ done[wi]; m != 0; m = out[wi] & through[wi] &^ done[wi] {
+				v := wi<<6 + bits.TrailingZeros64(m)
+				done[wi] |= m & -m
+				out.Or(Set(rows[v*w : (v+1)*w]))
+				grew = true
+			}
+		}
+	}
+}
+
 // Pool recycles scratch sets so transient mask computations allocate only
 // until the pool warms up. It is not safe for concurrent use: each goroutine
 // that needs pooled scratch owns its own Pool, exactly as the flat

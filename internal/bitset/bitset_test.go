@@ -180,3 +180,52 @@ func TestPool(t *testing.T) {
 		t.Fatalf("fresh set len %d any %v", len(s3), s3.Any())
 	}
 }
+
+// TestClosureMatchesBFS holds Closure to a queue BFS over the same adjacency
+// matrix that expands the source and the through vertices it reaches: random
+// graphs of 1 to 200 vertices (one and several words), densities from sparse
+// to dense, and through sets from empty to full.
+func TestClosureMatchesBFS(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(200)
+		w := Words(n)
+		adj := make([]bool, n*n)
+		rows := make([]uint64, n*w)
+		density, share := rng.Float64()*0.1, rng.Float64()
+		through := New(n)
+		for v := 0; v < n; v++ {
+			for u := 0; u < n; u++ {
+				if rng.Float64() < density {
+					adj[v*n+u] = true
+					Set(rows[v*w : (v+1)*w]).Set(u)
+				}
+			}
+			if rng.Float64() < share {
+				through.Set(v)
+			}
+		}
+		out, done := New(n), New(n)
+		for src := 0; src < n; src++ {
+			seen := make([]bool, n)
+			seen[src] = true
+			for queue := []int{src}; len(queue) > 0; queue = queue[1:] {
+				x := queue[0]
+				for u := 0; u < n; u++ {
+					if !seen[u] && adj[x*n+u] {
+						seen[u] = true
+						if through.Test(u) {
+							queue = append(queue, u)
+						}
+					}
+				}
+			}
+			Closure(out, done, rows, through, src)
+			for u := 0; u < n; u++ {
+				if out.Test(u) != seen[u] {
+					t.Fatalf("trial %d (n=%d), source %d: vertex %d in closure %v, BFS says %v", trial, n, src, u, out.Test(u), seen[u])
+				}
+			}
+		}
+	}
+}

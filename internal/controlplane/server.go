@@ -903,8 +903,9 @@ func (c *Controller) FailFiber(fiberID int) error {
 	// and route tables live on in the new one.
 	c.owan.Close()
 	c.owan = nw
-	// Fiber ids changed meaning: drop the previous update state rather
-	// than diff across different physical networks.
+	// Fiber ids keep their meaning across a cut, but the circuits' fiber
+	// paths may have changed with it: drop the previous update state rather
+	// than diff against paths the reduced plant may no longer route.
 	c.prevUpdate = nil
 	c.mu.Lock()
 	c.Net = nw.Net()

@@ -348,8 +348,15 @@ type Tree struct {
 
 // ShortestTree runs Dijkstra from src to every vertex, into t.
 func (g *Graph) ShortestTree(t *Tree, src int) {
+	g.ShortestTreeWithin(t, src, math.Inf(1))
+}
+
+// ShortestTreeWithin is ShortestTree stopped before settling any vertex
+// farther than limit from src: the vertices within limit get the distances
+// and tree paths of the full run, and every other one reads as unreachable.
+func (g *Graph) ShortestTreeWithin(t *Tree, src int, limit float64) {
 	t.g = g
-	g.search(&t.sc, src, -1, nil, math.Inf(1))
+	g.search(&t.sc, src, -1, nil, limit)
 }
 
 // Dist returns the distance from the tree's source to v (Inf if

@@ -317,30 +317,25 @@ func (rt *routeTables) deriveReach(net *topology.Network) {
 			}
 		}
 	}
-	// Static regenerator reachability: one BFS per source over the reach
-	// adjacency, expanding only through sites whose static regenerator pool
-	// is nonzero (the source itself needs no regenerator to transmit).
+	// Static regenerator reachability: one word-parallel BFS per source over
+	// the reach masks, expanding only through sites whose static regenerator
+	// pool is nonzero (the source itself needs no regenerator to transmit). A
+	// row holds the sites reached, the source excluded.
+	rows := rt.reachMaskW
+	if ns <= 64 {
+		rows = rt.reachMask
+	}
+	regen, done := bitset.New(ns), bitset.New(ns)
+	for v, s := range net.Sites {
+		if s.Regenerators > 0 {
+			regen.Set(v)
+		}
+	}
 	rt.regenReach = make(bitset.Set, ns*rt.maskW)
-	queue := make([]int, 0, ns)
-	seen := make([]bool, ns)
 	for u := 0; u < ns; u++ {
 		row := rt.regenReach[u*rt.maskW : (u+1)*rt.maskW]
-		clear(seen)
-		seen[u] = true
-		queue = append(queue[:0], u)
-		for head := 0; head < len(queue); head++ {
-			x := queue[head]
-			for v := 0; v < ns; v++ {
-				if seen[v] || !rt.inReach[x*ns+v] {
-					continue
-				}
-				seen[v] = true
-				row.Set(v)
-				if net.Sites[v].Regenerators > 0 {
-					queue = append(queue, v)
-				}
-			}
-		}
+		bitset.Closure(row, done, rows, regen, u)
+		row.Clear(u)
 	}
 }
 

@@ -9,14 +9,16 @@ import (
 	"testing"
 	"time"
 
+	"owan/internal/bitset"
 	"owan/internal/graph"
 	"owan/internal/topology"
 )
 
 // referenceRouteTables is the route-table builder as it stood before the
 // tables learnt to repair themselves: one serial sweep, every pair searched
-// from scratch through the allocating graph API, nothing indexed, and no
-// reach bound — every pair's full k-shortest answer, filtered afterwards. It
+// from scratch through the allocating graph API, nothing indexed, no reach
+// bound — every pair's full k-shortest answer, filtered afterwards — and the
+// regenerator reachability of referenceDeriveReach. It
 // is the reference the differentials hold withoutFiber and the row-packed,
 // reach-bounded parallel cold build to; a repair that wrongly kept its
 // parent's reach masks differs from it in them.
@@ -53,8 +55,61 @@ func referenceRouteTables(net *topology.Network) *routeTables {
 			rt.inReach[u*ns+v] = rt.pairDist[u][v] <= net.ReachKm && rt.pairPath[u][v] != nil
 		}
 	}
-	rt.deriveReach(net) // moved to routes.go unchanged; it reads only inReach
+	referenceDeriveReach(rt, net)
 	return rt
+}
+
+// referenceDeriveReach is deriveReach as it stood before the regenerator
+// reachability became a word-parallel search over the reach masks: the masks
+// set bit by bit from inReach, then a byte-array BFS per source that scans
+// every site of each one it expands. It reads only inReach and the sites'
+// regenerator pools, so the differentials check the production search on cold
+// builds and on every repair that re-derives reach.
+func referenceDeriveReach(rt *routeTables, net *topology.Network) {
+	ns := net.NumSites()
+	rt.maskW = bitset.Words(ns)
+	if ns <= 64 {
+		rt.reachMask = make([]uint64, ns)
+		for u := 0; u < ns; u++ {
+			for v := 0; v < ns; v++ {
+				if rt.inReach[u*ns+v] {
+					rt.reachMask[u] |= 1 << uint(v)
+				}
+			}
+		}
+	} else {
+		rt.reachMaskW = make(bitset.Set, ns*rt.maskW)
+		for u := 0; u < ns; u++ {
+			row := rt.reachMaskW[u*rt.maskW : (u+1)*rt.maskW]
+			for v := 0; v < ns; v++ {
+				if rt.inReach[u*ns+v] {
+					row.Set(v)
+				}
+			}
+		}
+	}
+	rt.regenReach = make(bitset.Set, ns*rt.maskW)
+	queue := make([]int, 0, ns)
+	seen := make([]bool, ns)
+	for u := 0; u < ns; u++ {
+		row := rt.regenReach[u*rt.maskW : (u+1)*rt.maskW]
+		clear(seen)
+		seen[u] = true
+		queue = append(queue[:0], u)
+		for head := 0; head < len(queue); head++ {
+			x := queue[head]
+			for v := 0; v < ns; v++ {
+				if seen[v] || !rt.inReach[x*ns+v] {
+					continue
+				}
+				seen[v] = true
+				row.Set(v)
+				if net.Sites[v].Regenerators > 0 {
+					queue = append(queue, v)
+				}
+			}
+		}
+	}
 }
 
 // sameTables fails the test unless got equals the reference build of net in

@@ -87,13 +87,10 @@ func ISP(sites, ports int, seed int64) *Network {
 		// Fiber routes are never straight lines; apply a 1.3 routing factor.
 		return 1.3 * math.Sqrt(d)
 	}
-	// Greedy spanning tree by nearest neighbor (Prim) for connectivity.
-	inTree := make([]bool, sites)
-	inTree[0] = true
 	fid := 0
-	added := map[[2]int]bool{}
+	added := make([]bool, sites*sites) // [a*sites+b], a < b
 	addFiber := func(a, b int) {
-		key := [2]int{min(a, b), max(a, b)}
+		key := min(a, b)*sites + max(a, b)
 		if added[key] {
 			return
 		}
@@ -101,23 +98,9 @@ func ISP(sites, ports int, seed int64) *Network {
 		n.Fibers = append(n.Fibers, Fiber{ID: fid, A: a, B: b, LengthKm: math.Max(50, dist(a, b)), Wavelengths: DefaultWavelengths})
 		fid++
 	}
-	for count := 1; count < sites; count++ {
-		bi, bj, bd := -1, -1, 1e18
-		for i := 0; i < sites; i++ {
-			if !inTree[i] {
-				continue
-			}
-			for j := 0; j < sites; j++ {
-				if inTree[j] {
-					continue
-				}
-				if d := dist(i, j); d < bd {
-					bi, bj, bd = i, j, d
-				}
-			}
-		}
-		inTree[bj] = true
-		addFiber(bi, bj)
+	// Greedy spanning tree by nearest neighbor (Prim) for connectivity.
+	for _, e := range primTree(sites, dist) {
+		addFiber(e[0], e[1])
 	}
 	// Add short extra edges until average degree reaches ~3.2.
 	type cand struct {
@@ -127,7 +110,7 @@ func ISP(sites, ports int, seed int64) *Network {
 	var cands []cand
 	for i := 0; i < sites; i++ {
 		for j := i + 1; j < sites; j++ {
-			if !added[[2]int{i, j}] {
+			if !added[i*sites+j] {
 				cands = append(cands, cand{i, j, dist(i, j)})
 			}
 		}
@@ -142,6 +125,42 @@ func ISP(sites, ports int, seed int64) *Network {
 	}
 	n.PlaceRegenerators(DefaultRegenPool)
 	return n
+}
+
+// primTree returns the spanning tree Prim's algorithm grows from site 0 over
+// the complete graph on sites 0..sites-1 weighted by dist, as (tree end, new
+// site) edges in the order it adds them. Each step adds the shortest edge
+// from the tree to a site outside it; ties go to the smallest tree end, then
+// the smallest new site. Every site outside the tree keeps its best edge into
+// the tree, so a step is one scan of the sites: O(n²) distance calls in all.
+func primTree(sites int, dist func(a, b int) float64) [][2]int {
+	inTree := make([]bool, sites)
+	inTree[0] = true
+	bestD := make([]float64, sites) // shortest edge from the tree, for a site outside it
+	bestI := make([]int, sites)     // its tree end, the smallest on a tie
+	for j := 1; j < sites; j++ {
+		bestD[j] = dist(0, j)
+	}
+	edges := make([][2]int, 0, sites-1)
+	for count := 1; count < sites; count++ {
+		bj := -1
+		for j := 0; j < sites; j++ {
+			if !inTree[j] && (bj < 0 || bestD[j] < bestD[bj] || bestD[j] == bestD[bj] && bestI[j] < bestI[bj]) {
+				bj = j
+			}
+		}
+		inTree[bj] = true
+		edges = append(edges, [2]int{bestI[bj], bj})
+		for j := 0; j < sites; j++ {
+			if inTree[j] {
+				continue
+			}
+			if d := dist(bj, j); d < bestD[j] || d == bestD[j] && bj < bestI[j] {
+				bestD[j], bestI[j] = d, bj
+			}
+		}
+	}
+	return edges
 }
 
 // InterDC builds the inter-datacenter topology the paper describes: a few

@@ -15,6 +15,7 @@ import (
 	"sort"
 	"sync"
 
+	"owan/internal/bitset"
 	"owan/internal/graph"
 )
 
@@ -408,14 +409,13 @@ func (n *Network) CircuitLengthKm(u, v int) float64 {
 //
 // Sites are considered in decreasing fiber-degree order (hubs first); a site
 // is added until the reach property holds for all pairs.
+//
+// The reach graph is one bitset row per site, from a shortest-path search
+// that stops at ReachKm, and the check is a word-parallel search per source
+// over those rows: O(n² · words) per candidate.
 func (n *Network) PlaceRegenerators(poolSize int) {
 	ns := len(n.Sites)
-	fg := n.FiberGraph()
-	// dist[i][j]: shortest fiber distance.
-	dist := make([][]float64, ns)
-	for i := 0; i < ns; i++ {
-		dist[i] = fg.ShortestDistances(i)
-	}
+	reach := n.reachRows()
 	deg := make([]int, ns)
 	for _, f := range n.Fibers {
 		deg[f.A]++
@@ -435,50 +435,54 @@ func (n *Network) PlaceRegenerators(poolSize int) {
 	for i := range n.Sites {
 		n.Sites[i].Regenerators = 0
 	}
-	// reachable reports whether all pairs can be connected stopping only at
+	// reachOK reports whether all pairs can be connected stopping only at
 	// the chosen concentration sites.
-	reachOK := func(chosen map[int]bool) bool {
-		// Build reach graph over all sites, but intermediate hops must be
-		// chosen sites. Check pairwise via BFS allowing only chosen interior
-		// nodes.
+	seen, done := bitset.New(ns), bitset.New(ns)
+	reachOK := func(chosen bitset.Set) bool {
 		for s := 0; s < ns; s++ {
-			visited := make([]bool, ns)
-			queue := []int{s}
-			visited[s] = true
-			for len(queue) > 0 {
-				v := queue[0]
-				queue = queue[1:]
-				for w := 0; w < ns; w++ {
-					if visited[w] || dist[v][w] > n.ReachKm {
-						continue
-					}
-					visited[w] = true
-					if chosen[w] { // may continue through a regenerator site
-						queue = append(queue, w)
-					}
-				}
-			}
-			for tgt := 0; tgt < ns; tgt++ {
-				if !visited[tgt] {
-					return false
-				}
+			bitset.Closure(seen, done, reach, chosen, s)
+			if seen.Count() != ns {
+				return false
 			}
 		}
 		return true
 	}
 
-	chosen := map[int]bool{}
+	chosen := bitset.New(ns)
 	if !reachOK(chosen) {
 		for _, cand := range order {
-			chosen[cand] = true
+			chosen.Set(cand)
 			if reachOK(chosen) {
 				break
 			}
 		}
 	}
-	for s := range chosen {
-		n.Sites[s].Regenerators = poolSize
+	chosen.ForEach(func(s int) { n.Sites[s].Regenerators = poolSize })
+}
+
+// reachRows returns the reach graph as bitset rows, Words(n) words per site:
+// bit w of site v's row is set unless the shortest fiber route from v to w is
+// longer than ReachKm. Each row is one shortest-path search from v that stops
+// at ReachKm; what it settles carries the full search's distances, and what
+// it leaves unsettled is past reach or cut off. The test is !(d > ReachKm),
+// not d <= ReachKm, so that a NaN reach covers every site; an unsettled site
+// reads as +Inf, which an infinite reach covers.
+func (n *Network) reachRows() []uint64 {
+	ns := len(n.Sites)
+	words := bitset.Words(ns)
+	fg := n.FiberGraph()
+	rows := make([]uint64, ns*words)
+	var t graph.Tree
+	for v := 0; v < ns; v++ {
+		fg.ShortestTreeWithin(&t, v, n.ReachKm)
+		row := bitset.Set(rows[v*words : (v+1)*words])
+		for w := 0; w < ns; w++ {
+			if !(t.Dist(w) > n.ReachKm) {
+				row.Set(w)
+			}
+		}
 	}
+	return rows
 }
 
 // MaxFiberKm returns the longest single fiber span.
