@@ -26,10 +26,10 @@ bench:
 # bench-smoke compiles and runs every benchmark exactly once — a fast CI
 # guard that the benchmark harness itself keeps working. internal/core
 # carries the scale benchmarks (ISP100/ISP200 energy); the root package
-# carries the annealing-engine ones (AnnealISP100/AnnealISP200) and the
-# ISP200 slot pipeline, the ISP40/100/200 controller set-up and cold
-# route-table builds and the ISP100 route repair; internal/update carries the
-# flat planner.
+# carries the annealing-engine ones (AnnealISP100/AnnealISP200), the
+# ISP40/100/200 controller set-up and cold route-table builds and the ISP100
+# route repair; internal/update carries the flat planner. The end-to-end
+# slot pipeline is measured by bench/run.sh, not here.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/core ./internal/update
 
@@ -71,13 +71,14 @@ routes:
 		-run 'TestBuilderFingerprints|TestPrimTreeDifferential|TestPlaceRegeneratorsDifferential|TestClosureMatchesBFS|TestKShortestDifferential|TestKShortestBoundedDifferential|TestKShortestAllocationFree|TestRouteRepairDifferential|TestRouteTablesReachSweep|TestRouteTablesDieWithNetwork|TestPlannerSharesSchedulerCut|TestStateWithoutFiber' \
 		./internal/topology/ ./internal/bitset/ ./internal/graph/ ./internal/optical/ ./internal/sim/
 
-# temper replays the committed 300-seed golden digests: the refactored
-# search loop in compat mode (Replicas=1, WarmStart=false) must reproduce
-# the pre-tempering annealer bit for bit, across ISP40 and a >64-site
-# network, through a WithoutFiber failure event. -count=1 defeats the test
-# cache so the differential actually runs.
+# temper replays the committed 300-seed golden digests: the annealing loop
+# in compat mode (Replicas=1, WarmStart=false) must reproduce the
+# pre-tempering annealer bit for bit, and on the ladder (Replicas 2 or 4,
+# warm starts on for some seeds) its own committed digests, across ISP40 and
+# a >64-site network, through a WithoutFiber failure event. -count=1 defeats
+# the test cache so the differentials actually run.
 temper:
-	$(GO) test -count=1 -run 'TestTemperGoldenDifferential' ./internal/core/
+	$(GO) test -count=1 -run 'TestTemperGoldenDifferential|TestTemperLadderGoldenDifferential' ./internal/core/
 
 # Fault-injection integration matrix: the end-to-end scenario (controller
 # killed mid-slot, one client partitioned, frames corrupted) must pass

@@ -20,7 +20,6 @@ import (
 	"owan/internal/graph"
 	"owan/internal/metrics"
 	"owan/internal/optical"
-	"owan/internal/sim"
 	"owan/internal/topology"
 	"owan/internal/transfer"
 	"owan/internal/workload"
@@ -174,53 +173,6 @@ func BenchmarkFig10bConsistentUpdate(b *testing.B) {
 		b.ReportMetric(minOf("consistent"), "gbps-min-consistent")
 		b.ReportMetric(minOf("one-shot"), "gbps-min-oneshot")
 	}
-}
-
-// BenchmarkSimSlotISP200 measures the end-to-end per-slot pipeline at the
-// 200-site stress scale with the consistent-update planner on: annealing
-// search, rate allocation, slot application, and the flat update schedule
-// (plus its throughput timeline) every slot. ns/slot is the figure the flat
-// scheduler (DESIGN.md §15) targets; one op is one full short simulation so
-// workload generation and scheduler construction stay out of the per-slot
-// number only insofar as they amortize over its slots.
-func BenchmarkSimSlotISP200(b *testing.B) {
-	net := topology.ISP(200, 8, 1)
-	reqs, err := workload.Generate(workload.Config{
-		Sites: net.NumSites(), MeanSizeGbits: 2 * workload.TB,
-		TotalDemandGbits: 400 * workload.TB, Load: 1, DurationSlots: 3, Seed: 7,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	slots := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o := core.New(core.Config{
-			Net: net, Policy: transfer.SJF, Seed: 11,
-			MaxIterations: 30, BatchSize: 8, Workers: runtime.GOMAXPROCS(0),
-			DeltaEval: true,
-		})
-		sched := &sim.OwanScheduler{O: o, SlotSeconds: experiments.SlotSeconds}
-		res, err := sim.Run(sim.Config{
-			Net: net, Initial: topology.InitialTopology(net),
-			Scheduler: sched, Requests: reqs,
-			SlotSeconds: experiments.SlotSeconds, MaxSlots: 60,
-			ReconfigSeconds: 4,
-			PlanUpdates:     true,
-		})
-		sched.Close()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Updates) != res.Slots {
-			b.Fatalf("planner covered %d of %d slots", len(res.Updates), res.Slots)
-		}
-		slots += res.Slots
-	}
-	if slots > 0 {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(slots), "ns/slot")
-	}
-	b.ReportMetric(float64(slots)/float64(b.N), "slots/op")
 }
 
 // BenchmarkSetup is the set-up a starting controller pays, timed over the

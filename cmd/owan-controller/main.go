@@ -59,7 +59,7 @@ func main() {
 		log.Fatalf("unknown topology %q", *kind)
 	}
 
-	// Canonical defaults + flag overlay; NewController validates, so a
+	// Canonical defaults + flag overlay; NewServer validates, so a
 	// nonsense knob (negative workers, ...) dies here with a clear error.
 	cfg := core.DefaultConfig(nw)
 	cfg.Policy = transfer.SJF

@@ -34,7 +34,7 @@ const resEps = 1e-9
 // not alias it.
 //
 // Results are bit-identical to the map-based reference implementation in
-// reference.go: the CSR adjacency preserves the reference's neighbor order
+// reference_test.go: the CSR adjacency preserves the reference's neighbor order
 // (both enumerate links in (U, V)-sorted order), the ring-buffer BFS visits
 // vertices in the same FIFO order, and rates are computed and subtracted in
 // the same sequence, so every float operation sees the same operands.

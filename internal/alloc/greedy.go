@@ -10,8 +10,8 @@
 //
 // Two implementations exist: the flat, zero-allocation Allocator (the hot
 // path; see allocator.go) behind the exported entry points below, and the
-// original map-based routine kept as an unexported reference in
-// reference.go, exercised only by the differential tests.
+// original map-based routine kept as the reference in reference_test.go,
+// which only the differential tests compile.
 package alloc
 
 import (

@@ -12,7 +12,8 @@ import (
 // run on the flat, index-addressed Allocator; the differential tests in
 // differential_test.go assert that the two produce bit-identical results
 // (same throughput, same per-demand path/rate lists) on randomized
-// topologies and demand sets. Production code must not call into this file.
+// topologies and demand sets. As a _test.go file it is compiled into the
+// package's tests only, never into production builds.
 
 // residualNet is a mutable capacity view of a network-layer topology, keyed
 // by canonical (min,max) site pairs.

@@ -297,18 +297,3 @@ func TestVersionNegotiation(t *testing.T) {
 		}
 	})
 }
-
-// TestDeprecatedConstructorCompat: the positional NewController shim
-// still builds a working server.
-func TestDeprecatedConstructorCompat(t *testing.T) {
-	ctrl, err := NewController(core.Config{
-		Net: topology.Internet2(8), Policy: transfer.SJF, Seed: 1, MaxIterations: 60,
-	}, 10, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.Close()
-	if _, err := ctrl.Submit(WireRequest{Src: 0, Dst: 1, SizeGbits: 5}); err != nil {
-		t.Fatal(err)
-	}
-}

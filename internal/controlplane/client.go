@@ -165,13 +165,6 @@ func Dial(ctx context.Context, addr string, opts ...Option) (*Client, error) {
 	return c, nil
 }
 
-// DialLegacy keeps the pre-context signature alive for old callers.
-//
-// Deprecated: use Dial with WithSite and WithOnRates.
-func DialLegacy(addr string, site int, onRates func([]WireRate)) (*Client, error) {
-	return Dial(context.Background(), addr, WithSite(site), WithOnRates(onRates))
-}
-
 // connect dials and runs the handshake, then starts the connection's read
 // and heartbeat goroutines.
 func (c *Client) connect(ctx context.Context) (*liveConn, error) {

@@ -194,15 +194,6 @@ func (cc *clientConn) send(m *Message) error {
 	return nil
 }
 
-// NewController builds a controller for the network.
-//
-// Deprecated: use NewServer with WithCoreConfig and WithSlotSeconds — the
-// options constructor exposes the admission, liveness, and clock knobs.
-func NewController(cfg core.Config, slotSeconds float64, st *store.Store) (*Controller, error) {
-	return NewServer(context.Background(), st,
-		WithCoreConfig(cfg), WithSlotSeconds(slotSeconds))
-}
-
 // newController is the shared constructor behind NewServer. The store may
 // come from a previous (failed) controller instance, in which case
 // outstanding transfers (and their submit tokens and ownership) are

@@ -137,10 +137,8 @@ func withAdmitGate(ch chan struct{}) ServerOption {
 // fresh in-process store), recovering any outstanding transfers a failed
 // predecessor left behind. The context bounds the server's lifetime:
 // cancelling it is equivalent to Close. Tuning is purely functional
-// options; the only required one is WithCoreConfig.
-//
-// This is the successor of the positional NewController constructor, in
-// the same shape Dial gives the client.
+// options; the only required one is WithCoreConfig. It has the same shape
+// Dial gives the client.
 func NewServer(ctx context.Context, st *store.Store, opts ...ServerOption) (*Controller, error) {
 	o := defaultServerOptions()
 	for _, opt := range opts {

@@ -5,7 +5,7 @@ import (
 )
 
 // This file implements the lazy-candidate machinery behind Config.DeltaEval.
-// The classic search materializes every neighbor as a full LinkSet clone
+// Without it the search materializes every neighbor as a full LinkSet clone
 // before evaluating it; at ISP scale that clone (plus the per-candidate
 // Links() enumeration and churn Diff) dominates the coordinator and caps the
 // speedup of both the worker pool and the optical/allocation delta paths. In
@@ -17,8 +17,8 @@ import (
 // like ComputeNeighbor/swapOnce (same sample walk over the same sorted
 // enumeration, same orientation draws, same validation order, same 32-try
 // budget), so for a given (Seed, BatchSize) the delta-mode trajectory is
-// bit-identical to the classic one. The ≥300-seed differential harness in
-// delta_search_test.go asserts exactly that.
+// bit-identical to the materialized one. The ≥300-seed differential harness
+// in delta_search_test.go asserts exactly that.
 
 // swapMove is one elementary 2-circuit swap: remove one circuit from (U, V)
 // and one from (P, Q), add one to (U, P) and one to (V, Q).
@@ -65,6 +65,19 @@ func accumMoves(moves []swapMove, buf []pairDelta) []pairDelta {
 		}
 	}
 	return buf[:w]
+}
+
+// churnAfter returns current.Diff of base with the moves applied, given
+// churnBase = current.Diff(base), by summing the change over the touched
+// pairs alone.
+func (o *Owan) churnAfter(current, base *topology.LinkSet, churnBase int, moves []swapMove) int {
+	o.nbAcc = accumMoves(moves, o.nbAcc[:0])
+	for _, pd := range o.nbAcc {
+		cur := current.Get(pd.u, pd.v)
+		b := base.Get(pd.u, pd.v)
+		churnBase += abs(cur-b-pd.d) - abs(cur-b)
+	}
+	return churnBase
 }
 
 // linksGet returns the count of canonical pair (u, v) in a (U, V)-sorted

@@ -62,7 +62,7 @@ type Config struct {
 	// concurrently, each owning a cloned optical.State. 0 or 1 evaluates
 	// inline on the controller's own state (the pre-parallel behavior).
 	// Workers only changes wall-clock time, never the result: the search
-	// trajectory is a pure function of (Seed, BatchSize).
+	// trajectory is a pure function of (Seed, BatchSize, Replicas).
 	Workers int
 	// BatchSize is how many candidate neighbors are generated per
 	// temperature batch and evaluated together (the paper's Figure 10d
@@ -99,20 +99,21 @@ type Config struct {
 	// consumes the RNG draw-for-draw like ComputeNeighbor, and trusted delta
 	// energies equal cold energies exactly (see internal/optical/delta.go).
 	DeltaEval bool
-	// Replicas is the parallel-tempering replica count R: the search runs R
-	// annealing chains at a geometric temperature ladder (rung 0 coldest, at
-	// the normal schedule temperature) and periodically proposes neighbor-rung
-	// state exchanges under the Metropolis criterion on (ΔE, Δβ). Candidate
+	// Replicas is the parallel-tempering replica count R: the one annealing
+	// loop runs R chains (rungs) at a geometric temperature ladder (rung 0
+	// coldest, at the normal schedule temperature, drawing from the
+	// controller RNG) and periodically proposes neighbor-rung state
+	// exchanges under the Metropolis criterion on (ΔE, Δβ). Candidate
 	// energies of all rungs are evaluated together on the worker pool.
-	// 0 or 1 selects the single-chain search (today's behavior, exactly).
-	// Replicas is part of the search semantics: the result is a pure function
-	// of (Seed, BatchSize, Replicas), bit-identical at any Workers/GOMAXPROCS.
-	// With Replicas > 1 candidates are evaluated on the classic materialized
-	// path (DeltaEval applies to the single-chain search only).
+	// 0 or 1 is a ladder of one rung: the paper's single chain, with no
+	// exchanges. Replicas is part of the search semantics: the result is a
+	// pure function of (Seed, BatchSize, Replicas), bit-identical at any
+	// Workers/GOMAXPROCS. DeltaEval applies at R = 1 only; with Replicas > 1
+	// candidates are evaluated materialized.
 	Replicas int
-	// ExchangeInterval is how many candidate batches each replica runs
-	// between exchange attempts; the same interval paces the early-exit
-	// convergence check (warm-started and tempered searches only). 0 selects
+	// ExchangeInterval is how many candidate batches each rung runs between
+	// exchange attempts; the same interval paces the early-exit convergence
+	// check (warm-started slots and R > 1 only). 0 selects
 	// DefaultExchangeInterval.
 	ExchangeInterval int
 	// WarmStart seeds each slot's cooling schedule from the previous slot's
@@ -130,8 +131,8 @@ type Config struct {
 	// explores a little. 0 selects DefaultWarmTempFloor; must be ≤ 1
 	// (1 makes warm start inert).
 	WarmTempFloor float64
-	// ConvergeWindows is the early-exit patience for warm-started and
-	// tempered searches: after this many consecutive exchange windows whose
+	// ConvergeWindows is the early-exit patience for warm-started slots and
+	// R > 1 searches: after this many consecutive exchange windows whose
 	// best-energy improvement stays within EpsilonFrac (relative), the
 	// search stops and reports SearchStats.EarlyExit. 0 selects
 	// DefaultConvergeWindows; negative disables early exit.
@@ -260,7 +261,7 @@ type SearchStats struct {
 	InitialTemp float64
 	WarmStarted bool
 	// EarlyExit reports that the search stopped because the best energy
-	// converged (warm-started and tempered searches only).
+	// converged (warm-started slots and R > 1 searches only).
 	EarlyExit bool
 }
 
@@ -313,8 +314,8 @@ type Owan struct {
 	// come back here and the next swapOnce copies over them instead of
 	// allocating a fresh Clone (map, buckets, sorted view) per proposal.
 	// Only pointers whose last reference is provably dropped may enter the
-	// pool; anything that escapes — the returned best state, any replica's
-	// current state — never does. Bounded by the largest batch in flight
+	// pool; anything that escapes — the returned best state, any rung's
+	// current state — never does. Bounded by the largest round in flight
 	// (Replicas×BatchSize plus NeighborMoves intermediates).
 	lsPool []*topology.LinkSet
 	// Warm-start state: the previous slot's accepted (best) energy and the
@@ -325,9 +326,9 @@ type Owan struct {
 	warmE     float64
 	warmT     float64
 	warmValid bool
-	// slotSeq counts ComputeNetworkState invocations; tempering derives its
-	// per-replica and exchange RNG streams from (Seed, slotSeq, rung) so
-	// consecutive slots explore independently yet reproducibly.
+	// slotSeq counts ComputeNetworkState invocations; the ladder derives the
+	// RNG streams of rungs r ≥ 1 and of its exchanges from (Seed, slotSeq,
+	// stream) so consecutive slots explore independently yet reproducibly.
 	slotSeq int64
 }
 
@@ -468,8 +469,8 @@ func (o *Owan) ComputeNeighbor(s *topology.LinkSet) *topology.LinkSet {
 }
 
 // computeNeighbor is ComputeNeighbor drawing from an explicit RNG, so every
-// tempering replica can run its own reproducible chain. The single-chain
-// search passes o.rng and is draw-for-draw the pre-tempering generator.
+// rung can run its own reproducible chain. Rung 0 passes o.rng, the stream
+// ComputeNeighbor draws from.
 func (o *Owan) computeNeighbor(rng *rand.Rand, s *topology.LinkSet) *topology.LinkSet {
 	out := s
 	for m := 0; m < o.cfg.NeighborMoves; m++ {
@@ -588,10 +589,10 @@ func canonEq(a, b, c, d int) bool {
 // their energies (concurrently when Config.Workers > 1, with memoization
 // when Config.EnergyCacheSize > 0), and then reduces the batch in fixed
 // generation order with the standard Metropolis acceptance rule. Candidate
-// generation and acceptance share the single seeded RNG on this goroutine,
-// so for a given (Seed, BatchSize) the result is bit-identical regardless
-// of Workers or GOMAXPROCS. With BatchSize 1 the chain is exactly the
-// classic serial annealing loop.
+// generation and acceptance draw from seeded RNGs on this goroutine, so for
+// a given (Seed, BatchSize, Replicas) the result is bit-identical regardless
+// of Workers or GOMAXPROCS. With Replicas 1 and BatchSize 1 the chain is
+// exactly the classic serial annealing loop.
 func (o *Owan) ComputeNetworkState(current *topology.LinkSet, active []*transfer.Transfer, slot int, slotSeconds float64) *NetworkState {
 	start := time.Now()
 	o.slotSeq++
@@ -636,13 +637,7 @@ func (o *Owan) ComputeNetworkState(current *topology.LinkSet, active []*transfer
 		deadline = start.Add(o.cfg.TimeBudget)
 	}
 
-	var sBest *topology.LinkSet
-	var eBest, finalT float64
-	if o.cfg.Replicas > 1 {
-		sBest, eBest, finalT = o.temperedAnneal(ev, current, sCur, eCur, T, coldT0, epsilon, deadline, &stats)
-	} else {
-		sBest, eBest, finalT = o.classicAnneal(ev, current, sCur, eCur, T, coldT0, epsilon, deadline, &stats)
-	}
+	sBest, eBest, finalT := o.anneal(ev, current, sCur, eCur, T, coldT0, epsilon, deadline, &stats)
 	ev.finish(&stats)
 
 	plan := o.opt.ProvisionTopology(sBest)
@@ -694,30 +689,62 @@ func (o *Owan) warmStartTemp(eCur, coldT0 float64) (float64, bool) {
 	return T, true
 }
 
-// classicAnneal is the single-chain annealing loop (Algorithm 1), batched
-// over the evaluator. It starts from (sCur, eCur) at temperature T and
-// returns the best state found, its energy, and the final temperature.
-// Candidate generation and acceptance share o.rng on this goroutine, so the
-// trajectory is the documented pure function of (Seed, BatchSize). On slots
-// that warm-started, the loop additionally checks convergence every
-// ExchangeInterval batches and stops early once the best energy stalls for
-// ConvergeWindows consecutive windows.
-func (o *Owan) classicAnneal(ev *evaluator, current, sCur *topology.LinkSet, eCur, T, T0, epsilon float64, deadline time.Time, stats *SearchStats) (*topology.LinkSet, float64, float64) {
-	sBest, eBest := sCur, eCur
-	useDelta := o.cfg.DeltaEval
-	cands := make([]*topology.LinkSet, 0, o.cfg.BatchSize)
-	needEval := make([]bool, 0, o.cfg.BatchSize)
+// anneal is the annealing loop (Algorithm 1), batched over the evaluator and
+// run on a ladder of Config.Replicas rungs (tempering.go). Every rung starts
+// from (sInit, eInit), rung 0 at temperature T; anneal returns the best state
+// any rung saw, its energy, and rung 0's final temperature. Each round
+// generates up to BatchSize neighbors per rung in rung order, evaluates the
+// whole round in one evaluator call, and reduces each rung's slice in
+// generation order with the Metropolis rule. At R = 1 this is the single
+// chain on o.rng, and the trajectory is the documented pure function of
+// (Seed, BatchSize). Each schedule rule holds for every R:
+//   - every rung runs at most MaxIterations, and the search ends when rung 0
+//     reaches the cap;
+//   - the ε rule applies to rung 0 at the top of each round and after each
+//     evaluated candidate: it ends the search or, under a TimeBudget,
+//     reheats every rung to its ladder T0 and keeps searching until time
+//     runs out (longer budgets monotonically improve the best state found,
+//     the behaviour Figure 10d measures);
+//   - every ExchangeInterval rounds the exchange sweep runs and, on slots
+//     that warm-started or run more than one rung, the early exit stops the
+//     search once the best energy stalls for ConvergeWindows windows.
+//
+// With DeltaEval at R = 1 candidates are move lists evaluated on the delta
+// path and materialized only when they become the best or the current state
+// (delta.go); otherwise they are LinkSets from the recycling pool.
+func (o *Owan) anneal(ev *evaluator, current, sInit *topology.LinkSet, eInit, T, T0, epsilon float64, deadline time.Time, stats *SearchStats) (*topology.LinkSet, float64, float64) {
+	R := o.cfg.Replicas
+	rungs := o.newRungs(sInit, eInit, T, T0)
+	var exRng *rand.Rand
+	if R > 1 {
+		exRng = rand.New(rand.NewSource(mixSeed(o.cfg.Seed, o.slotSeq, -1)))
+	}
+	sBest, eBest := sInit, eInit
+	// quenched applies the ε rule to rung 0: true ends the search; under a
+	// TimeBudget it reheats every rung to its ladder T0 instead.
+	quenched := func() bool {
+		if rungs[0].T > epsilon {
+			return false
+		}
+		if deadline.IsZero() {
+			return true
+		}
+		for r := range rungs {
+			rungs[r].T = rungs[r].T0
+		}
+		return false
+	}
+	cands := make([]*topology.LinkSet, 0, R*o.cfg.BatchSize)
+	needEval := make([]bool, 0, R*o.cfg.BatchSize)
 	var energies []float64
-	// Delta-mode candidate state: candidates exist as move lists until
-	// accepted (movesBuf reuses per-slot buffers across batches; mats holds
-	// this batch's lazily materialized topologies). linksCur/totalCur/
-	// churnCur cache the enumeration, circuit count and churn of sCur, and
-	// baseSeq counts sCur replacements so the evaluator knows when to
-	// rebuild its snapshot (pointer identity is unreliable once old bases
-	// are garbage).
+	// Delta-mode state for rung 0: movesBuf reuses per-candidate move
+	// buffers across rounds; linksCur/totalCur/churnCur cache the
+	// enumeration, circuit count and churn of its current state, and baseSeq
+	// counts its replacements so the evaluator knows when to rebuild its
+	// snapshot (pointer identity is unreliable once old bases are garbage).
+	useDelta := o.cfg.DeltaEval && R == 1
 	var (
 		movesBuf [][]swapMove
-		mats     []*topology.LinkSet
 		linksCur []topology.Link
 		curValid bool
 		totalCur int
@@ -726,173 +753,141 @@ func (o *Owan) classicAnneal(ev *evaluator, current, sCur *topology.LinkSet, eCu
 	)
 	if useDelta {
 		movesBuf = make([][]swapMove, o.cfg.BatchSize)
-		mats = make([]*topology.LinkSet, o.cfg.BatchSize)
 	}
-	// Early-exit convergence windows, only on slots that actually
-	// warm-started: a cold slot (including every first slot, and every slot
-	// with WarmStart off) runs draw-for-draw the pre-tempering schedule.
-	earlyExit := stats.WarmStarted && o.cfg.ConvergeWindows > 0
-	batches, streak := 0, 0
+	// A cold single chain (every first slot, and every slot with WarmStart
+	// off) never early-exits: it runs the paper's schedule to ε.
+	earlyExit := o.cfg.ConvergeWindows > 0 && (stats.WarmStarted || R > 1)
+	rounds, streak := 0, 0
 	windowBest := eBest
 	stop := false
-	for !stop && stats.Iterations < o.cfg.MaxIterations {
-		if T <= epsilon {
-			if deadline.IsZero() {
-				break
-			}
-			// With a wall-clock budget, a quenched schedule reheats and
-			// keeps searching from the current state until time runs out
-			// (longer budgets monotonically improve the best state found,
-			// the behaviour Figure 10d measures).
-			T = T0
-		}
+	for !stop && rungs[0].iters < o.cfg.MaxIterations && !quenched() {
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			break
 		}
 
-		// Generate the batch. Every candidate derives from the same sCur;
-		// candidates outside the churn trust region around the slot's
-		// starting topology are rejected without an energy evaluation (the
-		// move would not be deployable as an incremental update) but still
-		// consume an iteration and a cooling step, exactly like the serial
-		// chain. In delta mode a candidate is its move list and the churn
-		// bound is applied incrementally over the touched pairs; both paths
-		// draw from the RNG identically, so the trajectories coincide.
-		k := o.cfg.BatchSize
-		if rem := o.cfg.MaxIterations - stats.Iterations; k > rem {
-			k = rem
+		// Generate the round. Every candidate of a rung derives from that
+		// rung's current state; candidates outside the churn trust region
+		// around the slot's starting topology are rejected without an energy
+		// evaluation (the move would not be deployable as an incremental
+		// update) but still consume an iteration and a cooling step. In delta
+		// mode the churn bound is applied incrementally over the touched
+		// pairs; both paths draw from the RNG identically, so the
+		// trajectories coincide. A rung that finds no neighbor ends the
+		// search after this round.
+		cands, needEval = cands[:0], needEval[:0]
+		if useDelta && !curValid {
+			linksCur = rungs[0].sCur.AppendLinks(linksCur[:0])
+			totalCur = rungs[0].sCur.TotalCircuits()
+			if o.cfg.MaxChurn > 0 {
+				churnCur = current.Diff(rungs[0].sCur)
+			}
+			curValid = true
 		}
-		nCand := 0
-		cands = cands[:0]
-		needEval = needEval[:0]
-		if useDelta {
-			if !curValid {
-				linksCur = sCur.AppendLinks(linksCur[:0])
-				totalCur = sCur.TotalCircuits()
-				if o.cfg.MaxChurn > 0 {
-					churnCur = current.Diff(sCur)
-				}
-				curValid = true
-			}
-			for nCand < k {
-				mv, ok := o.neighborMoves(sCur, linksCur, totalCur, movesBuf[nCand][:0])
-				movesBuf[nCand] = mv
-				if !ok {
-					stop = true
-					break
-				}
-				ne := true
-				if o.cfg.MaxChurn > 0 {
-					churnN := churnCur
-					o.nbAcc = accumMoves(mv, o.nbAcc[:0])
-					for _, pd := range o.nbAcc {
-						cur := current.Get(pd.u, pd.v)
-						b := sCur.Get(pd.u, pd.v)
-						churnN += abs(cur-b-pd.d) - abs(cur-b)
+		for r := range rungs {
+			g := &rungs[r]
+			k := min(o.cfg.BatchSize, o.cfg.MaxIterations-g.iters)
+			for g.n = 0; g.n < k; g.n++ {
+				if useDelta {
+					mv, ok := o.neighborMoves(g.sCur, linksCur, totalCur, movesBuf[g.n][:0])
+					movesBuf[g.n] = mv
+					if !ok {
+						stop = true
+						break
 					}
-					ne = churnN <= o.cfg.MaxChurn
+					needEval = append(needEval, o.cfg.MaxChurn <= 0 || o.churnAfter(current, g.sCur, churnCur, mv) <= o.cfg.MaxChurn)
+					continue
 				}
-				needEval = append(needEval, ne)
-				nCand++
-			}
-			if nCand == 0 {
-				break
-			}
-			energies = ev.energiesDelta(sCur, linksCur, baseSeq, movesBuf[:nCand], needEval, energies)
-		} else {
-			for len(cands) < k {
-				sN := o.ComputeNeighbor(sCur)
+				sN := o.computeNeighbor(g.rng, g.sCur)
 				if sN == nil {
 					stop = true
 					break
 				}
 				cands = append(cands, sN)
-				needEval = append(needEval, !(o.cfg.MaxChurn > 0 && current.Diff(sN) > o.cfg.MaxChurn))
+				needEval = append(needEval, o.cfg.MaxChurn <= 0 || current.Diff(sN) <= o.cfg.MaxChurn)
 			}
-			if len(cands) == 0 {
-				break
-			}
+		}
+		if len(needEval) == 0 {
+			break
+		}
+		if useDelta {
+			energies = ev.energiesDelta(rungs[0].sCur, linksCur, baseSeq, movesBuf[:len(needEval)], needEval, energies)
+		} else {
 			energies = ev.energies(cands, needEval, energies)
 		}
 
-		// Deterministic reduction: walk the batch in generation order,
-		// applying acceptance against the evolving current state. An
-		// accepted candidate replaces sCur for the rest of the batch even
-		// though later candidates were generated from the older state —
+		// Deterministic reduction: walk each rung's slice in generation
+		// order, applying acceptance against the rung's evolving current
+		// state. An accepted candidate replaces it for the rest of the slice
+		// even though later candidates were generated from the older state —
 		// they are complete topologies, so adopting them stays valid.
-		// Delta-mode candidates materialize here, only when they become the
-		// best or the current state (best and accept share the clone).
-		batchBase := sCur
-		for i := range needEval {
-			stats.Iterations++
-			if !needEval[i] {
-				T *= o.cfg.Alpha
-				continue
-			}
-			eN := energies[i]
-			var sN *topology.LinkSet
-			if !useDelta {
-				sN = cands[i]
-			}
-			if eN > eBest {
-				if useDelta {
-					if mats[i] == nil {
-						mats[i] = materializeMoves(batchBase, movesBuf[i])
-					}
-					sN = mats[i]
+		off := 0
+	reduce:
+		for r := range rungs {
+			g := &rungs[r]
+			base := g.sCur
+			for i := off; i < off+g.n; i++ {
+				g.iters++
+				stats.Iterations++
+				if !needEval[i] {
+					g.T *= o.cfg.Alpha
+					continue
 				}
-				sBest, eBest = sN, eN
-			}
-			if accept(eCur, eN, T, o.rng) {
-				if useDelta && sN == nil {
-					if mats[i] == nil {
-						mats[i] = materializeMoves(batchBase, movesBuf[i])
-					}
-					sN = mats[i]
+				eN := energies[i]
+				var sN *topology.LinkSet
+				if !useDelta {
+					sN = cands[i]
 				}
-				sCur, eCur = sN, eN
-				stats.Accepted++
-				if useDelta {
+				if eN > eBest {
+					if sN == nil {
+						sN = materializeMoves(base, movesBuf[i])
+					}
+					sBest, eBest = sN, eN
+				}
+				if accept(g.eCur, eN, g.T, g.rng) {
+					if sN == nil {
+						sN = materializeMoves(base, movesBuf[i])
+					}
+					g.sCur, g.eCur = sN, eN
+					stats.Accepted++
 					curValid = false
 					baseSeq++
 				}
-			}
-			T *= o.cfg.Alpha
-			if T <= epsilon {
-				if deadline.IsZero() {
+				g.T *= o.cfg.Alpha
+				if r == 0 && quenched() {
 					stop = true
-					break
-				}
-				T = T0
-			}
-		}
-		for i := 0; i < nCand; i++ {
-			mats[i] = nil
-		}
-		if !useDelta {
-			// Recycle the batch: every candidate the reduction did not
-			// retain as the current or best state is dead.
-			for _, c := range cands {
-				if c != sCur && c != sBest {
-					o.putLinkSet(c)
+					break reduce
 				}
 			}
+			off += g.n
 		}
-		batches++
-		if earlyExit && batches%o.cfg.ExchangeInterval == 0 {
-			if eBest-windowBest <= o.cfg.EpsilonFrac*math.Max(math.Abs(eBest), 1e-9) {
-				streak++
-				if streak >= o.cfg.ConvergeWindows {
-					stats.EarlyExit = true
-					stop = true
-				}
-			} else {
-				streak = 0
+		// Recycle the round: a candidate that no rung holds as its current
+		// state and that is not the running best has dropped its last
+		// reference. (Exchanges only swap pointers rungs already hold, so
+		// this accounting stays exact across sweeps.)
+		for _, c := range cands {
+			if c != sBest && !held(rungs, c) {
+				o.putLinkSet(c)
 			}
-			windowBest = eBest
+		}
+
+		rounds++
+		if rounds%o.cfg.ExchangeInterval == 0 {
+			exchange(rungs, exRng, (rounds/o.cfg.ExchangeInterval)%2, stats)
+			if earlyExit {
+				if eBest-windowBest <= o.cfg.EpsilonFrac*math.Max(math.Abs(eBest), 1e-9) {
+					streak++
+					if streak >= o.cfg.ConvergeWindows {
+						stats.EarlyExit = true
+						stop = true
+					}
+				} else {
+					streak = 0
+				}
+				windowBest = eBest
+			}
 		}
 	}
-	return sBest, eBest, T
+	return sBest, eBest, rungs[0].T
 }
 
 // Reallocate provisions a given topology and computes the allocation on

@@ -14,11 +14,12 @@ import (
 // energy memoization cache keyed by the canonical topology encoding.
 //
 // Determinism contract: the search trajectory is a pure function of
-// (Config.Seed, Config.BatchSize). Neighbor generation and acceptance both
-// happen on the coordinating goroutine using the single seeded RNG; workers
-// only compute energies, which are pure functions of (topology, demands) and
-// therefore identical no matter which goroutine computes them or in which
-// order results arrive. Workers and GOMAXPROCS never change the result.
+// (Config.Seed, Config.BatchSize, Config.Replicas). Neighbor generation and
+// acceptance both happen on the coordinating goroutine using seeded RNGs
+// (tempering.go); workers only compute energies, which are pure functions of
+// (topology, demands) and therefore identical no matter which goroutine
+// computes them or in which order results arrive. Workers and GOMAXPROCS
+// never change the result.
 //
 // With Config.DeltaEval the pool additionally carries the incremental
 // evaluation state: one immutable optical.Snapshot of the current base

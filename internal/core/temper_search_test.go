@@ -21,17 +21,25 @@ import (
 // asserting the digests here proves that `Replicas=1, WarmStart=false` —
 // today's default configuration — still walks the exact pre-PR trajectories,
 // bit for bit, through every refactor tempering required (RNG plumbing,
-// temperature seeding, the dispatch into the tempered loop). A
+// temperature seeding, one loop for every replica count). A
 // self-referential differential (new code vs new code) could not catch a
 // refactor that changed everything consistently; the committed digests can.
 //
-// Regenerate with UPDATE_TEMPER_GOLDEN=1 go test -run TemperGolden ./internal/core
-// — but only when a PR deliberately changes search semantics, never to make
-// a red run green.
+// A second golden, testdata/temper_ladder_golden.json, pins the ladder
+// (Replicas ∈ {2, 4}, warm starts on for some seeds) through the same walk,
+// so a later refactor of the annealing loop is held to R > 1 as well.
+//
+// Regenerate with UPDATE_TEMPER_GOLDEN=1 go test -run TemperLadderGolden ./internal/core
+// (or -run TemperGoldenDifferential for the compat digests) — but only when
+// a change deliberately alters search semantics, never to make a red run
+// green.
 
 const temperGoldenSeeds = 300
 
-var temperGoldenPath = filepath.Join("testdata", "temper_golden.json")
+var (
+	temperGoldenPath       = filepath.Join("testdata", "temper_golden.json")
+	temperLadderGoldenPath = filepath.Join("testdata", "temper_ladder_golden.json")
+)
 
 // temperGoldenNets returns the two differential networks: the paper's ISP40
 // benchmark topology and a >64-site ISP, so the multi-word mask paths are
@@ -67,14 +75,40 @@ func temperGoldenConfig(seed int64, net *topology.Network) Config {
 	return cfg
 }
 
-// temperGoldenWalk runs the canonical 3-slot sequence for one seed — warm
-// slot-to-slot starts on one persistent controller, with a WithoutFiber
-// failure event before the middle slot — and folds every slot's full result
-// (canonical topology key, energy bits, chain stats) into one digest.
-func temperGoldenWalk(seed int64) uint64 {
+// temperLadderConfig is temperGoldenConfig for the ladder: Replicas ∈ {2, 4},
+// warm starts on for about half the seeds, and a fast cooling rate on about
+// a third, so the walk also reaches ε and pins where the final round stops.
+// DeltaEval is drawn too, although it applies only at R = 1 today.
+func temperLadderConfig(seed int64, net *topology.Network) Config {
+	rng := rand.New(rand.NewSource(29000 + seed))
+	cfg := Config{
+		Net:           net,
+		Seed:          seed,
+		MaxIterations: 24 + rng.Intn(24),
+		BatchSize:     1 + rng.Intn(4),
+		Workers:       []int{1, 1, 4}[rng.Intn(3)],
+		DeltaEval:     rng.Intn(2) == 0,
+		Replicas:      []int{2, 4}[rng.Intn(2)],
+		WarmStart:     rng.Intn(2) == 0,
+	}
+	if rng.Intn(3) == 0 {
+		cfg.EnergyCacheSize = 64
+	}
+	if rng.Intn(3) == 0 {
+		cfg.Alpha = 0.8
+	}
+	return cfg
+}
+
+// temperGoldenWalk runs the canonical 3-slot sequence for one seed under
+// config — warm slot-to-slot starts on one persistent controller, with a
+// WithoutFiber failure event before the middle slot — and folds every slot's
+// full result (canonical topology key, energy bits, chain stats) into one
+// digest. It also returns the mean BestEnergy over the slots it searched.
+func temperGoldenWalk(seed int64, config func(int64, *topology.Network) Config) (uint64, float64) {
 	nets := temperGoldenNets()
 	net := nets[int(seed)%len(nets)]
-	cfg := temperGoldenConfig(seed, net)
+	cfg := config(seed, net)
 	o := New(cfg)
 	defer func() { o.Close() }()
 
@@ -85,6 +119,7 @@ func temperGoldenWalk(seed int64) uint64 {
 		h.Write(b[:])
 	}
 	cur := topology.InitialTopology(net)
+	best, searched := 0.0, 0
 	for slot := 0; slot < 3; slot++ {
 		if slot == 1 {
 			// Fail a fiber mid-sequence: the annealer continues on a fresh
@@ -107,21 +142,74 @@ func temperGoldenWalk(seed int64) uint64 {
 		word(uint64(st.Stats.Accepted))
 		word(uint64(st.Stats.Churn))
 		cur = st.Topology
+		best += st.Stats.BestEnergy
+		searched++
 	}
-	return h.Sum64()
+	return h.Sum64(), best / math.Max(float64(searched), 1)
 }
 
-func readTemperGolden(t *testing.T) map[string]string {
+func readTemperGolden(t *testing.T, path string) map[string]string {
 	t.Helper()
-	raw, err := os.ReadFile(temperGoldenPath)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("golden digests missing (generate with UPDATE_TEMPER_GOLDEN=1): %v", err)
 	}
 	var m map[string]string
 	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatalf("parse %s: %v", temperGoldenPath, err)
+		t.Fatalf("parse %s: %v", path, err)
 	}
 	return m
+}
+
+// checkTemperGolden replays temperGoldenWalk under config for every seed
+// and compares the digests with the committed file at path, or rewrites the
+// file under UPDATE_TEMPER_GOLDEN. It logs the mean BestEnergy of the walks.
+func checkTemperGolden(t *testing.T, path string, config func(int64, *topology.Network) Config) {
+	seeds := int64(temperGoldenSeeds)
+	if testing.Short() {
+		seeds = 60
+	}
+	update := os.Getenv("UPDATE_TEMPER_GOLDEN") != ""
+	if update {
+		seeds = temperGoldenSeeds
+	}
+	var golden map[string]string
+	if !update {
+		golden = readTemperGolden(t, path)
+	}
+	out := make(map[string]string, seeds)
+	bestSum := 0.0
+	for seed := int64(0); seed < seeds; seed++ {
+		d, best := temperGoldenWalk(seed, config)
+		got := fmt.Sprintf("%016x", d)
+		bestSum += best
+		out[fmt.Sprint(seed)] = got
+		if update {
+			continue
+		}
+		want, ok := golden[fmt.Sprint(seed)]
+		if !ok {
+			t.Fatalf("seed %d missing from %s", seed, path)
+		}
+		if got != want {
+			t.Fatalf("seed %d: trajectory diverged from %s: digest %s != golden %s", seed, path, got, want)
+		}
+	}
+	t.Logf("mean BestEnergy over %d walks: %.6f", seeds, bestSum/float64(seeds))
+	if !update {
+		return
+	}
+	raw, err := json.MarshalIndent(out, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("wrote %d golden digests to %s", len(out), path)
 }
 
 // TestTemperGoldenDifferential is the 300-seed differential harness: the
@@ -129,37 +217,11 @@ func readTemperGolden(t *testing.T) map[string]string {
 // same topologies, same energies, same chain stats — across ISP40 and a
 // >64-site network, including the WithoutFiber event mid-sequence.
 func TestTemperGoldenDifferential(t *testing.T) {
-	seeds := int64(temperGoldenSeeds)
-	if testing.Short() {
-		seeds = 60
-	}
-	if os.Getenv("UPDATE_TEMPER_GOLDEN") != "" {
-		out := make(map[string]string, temperGoldenSeeds)
-		for seed := int64(0); seed < temperGoldenSeeds; seed++ {
-			out[fmt.Sprint(seed)] = fmt.Sprintf("%016x", temperGoldenWalk(seed))
-		}
-		raw, err := json.MarshalIndent(out, "", " ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(temperGoldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(temperGoldenPath, append(raw, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d golden digests to %s", len(out), temperGoldenPath)
-		return
-	}
-	golden := readTemperGolden(t)
-	for seed := int64(0); seed < seeds; seed++ {
-		want, ok := golden[fmt.Sprint(seed)]
-		if !ok {
-			t.Fatalf("seed %d missing from %s", seed, temperGoldenPath)
-		}
-		if got := fmt.Sprintf("%016x", temperGoldenWalk(seed)); got != want {
-			t.Fatalf("seed %d: trajectory diverged from the pre-tempering annealer: digest %s != golden %s",
-				seed, got, want)
-		}
-	}
+	checkTemperGolden(t, temperGoldenPath, temperGoldenConfig)
+}
+
+// TestTemperLadderGoldenDifferential holds the ladder (Replicas ∈ {2, 4})
+// to its committed digests through the same walk.
+func TestTemperLadderGoldenDifferential(t *testing.T) {
+	checkTemperGolden(t, temperLadderGoldenPath, temperLadderConfig)
 }

@@ -3,45 +3,49 @@ package core
 import (
 	"math"
 	"math/rand"
-	"time"
 
 	"owan/internal/topology"
 )
 
-// This file implements replica-exchange (parallel tempering) annealing on
-// top of the batch evaluator: R chains run side by side at a geometric
-// temperature ladder — rung 0 is the coldest, at the normal schedule
-// temperature, rung r at temperLadderStep^r times that — and every
-// ExchangeInterval rounds neighbor rungs propose to swap their current
-// states under the Metropolis criterion on (ΔE, Δβ). Hot rungs cross energy
-// barriers the cold rung cannot; exchanges funnel their discoveries down.
+// This file holds the replica-exchange (parallel tempering) side of the
+// annealing loop in owan.go: the rungs, their RNG streams and the exchange
+// sweep. R chains run side by side at a geometric temperature ladder — rung 0
+// is the coldest, at the normal schedule temperature, rung r at
+// temperLadderStep^r times that — and every ExchangeInterval rounds neighbor
+// rungs propose to swap their current states under the Metropolis criterion
+// on (ΔE, Δβ). Hot rungs cross energy barriers the cold rung cannot;
+// exchanges funnel their discoveries down. At R = 1 there is one rung and no
+// exchange, and the loop is the paper's single chain.
 //
 // Determinism discipline, extending the (Seed, BatchSize) contract of
 // parallel.go to (Seed, BatchSize, Replicas): every RNG draw happens on the
-// coordinating goroutine. Each replica owns a private RNG derived from
-// (Config.Seed, the controller's slot sequence number, its rung index) and
-// draws from it for its own candidate generation and acceptance, in rung
-// order; exchange decisions draw from a separate RNG derived the same way.
-// Workers only ever compute energies — pure functions of (topology,
-// demands) — so Workers/GOMAXPROCS change wall-clock time, never the
-// result. Candidates are evaluated on the classic materialized path
-// (ev.energies); the energy and provision caches apply as usual since both
-// are keyed by topology alone, which is replica-agnostic.
+// coordinating goroutine. Rung 0 draws from the controller RNG, the stream
+// the single chain has always used, so R = 1 walks that chain draw for draw.
+// Rung r ≥ 1 owns a private RNG derived from (Config.Seed, the controller's
+// slot sequence number, r), and exchange decisions draw from a separate
+// stream derived the same way. Each rung draws for its own generation and
+// acceptance, in rung order. Workers only ever compute energies — pure
+// functions of (topology, demands) — so Workers/GOMAXPROCS change wall-clock
+// time, never the result. The energy and provision caches apply to every
+// rung alike, since both are keyed by topology alone.
 
-// temperReplica is one tempering chain: its RNG, its current state, its
-// rung's cooling schedule, and how many iterations it has run.
-type temperReplica struct {
+// rung is one chain of the ladder: its RNG, its current state, its cooling
+// schedule, how many iterations it has run, and how many candidates it
+// generated in the current round.
+type rung struct {
 	rng   *rand.Rand
 	sCur  *topology.LinkSet
 	eCur  float64
 	T, T0 float64
 	iters int
+	n     int
 }
 
 // mixSeed derives an independent, reproducible RNG seed from the controller
-// seed, the slot sequence number, and a stream index (rung index, or -1 for
-// the exchange stream) via a splitmix64-style finalizer. Plain addition
-// would make stream k of seed s collide with stream k+1 of seed s-1.
+// seed, the slot sequence number, and a stream index (rung index r ≥ 1, or
+// -1 for the exchange stream; rung 0 uses the controller RNG instead) via a
+// splitmix64-style finalizer. Plain addition would make stream k of seed s
+// collide with stream k+1 of seed s-1.
 func mixSeed(seed, slotSeq int64, stream int) int64 {
 	z := uint64(seed)
 	z ^= (uint64(slotSeq) + 1) * 0x9e3779b97f4a7c15
@@ -54,166 +58,51 @@ func mixSeed(seed, slotSeq int64, stream int) int64 {
 	return int64(z)
 }
 
-// temperedAnneal runs Config.Replicas chains from (sInit, eInit), rung 0
-// starting at temperature T (warm-started or cold; see warmStartTemp) with
-// the stop temperature epsilon anchored to the cold schedule T0. It returns
-// the best state seen by any rung, its energy, and rung 0's final
-// temperature. stats.Iterations and stats.Accepted accumulate over all
-// rungs; exchange and early-exit activity lands in the tempering counters.
-func (o *Owan) temperedAnneal(ev *evaluator, current, sInit *topology.LinkSet, eInit, T, T0, epsilon float64, deadline time.Time, stats *SearchStats) (*topology.LinkSet, float64, float64) {
-	R := o.cfg.Replicas
-	reps := make([]*temperReplica, R)
-	for r := 0; r < R; r++ {
+// newRungs builds the ladder for one search: Config.Replicas rungs starting
+// from (sInit, eInit), rung r at temperature T and reheat temperature T0
+// scaled by temperLadderStep^r.
+func (o *Owan) newRungs(sInit *topology.LinkSet, eInit, T, T0 float64) []rung {
+	rungs := make([]rung, o.cfg.Replicas)
+	for r := range rungs {
 		scale := math.Pow(temperLadderStep, float64(r))
-		reps[r] = &temperReplica{
-			rng:  rand.New(rand.NewSource(mixSeed(o.cfg.Seed, o.slotSeq, r))),
-			sCur: sInit,
-			eCur: eInit,
-			T:    T * scale,
-			T0:   T0 * scale,
+		rng := o.rng
+		if r > 0 {
+			rng = rand.New(rand.NewSource(mixSeed(o.cfg.Seed, o.slotSeq, r)))
+		}
+		rungs[r] = rung{rng: rng, sCur: sInit, eCur: eInit, T: T * scale, T0: T0 * scale}
+	}
+	return rungs
+}
+
+// held reports whether some rung holds s as its current state.
+func held(rungs []rung, s *topology.LinkSet) bool {
+	for r := range rungs {
+		if rungs[r].sCur == s {
+			return true
 		}
 	}
-	exRng := rand.New(rand.NewSource(mixSeed(o.cfg.Seed, o.slotSeq, -1)))
-	sBest, eBest := sInit, eInit
+	return false
+}
 
-	cands := make([]*topology.LinkSet, 0, R*o.cfg.BatchSize)
-	needEval := make([]bool, 0, R*o.cfg.BatchSize)
-	counts := make([]int, R)
-	var energies []float64
-	rounds, streak := 0, 0
-	windowBest := eBest
-	stop := false
-	for !stop {
-		cold := reps[0]
-		if cold.T <= epsilon {
-			if deadline.IsZero() {
-				break
-			}
-			// Wall-clock budget: reheat every rung to its ladder T0 and keep
-			// searching, mirroring the single-chain schedule of Figure 10d.
-			for _, rep := range reps {
-				rep.T = rep.T0
-			}
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			break
-		}
-		if cold.iters >= o.cfg.MaxIterations {
-			break
-		}
-
-		// Generate every rung's batch in rung order, each from its own RNG,
-		// into one flat candidate list; a single evaluator call spreads the
-		// R×BatchSize energies over the worker pool. The churn trust region
-		// is measured against the slot's starting topology exactly as in the
-		// single-chain loop.
-		cands, needEval = cands[:0], needEval[:0]
-		exhausted := false
-		for r, rep := range reps {
-			k := o.cfg.BatchSize
-			if rem := o.cfg.MaxIterations - rep.iters; k > rem {
-				k = rem
-			}
-			n := 0
-			for n < k {
-				sN := o.computeNeighbor(rep.rng, rep.sCur)
-				if sN == nil {
-					exhausted = true
-					break
-				}
-				cands = append(cands, sN)
-				needEval = append(needEval, !(o.cfg.MaxChurn > 0 && current.Diff(sN) > o.cfg.MaxChurn))
-				n++
-			}
-			counts[r] = n
-		}
-		if len(cands) == 0 {
-			break
-		}
-		energies = ev.energies(cands, needEval, energies)
-
-		// Reduce each rung's slice of the batch in rung order with its own
-		// RNG — the same in-order Metropolis walk as the single chain, with
-		// each rung cooling by Alpha per iteration on its own ladder level.
-		off := 0
-		for r, rep := range reps {
-			for i := off; i < off+counts[r]; i++ {
-				rep.iters++
-				stats.Iterations++
-				if !needEval[i] {
-					rep.T *= o.cfg.Alpha
-					continue
-				}
-				eN := energies[i]
-				if eN > eBest {
-					sBest, eBest = cands[i], eN
-				}
-				if accept(rep.eCur, eN, rep.T, rep.rng) {
-					rep.sCur, rep.eCur = cands[i], eN
-					stats.Accepted++
-				}
-				rep.T *= o.cfg.Alpha
-			}
-			off += counts[r]
-		}
-		// Recycle the round's dead candidates: anything no replica holds as
-		// its current state and that is not the running best has dropped its
-		// last reference. (Exchanges below only swap pointers already held
-		// by replicas, so this accounting stays exact across sweeps.)
-		for _, c := range cands {
-			if c == sBest {
-				continue
-			}
-			retained := false
-			for _, rep := range reps {
-				if rep.sCur == c {
-					retained = true
-					break
-				}
-			}
-			if !retained {
-				o.putLinkSet(c)
-			}
-		}
-		if exhausted {
-			stop = true
-		}
-
-		rounds++
-		if rounds%o.cfg.ExchangeInterval == 0 {
-			// Exchange sweep over neighbor-rung pairs, alternating parity so
-			// a state can ladder all the way down over successive sweeps.
-			// One exchange-RNG draw per attempt, accepted or not, keeps the
-			// stream's consumption independent of the energies.
-			par := (rounds / o.cfg.ExchangeInterval) % 2
-			for i := par; i+1 < R; i += 2 {
-				a, b := reps[i], reps[i+1] // a is the colder rung
-				stats.ExchangeAttempts++
-				// Joint-weight ratio for swapping states between inverse
-				// temperatures βa > βb when energy is maximized (cost −E):
-				// accept with min(1, exp((βa−βb)(Eb−Ea))) — a hotter rung
-				// holding the higher energy always hands it down.
-				dBeta := 1/a.T - 1/b.T
-				p := math.Exp(dBeta * (b.eCur - a.eCur))
-				if exRng.Float64() < p {
-					a.sCur, b.sCur = b.sCur, a.sCur
-					a.eCur, b.eCur = b.eCur, a.eCur
-					stats.Exchanges++
-				}
-			}
-			if o.cfg.ConvergeWindows > 0 {
-				if eBest-windowBest <= o.cfg.EpsilonFrac*math.Max(math.Abs(eBest), 1e-9) {
-					streak++
-					if streak >= o.cfg.ConvergeWindows {
-						stats.EarlyExit = true
-						stop = true
-					}
-				} else {
-					streak = 0
-				}
-				windowBest = eBest
-			}
+// exchange runs one sweep over neighbor-rung pairs, starting at parity par
+// and alternating between sweeps so a state can ladder all the way down. One
+// exchange-RNG draw per attempt, accepted or not, keeps the stream's
+// consumption independent of the energies. With one rung there is no pair,
+// so the sweep draws nothing.
+func exchange(rungs []rung, rng *rand.Rand, par int, stats *SearchStats) {
+	for i := par; i+1 < len(rungs); i += 2 {
+		a, b := &rungs[i], &rungs[i+1] // a is the colder rung
+		stats.ExchangeAttempts++
+		// Joint-weight ratio for swapping states between inverse
+		// temperatures βa > βb when energy is maximized (cost −E):
+		// accept with min(1, exp((βa−βb)(Eb−Ea))) — a hotter rung
+		// holding the higher energy always hands it down.
+		dBeta := 1/a.T - 1/b.T
+		p := math.Exp(dBeta * (b.eCur - a.eCur))
+		if rng.Float64() < p {
+			a.sCur, b.sCur = b.sCur, a.sCur
+			a.eCur, b.eCur = b.eCur, a.eCur
+			stats.Exchanges++
 		}
 	}
-	return sBest, eBest, reps[0].T
 }

@@ -18,8 +18,8 @@ const fingerprintFile = "testdata/builders.sha256"
 
 // eachFingerprinted calls f with every network the fingerprints pin, in file
 // order: ISP over a size sweep that straddles the one- and multi-word mask
-// widths, two port counts and twelve seeds, then Internet2, the two InterDC
-// shapes in use (the controller's and the coflow example's) and Square.
+// widths, two port counts and twelve seeds, then Internet2, two InterDC
+// shapes (the controller's, and a smaller 15-site one) and Square.
 func eachFingerprinted(f func(name string, n *Network)) {
 	for _, sites := range []int{5, 9, 25, 40, 64, 65, 100, 129, 150, 200, 250} {
 		for _, ports := range []int{8, 10} {

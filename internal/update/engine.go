@@ -3,7 +3,7 @@ package update
 import "slices"
 
 // The flat planner engine. It emits bit-identical plans to referencePlan
-// (reference.go) — same rounds, same op order, same detours, same float
+// (reference_test.go) — same rounds, same op order, same detours, same float
 // results — but runs on edge-id-indexed slices with a reusable Scratch and
 // replaces the reference's per-round O(pending²) rescans with a
 // dependency-counting round builder:

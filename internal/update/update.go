@@ -13,9 +13,9 @@
 // works on edge-id-indexed slices with a reusable Scratch and re-examines a
 // pending op only when a link it waits on changes; it is the one behind
 // BuildPlan and the per-slot pipeline in internal/sim. The retained
-// map-based engine (reference.go) is the executable specification; the two
-// are pinned bit-identical — rounds, op order, detours, timelines — by the
-// 300-seed differential in differential_test.go (`make update`).
+// map-based engine (reference_test.go) is the executable specification; the
+// two are pinned bit-identical — rounds, op order, detours, timelines — by
+// the 300-seed differential in differential_test.go (`make update`).
 package update
 
 import (
