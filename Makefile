@@ -13,12 +13,9 @@ test:
 
 # The annealing engine evaluates energies on a worker pool; run the whole
 # internal tree under the race detector so any shared-state regression in
-# the concurrent code is caught before it ships. The route-table
-# differentials in internal/optical alone take about ten minutes under the
-# race detector on two cores, past go test's default timeout, hence the
-# explicit one.
+# the concurrent code is caught before it ships.
 race:
-	$(GO) test -race -timeout 30m ./internal/...
+	$(GO) test -race ./internal/...
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
@@ -58,17 +55,20 @@ update:
 # of reaches and pool sizes); the word-parallel reach search against a queue
 # BFS; the arena k-shortest-path kernel against the retained allocating one
 # (paths, weights and tie order, k up to 7), unbounded and weight-bounded
-# (ties at the bound, tie flags sound under edge deletion); the optical
-# tables repaired on a fiber cut against the retained unbounded cold builder
-# — every single cut of ISP40/ISP100/Internet2/InterDC, 300 seeded chains of
-# 1-8 cuts (ISP200 among them), the tie-heavy fixtures, and a sweep of
-# optical reaches from 300 km to unbounded, with the regenerator reachability
-# held to the retained byte-scan BFS; the tables' lifetime (freed with
-# their network); and the simulator's update planner adopting the scheduler's
-# repaired network, so a cut is repaired once.
+# (ties at the bound, tie flags sound under edge deletion), and the tree arcs
+# against the shortest path; the optical tables repaired on a fiber cut
+# against the retained cold builder — every single cut of
+# ISP40/ISP100/Internet2/InterDC, 300 seeded chains of 1-8 cuts (ISP200 among
+# them), the tie-heavy fixtures, and a sweep of optical reaches from 300 km to
+# unbounded, with the regenerator reachability held to the retained byte-scan
+# BFS, nothing stored for a pair past reach, and the shortest fiber path of
+# every pair, stored or built on demand, equal to the reference's; the tables'
+# lifetime (freed with their network); one slice per pair from FiberPathIDs,
+# for concurrent callers too; and the simulator's update planner adopting the
+# scheduler's repaired network, so a cut is repaired once.
 routes:
 	$(GO) test -count=1 \
-		-run 'TestBuilderFingerprints|TestPrimTreeDifferential|TestPlaceRegeneratorsDifferential|TestClosureMatchesBFS|TestKShortestDifferential|TestKShortestBoundedDifferential|TestKShortestAllocationFree|TestRouteRepairDifferential|TestRouteTablesReachSweep|TestRouteTablesDieWithNetwork|TestPlannerSharesSchedulerCut|TestStateWithoutFiber' \
+		-run 'TestBuilderFingerprints|TestPrimTreeDifferential|TestPlaceRegeneratorsDifferential|TestClosureMatchesBFS|TestKShortestDifferential|TestKShortestBoundedDifferential|TestKShortestAllocationFree|TestTreeArcMatchesShortestPath|TestRouteRepairDifferential|TestRouteTablesReachSweep|TestRouteTablesDieWithNetwork|TestFiberPathIDsStable|TestPlannerSharesSchedulerCut|TestStateWithoutFiber' \
 		./internal/topology/ ./internal/bitset/ ./internal/graph/ ./internal/optical/ ./internal/sim/
 
 # temper replays the committed 300-seed golden digests: the annealing loop

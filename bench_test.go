@@ -208,10 +208,12 @@ func BenchmarkSetup(b *testing.B) {
 // BenchmarkRouteTables is the cold optical set-up a starting controller pays:
 // the all-pairs k-shortest-path sweep behind optical.NewState, on a network
 // whose tables have not been built (a fresh copy per op; the copy is outside
-// the timer), at 40, 100 and 200 sites. The sweep computes alternates only
-// for pairs whose primary route is within optical reach, so out-of-reach-frac
-// — the share of ordered site pairs whose shortest fiber route is longer than
-// ReachKm — says how much of it is primaries alone.
+// the timer), at 40, 100 and 200 sites. The tables hold routes only for pairs
+// whose primary route is within optical reach, so out-of-reach-frac — the
+// share of ordered site pairs whose shortest fiber route is longer than
+// ReachKm — says how much of the sweep is one Dijkstra tree and nothing more.
+// retained-MB is the heap the tables hold once built, after a forced
+// collection, before any FiberPathIDs call has built a path past reach.
 func BenchmarkRouteTables(b *testing.B) {
 	for _, sites := range []int{40, 100, 200} {
 		base := topology.ISP(sites, 10, 1)
@@ -233,6 +235,16 @@ func BenchmarkRouteTables(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(out)/float64(g.N()*(g.N()-1)), "out-of-reach-frac")
+			var ms runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			before := int64(ms.HeapAlloc)
+			net := *base
+			optical.NewState(&net) // the state is garbage; its tables stay with net
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			runtime.KeepAlive(&net)
+			b.ReportMetric(float64(int64(ms.HeapAlloc)-before)/(1<<20), "retained-MB")
 		})
 	}
 }
@@ -243,8 +255,9 @@ func BenchmarkRouteTables(b *testing.B) {
 // repair index lists under the cut fiber, so it is measured at the fiber with
 // the median count and at the one with the highest, among the cuts that leave
 // the network connected (a bridge touches many pairs and leaves them nothing
-// to route). The counts follow the index's rule: a pair lists the fibers of
-// its primary and of the alternates within the padded reach.
+// to route). The counts follow the index's rule: a pair whose primary is
+// within the padded reach lists the fibers of its primary and of the
+// alternates within that reach, and a pair past it lists none.
 func BenchmarkRouteRepairISP100(b *testing.B) {
 	net := topology.ISP(100, 10, 1)
 	g := net.FiberGraph()
@@ -255,7 +268,7 @@ func BenchmarkRouteRepairISP100(b *testing.B) {
 	for u := 0; u < g.N(); u++ {
 		g.ShortestTree(&tree, u)
 		for v := 0; v < g.N(); v++ {
-			if v == u {
+			if v == u || tree.Dist(v) > bound {
 				continue
 			}
 			seen := map[int]bool{}

@@ -289,7 +289,7 @@ func (c *Controller) toUpdateState(st *core.NetworkState) *update.State {
 	for _, l := range st.Effective.Links() {
 		k := [2]int{l.U, l.V}
 		circuits[k] = l.Count
-		fibers[k] = append([]int(nil), c.owan.FiberPathIDs(l.U, l.V)...)
+		fibers[k] = c.owan.FiberPathIDs(l.U, l.V)
 	}
 	// Flatten the allocation in sorted id order: map iteration would make
 	// the route order — and with it the planner's victim choices and

@@ -349,7 +349,7 @@ func Fig10bAt(topo TopoKind, sc Scale) (*figdata.Figure, error) {
 		for _, l := range ns.Effective.Links() {
 			k := [2]int{l.U, l.V}
 			circuits[k] = l.Count
-			fibers[k] = append([]int(nil), opt.FiberPathIDs(l.U, l.V)...)
+			fibers[k] = opt.FiberPathIDs(l.U, l.V)
 		}
 		// Flatten the allocation in sorted transfer-id order: map
 		// iteration order would otherwise make the emitted route list —

@@ -366,6 +366,18 @@ func (t *Tree) Dist(v int) float64 {
 	return d
 }
 
+// Arc returns the tree arc into v, the last edge of the tree path from the
+// source to v; ok is false at the source and at every vertex the tree did not
+// settle. Following Arc from v back to the source yields the first path
+// KShortestFrom returns for v.
+func (t *Tree) Arc(v int) (e Edge, ok bool) {
+	x := &t.sc.vs[v]
+	if _, settled := t.sc.reached(v); !settled || x.from < 0 {
+		return Edge{}, false
+	}
+	return t.g.adj[x.from][x.arc], true
+}
+
 // KShortest computes up to k loopless shortest paths from src to dst in
 // nondecreasing weight order (Yen's algorithm) and returns how many exist.
 // The paths stay in sc — read them with PathWeight, PathEdges and PathsTied —

@@ -92,3 +92,39 @@ func TestGraphResetReusesRows(t *testing.T) {
 		t.Fatalf("graph unusable after regrow: %+v", p)
 	}
 }
+
+// TestTreeArcMatchesShortestPath asserts that following Tree.Arc back from a
+// vertex yields exactly ShortestPath's edges, and that Arc reports no arc at
+// the source and at an unreachable vertex, across random graphs with one Tree
+// reused throughout.
+func TestTreeArcMatchesShortestPath(t *testing.T) {
+	var tree Tree
+	for seed := int64(0); seed < 150; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomGraph(rng)
+		src := rng.Intn(g.n)
+		g.ShortestTree(&tree, src)
+		for dst := 0; dst < g.n; dst++ {
+			var got []Edge
+			for v := dst; ; {
+				e, ok := tree.Arc(v)
+				if !ok {
+					break
+				}
+				got = append(got, e)
+				v = e.From
+			}
+			reverse(got)
+			want := g.ShortestPath(src, dst)
+			if dst == src || want == nil {
+				if got != nil {
+					t.Fatalf("seed %d: Arc walk %d->%d found %v, want none", seed, src, dst, got)
+				}
+				continue
+			}
+			if !samePath(want, &Path{Edges: got, Weight: want.Weight}) {
+				t.Fatalf("seed %d: Arc walk %d->%d = %v, ShortestPath %v", seed, src, dst, got, want.Edges)
+			}
+		}
+	}
+}

@@ -36,7 +36,7 @@ func checkLambdaIndex(t *testing.T, ctx string, s *State) {
 // fiber's wavelength count.
 func checkRouteLambda(t *testing.T, ctx string, s *State, u, v int) {
 	t.Helper()
-	routes := [][]int{s.pairPath[u][v]}
+	routes := [][]int{s.FiberPathIDs(u, v)}
 	for _, alt := range s.pairAlts[u][v] {
 		routes = append(routes, alt.ids)
 	}

@@ -1,6 +1,7 @@
 package optical
 
 import (
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -21,8 +22,13 @@ type fiberRoute struct {
 const kFiberPaths = 3
 
 // routeTables is the immutable fiber-layer precomputation of one network:
-// all-pairs shortest fiber distances, the primary and alternate fiber routes
-// per site pair, and the static reach adjacency. Everything here is a pure
+// per ordered site pair within the padded reach (reachBound) the shortest
+// fiber distance, the primary fiber route and the in-reach alternates, and the
+// static reach adjacency derived from them. A pair past the padded reach is a
+// bare entry: pairDist holds pastReach and there is no route, no index entry
+// and no tie flag, because no segment can ride it and no cut brings it back
+// (a cut only lengthens paths). Its shortest path is FiberPathIDs' business
+// alone, answered on demand by far. Everything but far's memo is a pure
 // function of the Network, read-only after construction, and shared by every
 // State built on that network — and, row by row, by the tables derived from
 // it when a fiber is cut (withoutFiber).
@@ -40,17 +46,91 @@ type routeTables struct {
 	// The repair index. fiberPairs[fiberOff[f]:fiberOff[f+1]] lists, in
 	// ascending order, the ordered pairs u*ns+v whose k-shortest-path answer
 	// has fiber f on one of its paths — the answer bounded at the padded
-	// reach (reachBound): the primary and the alternates that can be in
-	// pairAlts. Nothing past reach needs indexing. Yen returns paths in
-	// nondecreasing weight and a cut only removes paths, so a path longer
-	// than ReachKm, and every path ranked after it, is longer before and
-	// after any cut: losing it can never bring an alternate into pairAlts.
-	// tied holds the pairs whose answer met a tie (see
-	// graph.Scratch.PathsTied). For every other pair, deleting a fiber its
-	// paths do not use leaves pairDist, pairPath and pairAlts as they are.
+	// reach: the primary and the alternates that can be in pairAlts. Nothing
+	// past reach needs indexing. Yen returns paths in nondecreasing weight and
+	// a cut only removes paths, so a path longer than ReachKm, and every path
+	// ranked after it, is longer before and after any cut: losing it can never
+	// bring an alternate into pairAlts — and a pair whose primary is past the
+	// padded reach stays a bare entry. tied holds the pairs whose answer met a
+	// tie (see graph.Scratch.PathsTied). For every other pair, deleting a fiber
+	// its paths do not use leaves pairDist, pairPath and pairAlts as they are.
 	fiberOff   []int32
 	fiberPairs []int32
 	tied       bitset.Set
+
+	far *farPaths
+}
+
+// pastReach is the pairDist of a pair whose shortest fiber route is longer
+// than the padded reach. It reads as unreachable, which to a segment it is.
+var pastReach = math.Inf(1)
+
+// farPaths answers fiberPath for the bare pairs: the shortest fiber path,
+// read off a Dijkstra tree over the tables' fiber graph — the run the cold
+// build makes for the source, so the path is the one the tables would have
+// stored. A source's tree is built on its first request and kept as one arc
+// per site; a pair's path is built on its first request and kept, so every
+// caller gets the same slice for the tables' lifetime. The mutex makes both
+// safe for concurrent callers.
+type farPaths struct {
+	g     *graph.Graph
+	mu    sync.Mutex
+	tree  graph.Tree
+	arcs  [][]treeArc // per source; nil until asked
+	paths map[int32][]int
+}
+
+// treeArc is the arc into a site on its source's shortest-path tree; from is
+// -1 at the source and at a site the tree does not reach.
+type treeArc struct{ from, fiber int32 }
+
+func newFarPaths(g *graph.Graph) *farPaths {
+	return &farPaths{g: g, arcs: make([][]treeArc, g.N()), paths: map[int32][]int{}}
+}
+
+// fiberPath returns the fiber ids of the shortest fiber path u->v, nil if
+// there is none: the stored primary, or the on-demand path of a bare pair.
+func (rt *routeTables) fiberPath(u, v int) []int {
+	if p := rt.pairPath[u][v]; p != nil || rt.pairDist[u][v] != pastReach {
+		return p
+	}
+	return rt.far.path(u, v)
+}
+
+func (fp *farPaths) path(u, v int) []int {
+	fp.mu.Lock()
+	defer fp.mu.Unlock()
+	g := fp.g
+	pair := int32(u*g.N() + v)
+	if p, ok := fp.paths[pair]; ok {
+		return p
+	}
+	arcs := fp.arcs[u]
+	if arcs == nil {
+		g.ShortestTree(&fp.tree, u)
+		arcs = make([]treeArc, g.N())
+		for x := range arcs {
+			arcs[x] = treeArc{-1, -1}
+			if e, ok := fp.tree.Arc(x); ok {
+				arcs[x] = treeArc{int32(e.From), int32(e.ID)}
+			}
+		}
+		fp.arcs[u] = arcs
+	}
+	n := 0
+	for x := v; arcs[x].from >= 0; x = int(arcs[x].from) {
+		n++
+	}
+	if n == 0 {
+		return nil // unreachable
+	}
+	p := make([]int, n)
+	for x := v; arcs[x].from >= 0; x = int(arcs[x].from) {
+		n--
+		p[n] = int(arcs[x].fiber)
+	}
+	fp.paths[pair] = p
+	return p
 }
 
 // routeTablesKey is the key the tables are memoized under on their Network.
@@ -128,10 +208,10 @@ func newRowBuilder(g *graph.Graph, net *topology.Network) *rowBuilder {
 }
 
 // build fills row: one Dijkstra tree from the source for the distances and
-// every first path, then the alternates of each destination, searched only as
-// far as reachBound. The routes of a row share one id array and one
-// fiberRoute array, so a row costs a handful of allocations however many
-// pairs it holds.
+// every first path within reachBound, then the alternates of each such
+// destination, searched only as far as reachBound. The routes of a row share
+// one id array and one fiberRoute array, so a row costs a handful of
+// allocations however many pairs it holds.
 func (b *rowBuilder) build(row *routeRow) {
 	b.g.ShortestTree(&b.tree, row.u)
 	b.ids, b.segs, b.uses, b.tied = b.ids[:0], b.segs[:0], b.uses[:0], b.tied[:0]
@@ -168,6 +248,12 @@ func (b *rowBuilder) build(row *routeRow) {
 func (b *rowBuilder) pair(row *routeRow, v int) {
 	row.dist[v], row.path[v], row.alts[v] = b.tree.Dist(v), nil, nil
 	if v == row.u {
+		return
+	}
+	if row.dist[v] > b.bound {
+		// Past the padded reach no segment can use the pair's routes, and a
+		// cut only lengthens them: a bare entry, never indexed, never redone.
+		row.dist[v] = pastReach
 		return
 	}
 	n := b.g.KShortestFrom(&b.sc, &b.tree, v, kFiberPaths, b.bound)
@@ -258,14 +344,15 @@ func maxFiberID(net *topology.Network) int {
 }
 
 func buildRouteTables(net *topology.Network) *routeTables {
-	ns := net.NumSites()
+	ns, g := net.NumSites(), net.FiberGraph()
 	rt := &routeTables{
-		fiberGraph: net.FiberGraph(),
+		fiberGraph: g,
 		pairDist:   make([][]float64, ns),
 		pairPath:   make([][][]int, ns),
 		pairAlts:   make([][][]fiberRoute, ns),
 		inReach:    make([]bool, ns*ns),
 		tied:       bitset.New(ns * ns),
+		far:        newFarPaths(g),
 	}
 	rows := make([]routeRow, ns)
 	for u := range rows {
@@ -368,8 +455,9 @@ func (rt *routeTables) withoutFiber(net *topology.Network, cut int) *routeTables
 		row.dsts = append(row.dsts, int32(p%ns))
 	})
 
+	g := net.FiberGraph()
 	nw := &routeTables{
-		fiberGraph: net.FiberGraph(),
+		fiberGraph: g,
 		pairDist:   slices.Clone(rt.pairDist),
 		pairPath:   slices.Clone(rt.pairPath),
 		pairAlts:   slices.Clone(rt.pairAlts),
@@ -379,6 +467,7 @@ func (rt *routeTables) withoutFiber(net *topology.Network, cut int) *routeTables
 		reachMaskW: rt.reachMaskW,
 		maskW:      rt.maskW,
 		tied:       bitset.New(ns * ns),
+		far:        newFarPaths(g),
 	}
 	buildRows(nw.fiberGraph, net, rows)
 	reachChanged := false

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,47 +17,70 @@ import (
 
 // referenceRouteTables is the route-table builder as it stood before the
 // tables learnt to repair themselves: one serial sweep, every pair searched
-// from scratch through the allocating graph API, nothing indexed, no reach
-// bound — every pair's full k-shortest answer, filtered afterwards — and the
-// regenerator reachability of referenceDeriveReach. It
+// from scratch through the allocating graph API, nothing indexed, no bound in
+// the k-shortest search — every pair's full k-shortest answer, filtered
+// afterwards — and the regenerator reachability of referenceDeriveReach. It
 // is the reference the differentials hold withoutFiber and the row-packed,
 // reach-bounded parallel cold build to; a repair that wrongly kept its
 // parent's reach masks differs from it in them.
-func referenceRouteTables(net *topology.Network) *routeTables {
+//
+// A pair its own distances put past the reach padded by graph.SelectSlack is
+// stored bare, as the contract says — pastReach and no routes — and gets no
+// k-shortest search, only its shortest path, which the builder returns beside
+// the tables: shortest[u][v] is every ordered pair's shortest fiber path, the
+// answer FiberPathIDs must give.
+func referenceRouteTables(net *topology.Network) (rt *routeTables, shortest [][][]int) {
 	ns := net.NumSites()
-	rt := &routeTables{
+	rt = &routeTables{
 		fiberGraph: net.FiberGraph(),
 		pairDist:   make([][]float64, ns),
 		pairPath:   make([][][]int, ns),
 		pairAlts:   make([][][]fiberRoute, ns),
 		inReach:    make([]bool, ns*ns),
 	}
+	shortest = make([][][]int, ns)
+	ids := func(p *graph.Path) []int {
+		if p == nil {
+			return nil
+		}
+		ids := make([]int, len(p.Edges))
+		for i, e := range p.Edges {
+			ids[i] = e.ID
+		}
+		return ids
+	}
+	padded := net.ReachKm * (1 + graph.SelectSlack)
 	var sc graph.Scratch
 	for u := 0; u < ns; u++ {
 		rt.pairDist[u] = rt.fiberGraph.ShortestDistances(u)
 		rt.pairPath[u] = make([][]int, ns)
 		rt.pairAlts[u] = make([][]fiberRoute, ns)
+		shortest[u] = make([][]int, ns)
 		for v := 0; v < ns; v++ {
-			if u == v || math.IsInf(rt.pairDist[u][v], 1) {
+			if u == v {
 				continue
 			}
-			paths := rt.fiberGraph.KShortestPathsScratch(&sc, u, v, kFiberPaths)
-			for pi, p := range paths {
-				ids := make([]int, len(p.Edges))
-				for i, e := range p.Edges {
-					ids[i] = e.ID
-				}
+			if rt.pairDist[u][v] > padded {
+				rt.pairDist[u][v] = math.Inf(1)
+				shortest[u][v] = ids(rt.fiberGraph.ShortestPathScratch(&sc, u, v))
+				continue
+			}
+			if math.IsInf(rt.pairDist[u][v], 1) {
+				continue
+			}
+			for pi, p := range rt.fiberGraph.KShortestPathsScratch(&sc, u, v, kFiberPaths) {
 				if pi == 0 {
-					rt.pairPath[u][v] = ids
+					rt.pairPath[u][v] = ids(p)
 				} else if p.Weight <= net.ReachKm {
-					rt.pairAlts[u][v] = append(rt.pairAlts[u][v], fiberRoute{ids: ids, km: p.Weight})
+					rt.pairAlts[u][v] = append(rt.pairAlts[u][v], fiberRoute{ids: ids(p), km: p.Weight})
 				}
 			}
+			shortest[u][v] = rt.pairPath[u][v]
 			rt.inReach[u*ns+v] = rt.pairDist[u][v] <= net.ReachKm && rt.pairPath[u][v] != nil
 		}
 	}
 	referenceDeriveReach(rt, net)
-	return rt
+	return rt, shortest
 }
 
 // referenceDeriveReach is deriveReach as it stood before the regenerator
@@ -113,25 +137,56 @@ func referenceDeriveReach(rt *routeTables, net *topology.Network) {
 }
 
 // sameTables fails the test unless got equals the reference build of net in
-// every table a State reads.
+// every table a State reads, stores nothing for a pair the reference leaves
+// bare — no route, no index entry, no tie flag — and answers fiberPath with
+// the reference's shortest path for every ordered pair.
 func sameTables(t *testing.T, got *routeTables, net *topology.Network, where string) {
 	t.Helper()
-	want := referenceRouteTables(net)
-	want.fiberOff, want.fiberPairs, want.tied = got.fiberOff, got.fiberPairs, got.tied
-	if reflect.DeepEqual(got, want) {
-		return
-	}
+	want, shortest := referenceRouteTables(net)
+	want.fiberOff, want.fiberPairs, want.tied, want.far = got.fiberOff, got.fiberPairs, got.tied, got.far
 	ns := net.NumSites()
+	if !reflect.DeepEqual(got, want) {
+		for u := 0; u < ns; u++ {
+			for v := 0; v < ns; v++ {
+				if got.pairDist[u][v] != want.pairDist[u][v] || !reflect.DeepEqual(got.pairPath[u][v], want.pairPath[u][v]) ||
+					!reflect.DeepEqual(got.pairAlts[u][v], want.pairAlts[u][v]) || got.inReach[u*ns+v] != want.inReach[u*ns+v] {
+					t.Fatalf("%s: pair %d->%d differs from the cold reference:\n got %v %v %v\nwant %v %v %v", where, u, v,
+						got.pairDist[u][v], got.pairPath[u][v], got.pairAlts[u][v], want.pairDist[u][v], want.pairPath[u][v], want.pairAlts[u][v])
+				}
+			}
+		}
+		t.Fatalf("%s: derived tables (reach masks, regenerator reachability, fiber graph) differ from the cold reference", where)
+	}
+	bare := func(p int) bool { return math.IsInf(want.pairDist[p/ns][p%ns], 1) }
+	for _, p := range got.fiberPairs {
+		if bare(int(p)) {
+			t.Fatalf("%s: pair %d->%d has no route yet is in the repair index", where, p/int32(ns), p%int32(ns))
+		}
+	}
+	got.tied.ForEach(func(p int) {
+		if bare(p) {
+			t.Fatalf("%s: pair %d->%d has no route yet is tied", where, p/ns, p%ns)
+		}
+	})
 	for u := 0; u < ns; u++ {
 		for v := 0; v < ns; v++ {
-			if got.pairDist[u][v] != want.pairDist[u][v] || !reflect.DeepEqual(got.pairPath[u][v], want.pairPath[u][v]) ||
-				!reflect.DeepEqual(got.pairAlts[u][v], want.pairAlts[u][v]) || got.inReach[u*ns+v] != want.inReach[u*ns+v] {
-				t.Fatalf("%s: pair %d->%d differs from the cold reference:\n got %v %v %v\nwant %v %v %v", where, u, v,
-					got.pairDist[u][v], got.pairPath[u][v], got.pairAlts[u][v], want.pairDist[u][v], want.pairPath[u][v], want.pairAlts[u][v])
+			if p := got.fiberPath(u, v); !reflect.DeepEqual(p, shortest[u][v]) {
+				t.Fatalf("%s: fiberPath %d->%d = %v, the reference's shortest path is %v", where, u, v, p, shortest[u][v])
 			}
 		}
 	}
-	t.Fatalf("%s: derived tables (reach masks, regenerator reachability, fiber graph) differ from the cold reference", where)
+}
+
+// askAll asks rt for the shortest fiber path of every ordered pair, so a
+// repair derived from it starts from tables whose on-demand paths are all
+// built: one that carried them over would answer with the parent's paths.
+func askAll(rt *routeTables) {
+	ns := len(rt.pairPath)
+	for u := 0; u < ns; u++ {
+		for v := 0; v < ns; v++ {
+			rt.fiberPath(u, v)
+		}
+	}
 }
 
 // sameIndex fails the test unless got's repair index and tied set equal a
@@ -204,6 +259,7 @@ func TestRouteRepairDifferential(t *testing.T) {
 			continue
 		}
 		base := buildRouteTables(net)
+		askAll(base)
 		const shards = 4
 		for shard := 0; shard < shards; shard++ {
 			t.Run("cut/"+net.Name+strconv.Itoa(net.NumSites())+"/"+strconv.Itoa(shard), func(t *testing.T) {
@@ -244,6 +300,7 @@ func TestRouteRepairDifferential(t *testing.T) {
 				cur, rt := net, base
 				for step, steps := 0, 1+rng.Intn(8); step < steps; step++ {
 					id := cur.Fibers[rng.Intn(len(cur.Fibers))].ID
+					askAll(rt)
 					cur, _ = cur.WithoutFiber(id)
 					rt = rt.withoutFiber(cur, id)
 				}
@@ -379,6 +436,66 @@ func TestRouteTablesDieWithNetwork(t *testing.T) {
 	runtime.SetFinalizer(rt, onFree)
 	cut, rt = nil, nil
 	awaitFree("the repaired tables of an unreachable network")
+}
+
+// TestFiberPathIDsStable pins the contract update.State.SetTopology relies
+// on: FiberPathIDs returns the same backing array on every call for a pair,
+// for as long as the tables live — for a stored primary and for a path built
+// on demand past the reach alike, when callers race to the first request
+// (run under -race by make race), and after a repaired copy of the tables has
+// been derived and asked in turn.
+func TestFiberPathIDsStable(t *testing.T) {
+	net := topology.ISP(40, 10, 1)
+	ns := net.NumSites()
+	s := NewState(net)
+	sameArray := func(a, b []int) bool { return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0]) }
+
+	const callers = 4
+	got := make([][][]int, callers)
+	var wg sync.WaitGroup
+	for c := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st := s
+			if c%2 == 1 {
+				st = NewState(net) // another state on the same tables
+			}
+			got[c] = make([][]int, ns*ns)
+			for i := range got[c] {
+				p := (i + c*ns*ns/callers) % (ns * ns) // each caller starts elsewhere
+				got[c][p] = st.FiberPathIDs(p/ns, p%ns)
+			}
+		}()
+	}
+	wg.Wait()
+
+	cut := s.WithoutFiber(net.Fibers[3].ID)
+	for p := 0; p < ns*ns; p++ {
+		cut.FiberPathIDs(p/ns, p%ns)
+	}
+	bare := 0
+	for p := 0; p < ns*ns; p++ {
+		u, v := p/ns, p%ns
+		first := got[0][p]
+		for c := 1; c < callers; c++ {
+			if !sameArray(first, got[c][p]) {
+				t.Fatalf("pair %d->%d: concurrent callers got different slices %v and %v", u, v, first, got[c][p])
+			}
+		}
+		if again := s.FiberPathIDs(u, v); !sameArray(first, again) {
+			t.Fatalf("pair %d->%d: a repeated call returned another slice", u, v)
+		}
+		if again := cut.FiberPathIDs(u, v); !sameArray(again, cut.FiberPathIDs(u, v)) {
+			t.Fatalf("pair %d->%d: a repeated call on the repaired tables returned another slice", u, v)
+		}
+		if len(first) > 0 && s.rt.pairPath[u][v] == nil {
+			bare++
+		}
+	}
+	if bare == 0 {
+		t.Fatal("no pair is past the padded reach: the on-demand paths went untested")
+	}
 }
 
 // TestStateWithoutFiber pins the exported derivation path: a fresh empty

@@ -174,7 +174,8 @@ type State struct {
 	// pairDist[u][v] is the shortest fiber distance; pairPath[u][v] the
 	// corresponding fiber-ID sequence; pairAlts[u][v] up to kFiberPaths-1
 	// in-reach alternative fiber routes tried when the primary has no free
-	// wavelength. Precomputed once: the fiber layer is static.
+	// wavelength. Precomputed once: the fiber layer is static. A pair past
+	// the padded reach holds pastReach and no routes (see routeTables).
 	pairDist [][]float64
 	pairPath [][][]int
 	pairAlts [][][]fiberRoute
@@ -499,9 +500,6 @@ func (s *State) Circuit(id int) (*Circuit, bool) {
 	return c, ok
 }
 
-// FiberDistKm returns the shortest fiber distance between two sites.
-func (s *State) FiberDistKm(u, v int) float64 { return s.pairDist[u][v] }
-
 // SetUnitRegenWeights toggles the regenerator-balancing ablation: when
 // true, regenerator-graph nodes weigh 1 instead of the inverse of their
 // remaining pool.
@@ -530,8 +528,12 @@ func (s *State) SetScalarFallback(on bool) {
 }
 
 // FiberPathIDs returns the fiber ids of the shortest fiber path between two
-// sites (nil if none). The slice is shared; callers must not mutate it.
-func (s *State) FiberPathIDs(u, v int) []int { return s.pairPath[u][v] }
+// sites (nil if none). The slice is shared; callers must not mutate it. It is
+// the same slice on every call for the lifetime of the state's route tables:
+// a pair within the padded reach reads its stored primary, and one past it
+// a path built on its first request and kept. It is safe to call from
+// several goroutines, on one state or on several sharing a network.
+func (s *State) FiberPathIDs(u, v int) []int { return s.rt.fiberPath(u, v) }
 
 // canReach reports whether a single unregenerated segment u->v can exist
 // (precomputed reach adjacency).
