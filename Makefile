@@ -1,12 +1,17 @@
 GO ?= go
+GOFMT ?= gofmt
 
 .PHONY: build vet test race bench bench-smoke temper claims update routes faults ctl loadgen-smoke check
 
 build:
 	$(GO) build ./...
 
+# vet runs go vet and fails if gofmt would reformat any file, listing them.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$($(GOFMT) -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; \
+	fi
 
 test:
 	$(GO) test ./...
@@ -30,13 +35,17 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/core ./internal/update
 
-# claims replays the PR 9 incremental-engine differentials with the test
-# cache defeated: the claim-tree repair store against cold rebuilds, the
+# claims replays the incremental-engine differentials with the test cache
+# defeated: the allocator's engines against the map-based reference
+# allocator — small graphs and every word-boundary size (2-256 sites), one-,
+# two- and three/four-word rows, the patched warm path at each width, row
+# widths growing and shrinking on one allocator, and claim-tree reuse with
+# its fast-path, repair, extension and cold-build paths each exercised — the
 # wavelength-availability index against the from-scratch occupancy scan, and
 # the alternate-tier provision-cache migration against cold provisioning.
 claims:
 	$(GO) test -count=1 \
-		-run 'TestClaimRepairDifferential|TestClaimReuseMatchesReference|TestLambdaIndexMatchesOccupancy|TestWithoutFiberAlternateCacheMigration' \
+		-run 'TestAllocatorMatchesReferenceGreedy|TestAllocatorMatchesReferenceSequential|TestAllocatorWideMatchesReference|TestAllocatorQuadMatchesReference|TestThroughputPatchedMatchesReference|TestThroughputPatchedWide|TestThroughputPatchedQuad|TestAllocatorReuseAcrossTopologySizes|TestClaimRepairDifferential|TestClaimReuseMatchesReference|TestLambdaIndexMatchesOccupancy|TestWithoutFiberAlternateCacheMigration' \
 		./internal/alloc/ ./internal/optical/ ./internal/core/
 
 # update replays the flat update scheduler's pinning suite with the test

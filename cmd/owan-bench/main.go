@@ -28,17 +28,17 @@ import (
 
 func main() {
 	var (
-		full    = flag.Bool("full", false, "run at paper scale (slower)")
-		figSel  = flag.String("fig", "all", "figure to run: fig7|fig8|fig9|fig10a|fig10b|fig10c|fig10d|validation|failure|failure-correlated|tempering|all")
-		topo    = flag.String("topo", "all", "topology for fig7/8/9/10b: internet2|isp|interdc|isp200|all (isp200 is the opt-in stress scale; pair it with the trim flags)")
-		slots   = flag.Int("slots", 0, "override the arrival-window slot count (0 = scale default; trims large-topology runs)")
-		iters   = flag.Int("iters", 0, "override the annealing iteration cap (0 = scale default)")
-		seeds   = flag.Int("seeds", 0, "override the per-cell seed count (0 = scale default)")
-		outdir  = flag.String("outdir", "", "directory for per-figure data files (optional)")
-		workers = flag.Int("workers", 0, "annealing energy-evaluation goroutines and per-figure simulation runs in flight (0 = serial; see core.Config.Workers)")
-		batch   = flag.Int("batch", 0, "annealing candidate batch per temperature step (0 = workers; pin it when comparing -workers values — batch is part of the search semantics)")
-		cache   = flag.Int("cache", 0, "annealing energy memoization cache entries (0 = off)")
-		provc   = flag.Int("provcache", 0, "cross-slot provision cache entries (0 = default on, negative = off; results identical either way)")
+		full     = flag.Bool("full", false, "run at paper scale (slower)")
+		figSel   = flag.String("fig", "all", "figure to run: fig7|fig8|fig9|fig10a|fig10b|fig10c|fig10d|validation|failure|failure-correlated|tempering|all")
+		topo     = flag.String("topo", "all", "topology for fig7/8/9/10b: internet2|isp|interdc|isp200|all (isp200 is the opt-in stress scale; pair it with the trim flags)")
+		slots    = flag.Int("slots", 0, "override the arrival-window slot count (0 = scale default; trims large-topology runs)")
+		iters    = flag.Int("iters", 0, "override the annealing iteration cap (0 = scale default)")
+		seeds    = flag.Int("seeds", 0, "override the per-cell seed count (0 = scale default)")
+		outdir   = flag.String("outdir", "", "directory for per-figure data files (optional)")
+		workers  = flag.Int("workers", 0, "annealing energy-evaluation goroutines and per-figure simulation runs in flight (0 = serial; see core.Config.Workers)")
+		batch    = flag.Int("batch", 0, "annealing candidate batch per temperature step (0 = workers; pin it when comparing -workers values — batch is part of the search semantics)")
+		cache    = flag.Int("cache", 0, "annealing energy memoization cache entries (0 = off)")
+		provc    = flag.Int("provcache", 0, "cross-slot provision cache entries (0 = default on, negative = off; results identical either way)")
 		delta    = flag.Bool("delta", false, "incremental candidate evaluation (core.Config.DeltaEval); results identical for a seed either way")
 		replicas = flag.Int("replicas", 0, "parallel-tempering replica count (0 or 1 = single chain; part of the search semantics)")
 		warm     = flag.Bool("warmstart", false, "seed each slot's cooling schedule from the previous slot (core.Config.WarmStart)")

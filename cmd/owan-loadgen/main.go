@@ -27,28 +27,28 @@ import (
 
 func main() {
 	var (
-		clients  = flag.Int("clients", 1000, "fleet size (concurrent clients)")
-		submits  = flag.Int("submits", 1, "transfers each client submits")
-		seed     = flag.Int64("seed", 1, "seed for request sizes, retry jitter, and fault schedules")
-		shards   = flag.Int("shards", 0, "admission shards (0 = controller default)")
-		qdepth   = flag.Int("queue-depth", 0, "per-shard queue depth (0 = controller default)")
-		maxcli   = flag.Int("max-clients", 0, "controller client cap (0 = unlimited)")
-		tick     = flag.Duration("tick", 0, "run controller slot ticks at this interval during the load (0 = admission alone)")
-		slot     = flag.Float64("slot", 300, "modeled slot duration in seconds")
-		rpcTO    = flag.Duration("rpc-timeout", 5*time.Second, "per-attempt client timeout")
-		subDL    = flag.Duration("submit-deadline", 2*time.Minute, "per-submit overall patience before a client counts the submit lost")
-		drop     = flag.Float64("drop", 0, "per-write drop probability for the degraded fraction")
-		delay    = flag.Float64("delay", 0, "per-write delay probability for the degraded fraction")
-		corrupt  = flag.Float64("corrupt", 0, "per-write corruption probability for the degraded fraction")
-		ffrac    = flag.Float64("fault-frac", 0, "fraction of the fleet dialing through the fault injector")
-		pfrac    = flag.Float64("partition-frac", 0, "fraction of the fleet severed by a partition")
-		pafter   = flag.Duration("partition-after", 0, "partition onset after run start (0 = from the start)")
-		pms      = flag.Duration("partition-ms", 200*time.Millisecond, "partition duration before healing")
-		out      = flag.String("out", "", "append a results row to this .dat file")
-		label    = flag.String("label", "run", "row label for -out")
-		check    = flag.Bool("check", false, "exit nonzero unless zero lost/duplicated submits and p99 under -max-p99")
-		maxP99   = flag.Duration("max-p99", 30*time.Second, "p99 submit-latency bound enforced by -check")
-		quiet    = flag.Bool("quiet", false, "suppress the human-readable summary")
+		clients = flag.Int("clients", 1000, "fleet size (concurrent clients)")
+		submits = flag.Int("submits", 1, "transfers each client submits")
+		seed    = flag.Int64("seed", 1, "seed for request sizes, retry jitter, and fault schedules")
+		shards  = flag.Int("shards", 0, "admission shards (0 = controller default)")
+		qdepth  = flag.Int("queue-depth", 0, "per-shard queue depth (0 = controller default)")
+		maxcli  = flag.Int("max-clients", 0, "controller client cap (0 = unlimited)")
+		tick    = flag.Duration("tick", 0, "run controller slot ticks at this interval during the load (0 = admission alone)")
+		slot    = flag.Float64("slot", 300, "modeled slot duration in seconds")
+		rpcTO   = flag.Duration("rpc-timeout", 5*time.Second, "per-attempt client timeout")
+		subDL   = flag.Duration("submit-deadline", 2*time.Minute, "per-submit overall patience before a client counts the submit lost")
+		drop    = flag.Float64("drop", 0, "per-write drop probability for the degraded fraction")
+		delay   = flag.Float64("delay", 0, "per-write delay probability for the degraded fraction")
+		corrupt = flag.Float64("corrupt", 0, "per-write corruption probability for the degraded fraction")
+		ffrac   = flag.Float64("fault-frac", 0, "fraction of the fleet dialing through the fault injector")
+		pfrac   = flag.Float64("partition-frac", 0, "fraction of the fleet severed by a partition")
+		pafter  = flag.Duration("partition-after", 0, "partition onset after run start (0 = from the start)")
+		pms     = flag.Duration("partition-ms", 200*time.Millisecond, "partition duration before healing")
+		out     = flag.String("out", "", "append a results row to this .dat file")
+		label   = flag.String("label", "run", "row label for -out")
+		check   = flag.Bool("check", false, "exit nonzero unless zero lost/duplicated submits and p99 under -max-p99")
+		maxP99  = flag.Duration("max-p99", 30*time.Second, "p99 submit-latency bound enforced by -check")
+		quiet   = flag.Bool("quiet", false, "suppress the human-readable summary")
 	)
 	flag.Parse()
 

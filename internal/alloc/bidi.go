@@ -5,8 +5,9 @@ import (
 	"math/bits"
 )
 
-// Frontier-compacted and bidirectional searches (mask paths only; the scalar
-// fallback keeps the canonical single-engine flow).
+// Frontier-compacted and bidirectional searches over the live-neighbor
+// bitset rows. One implementation per engine serves every topology size: a
+// row is bitset.Words(n) words, one word up to 64 sites.
 //
 // The tiered greedy loop asks three kinds of question, and only one of them
 // needs a shortest-path TREE: claiming a path. The other two — "is dst
@@ -36,9 +37,9 @@ import (
 //     deep tail of its component. Per level the sweep only touches words
 //     containing frontier bits: members come from the compact id list the
 //     previous level collected while it holds at most bSparse nodes, and
-//     from a word-masked scan of the frontier bitmap otherwise (after a
-//     suspension the id list is gone, so the first resumed level always
-//     takes the word-masked path — the bitmap is the persistent form).
+//     from a word-masked scan of the frontier bitmap otherwise. The id list
+//     is kept per source beside the bitmap, so a resumed sweep enters sparse
+//     enumeration directly.
 //
 //     Resumed levels mix ages: earlier levels saw residuals that takes have
 //     since thinned. The stamps are still sound LOWER bounds, which is
@@ -111,10 +112,10 @@ import (
 //     those are all non-tree edges — edges a BFS skipped because their head
 //     was already labeled earlier in scan order, whose removal changes
 //     neither labels, order, nor parents (the same argument that makes the
-//     rowLive memo exact in the first place). Since PR 9 the claim engines
-//     additionally PERSIST the tree they build and repair it across takes
-//     instead of rebuilding per call — see the claim-repair comment above
-//     claimSearch for why the reused answers are the fresh ones bit for bit.
+//     rowLive memo exact in the first place). The claim search additionally
+//     PERSISTS the tree it builds and repairs it across takes instead of
+//     rebuilding per call — see the claim-repair comment above claimSearch
+//     for why the reused answers are the fresh ones bit for bit.
 //
 // The resumable rows carry no prev chains, so the source's rowLive bit is
 // cleared when one is started: probe may read the stamps, the claim-capable
@@ -141,12 +142,12 @@ type engineStats struct {
 	bidiMeetD     uint64 // meets detected while expanding the dst side
 	bidiExhaustS  uint64 // src side exhausted first
 	bidiExhaustD  uint64 // dst side exhausted first
-	sweepSparse   uint64 // resumeStampWd calls with >=1 sparse-list level
-	sweepDense    uint64 // resumeStampWd calls with >=1 word-swept level
+	sweepSparse   uint64 // resumeStamp calls with >=1 sparse-list level
+	sweepDense    uint64 // resumeStamp calls with >=1 word-swept level
 	sweepMixed    uint64 // calls that crossed the bSparse threshold
 }
 
-// noteSweep folds one resumeStampWd call's per-level enumeration modes into
+// noteSweep folds one resumeStamp call's per-level enumeration modes into
 // the sweep counters. crossed reports that the sweep crossed the bSparse
 // threshold — between two levels of this call, or between the persisted
 // entry mode and the frontier the call left behind (tier-truncated sweeps
@@ -164,21 +165,6 @@ func (a *Allocator) noteSweep(usedSparse, usedDense, crossed bool) {
 	}
 }
 
-// suspendSparse persists a suspended frontier's compact id list when it is
-// small enough to re-enter sparse enumeration on the next resume, and
-// invalidates the slot otherwise. The slot is stamped with the row's
-// generation, so a row that is later reinitialized (new load, gen wrap)
-// can never resurrect a stale list.
-func (a *Allocator) suspendSparse(src, cnt int, ids []int32) {
-	if cnt > 0 && cnt <= bSparse {
-		copy(a.sFrIDs[src*bSparse:], ids)
-		a.sFrCnt[src] = int32(cnt)
-		a.sFrGen[src] = a.rowGen[src]
-		return
-	}
-	a.sFrCnt[src] = 0
-}
-
 // resumeStamp answers "at how many hops, at least, is dst?" from src's
 // resumable sweep row, starting one if the source has none this load and
 // advancing it only as far as dst or the asking tier, whichever comes
@@ -191,108 +177,34 @@ func (a *Allocator) suspendSparse(src, cnt int, ids []int32) {
 // truncated at level L stamps every node a current path of length <= L
 // reaches (the same induction that makes the stamps lower bounds), so an
 // unstamped dst satisfies d(src,dst) >= L+1.
+//
+// Frontier members are enumerated from the compact id list the previous
+// level wrote while it held at most bSparse nodes, and by sweeping the
+// frontier bitmap's words otherwise. The list lives in the source's own slot
+// (sFrIDs, length sFrCnt), written in place as the level is labeled, so it
+// survives suspensions for free: the next resume re-enters sparse
+// enumeration directly. nf is zeroed word by word as the level is labeled,
+// so a level needs no clear and no copy.
 func (a *Allocator) resumeStamp(src, dst, l int) (bool, int) {
 	if a.cutHit(src, dst) {
 		return false, 0
 	}
 	a.stat.resume++
-	if a.wide {
-		if a.mw == 4 {
-			return a.resumeStamp4(src, dst, l)
-		}
-		return a.resumeStampWd(src, dst, l)
-	}
-	return a.resumeStamp1(src, dst, l)
-}
-
-// resumeStamp1 is the single-word (n <= 64) resumable sweep: the visited set
-// and frontier are single machine words in the per-source rows.
-func (a *Allocator) resumeStamp1(src, dst, l int) (bool, int) {
-	adj := a.liveAdj
-	n := a.n
-	sd := a.stampDist[src*n : src*n+n]
-	if a.rowGen[src] <= a.loadGen {
-		a.gen++
-		a.rowGen[src] = a.gen
-		a.rowLive &^= 1 << uint(src) // stamps without prev chains
-		a.probeFull[src] = false
-		sd[src] = int64(a.gen) << 32
-		a.sVis[src] = 1 << uint(src)
-		a.sFront[src] = 1 << uint(src)
-		a.sLevel[src] = 0
-	}
-	vis := a.sVis[src]
-	if vis>>uint(dst)&1 == 1 {
-		return true, int(int32(sd[dst]))
-	}
-	d := int64(a.sLevel[src])
-	if int(d) >= l {
-		a.stat.resumeBound++
-		return true, int(d) + 1 // dst lies beyond every completed level
-	}
-	gen := int64(a.rowGen[src])
-	fr := a.sFront[src]
-	for {
-		var nf uint64
-		for m := fr; m != 0; m &= m - 1 {
-			nf |= adj[bits.TrailingZeros64(m)]
-		}
-		nf &^= vis
-		d++
-		lv := gen<<32 | d
-		for m := nf; m != 0; m &= m - 1 {
-			sd[bits.TrailingZeros64(m)] = lv
-		}
-		vis |= nf
-		fr = nf
-		if vis>>uint(dst)&1 == 1 {
-			a.sVis[src], a.sFront[src], a.sLevel[src] = vis, fr, int32(d)
-			return true, int(d)
-		}
-		if nf == 0 {
-			a.sVis[src], a.sFront[src], a.sLevel[src] = vis, fr, int32(d)
-			a.probeFull[src] = true
-			a.recordCutMask(vis)
-			a.stat.resumeExhaust++
-			return false, 0
-		}
-		if int(d) >= l {
-			// The asking tier is answered: dst is beyond every completed
-			// level, so d(src,dst) >= d+1 > l. Suspend here instead of
-			// sweeping on to dst — the caller defers the demand to tier d+1,
-			// where the next resume picks up from this frontier, so no level
-			// is ever expanded twice and levels beyond the deferral tier are
-			// paid only if a demand actually asks for them.
-			a.sVis[src], a.sFront[src], a.sLevel[src] = vis, fr, int32(d)
-			a.stat.resumeBound++
-			return true, int(d) + 1
-		}
-	}
-}
-
-// resumeStampWd is the multi-word twin of resumeStamp1. Frontier members are
-// enumerated from the compact id list collected by the previous level while
-// it holds at most bSparse nodes, and by sweeping the frontier bitmap's
-// words otherwise. The id list survives suspensions: a sweep that suspends
-// on a sparse frontier persists the list next to the bitmap (suspendSparse),
-// so the next resume re-enters sparse enumeration directly instead of
-// paying a word sweep to rediscover what the last level already collected.
-func (a *Allocator) resumeStampWd(src, dst, l int) (bool, int) {
 	mw, n := a.mw, a.n
-	adj := a.liveAdjW
 	vis := a.sVis[src*mw : src*mw+mw]
-	fr := a.sFront[src*mw : src*mw+mw]
 	sd := a.stampDist[src*n : src*n+n]
 	if a.rowGen[src] <= a.loadGen {
 		a.gen++
 		a.rowGen[src] = a.gen
-		a.rowLiveW[src>>6] &^= 1 << uint(src&63) // stamps without prev chains
+		a.rowLive[src>>6] &^= 1 << uint(src&63) // stamps without prev chains
 		a.probeFull[src] = false
 		sd[src] = int64(a.gen) << 32
 		clear(vis)
-		clear(fr)
 		vis[src>>6] = 1 << uint(src&63)
-		fr[src>>6] = 1 << uint(src&63)
+		// The frontier is src alone, listed; the bitmap (sFront) is read
+		// only when the list is not kept, and every level rewrites it.
+		a.sFrIDs[src*bSparse] = int32(src)
+		a.sFrCnt[src] = 1
 		a.sLevel[src] = 0
 	}
 	dw, db := dst>>6, uint(dst&63)
@@ -304,21 +216,19 @@ func (a *Allocator) resumeStampWd(src, dst, l int) (bool, int) {
 		a.stat.resumeBound++
 		return true, int(d) + 1 // dst lies beyond every completed level
 	}
+	adj := a.liveAdj
+	fr := a.sFront[src*mw : src*mw+mw]
+	ids := a.sFrIDs[src*bSparse : src*bSparse+bSparse]
 	gen := int64(a.rowGen[src])
 	nf := a.bNext[:mw]
-	ids := a.bIDsS[:0]
-	sparse := false
-	if c := a.sFrCnt[src]; c > 0 && a.sFrGen[src] == a.rowGen[src] {
-		ids = append(ids, a.sFrIDs[src*bSparse:src*bSparse+int(c)]...)
-		sparse = true
-	}
+	clear(nf)
+	cnt := int(a.sFrCnt[src]) // listed frontier members; 0 = sweep the bitmap
 	usedSparse, usedDense := false, false
 	crossed := false
 	for {
-		clear(nf)
-		if sparse {
+		if cnt > 0 {
 			usedSparse = true
-			for _, v := range ids {
+			for _, v := range ids[:cnt] {
 				row := adj[int(v)*mw : int(v)*mw+mw]
 				for wi := range nf {
 					nf[wi] |= row[wi]
@@ -339,224 +249,55 @@ func (a *Allocator) resumeStampWd(src, dst, l int) (bool, int) {
 		}
 		d++
 		lv := gen<<32 | d
-		cnt := 0
-		ids = ids[:0]
+		next := 0
 		for wi := range nf {
 			nw := nf[wi] &^ vis[wi]
-			nf[wi] = nw
+			nf[wi] = 0
+			fr[wi] = nw
 			if nw == 0 {
 				continue
 			}
 			vis[wi] |= nw
 			base := wi << 6
-			cnt += bits.OnesCount64(nw)
 			for m := nw; m != 0; m &= m - 1 {
 				w := base + bits.TrailingZeros64(m)
 				sd[w] = lv
-				ids = append(ids, int32(w))
+				if next < bSparse {
+					ids[next] = int32(w)
+				}
+				next++
 			}
 		}
-		copy(fr, nf)
 		a.sLevel[src] = int32(d)
-		if cnt > 0 && (cnt <= bSparse) != sparse {
+		if next > 0 && (next <= bSparse) != (cnt > 0) {
 			crossed = true
 		}
-		sparse = cnt <= bSparse
+		cnt = next
+		if next > bSparse {
+			cnt = 0
+		}
+		a.sFrCnt[src] = int32(cnt)
 		if vis[dw]>>db&1 == 1 {
-			a.suspendSparse(src, cnt, ids)
-			a.bIDsS = ids[:0]
 			a.noteSweep(usedSparse, usedDense, crossed)
 			return true, int(d)
 		}
-		if cnt == 0 {
-			a.sFrCnt[src] = 0
-			a.bIDsS = ids[:0]
+		if next == 0 {
 			a.probeFull[src] = true
-			a.recordCutMaskW(vis)
+			a.doomCut(vis)
 			a.noteSweep(usedSparse, usedDense, crossed)
 			a.stat.resumeExhaust++
 			return false, 0
 		}
 		if int(d) >= l {
-			// Tier answered (see resumeStamp1): suspend rather than sweep on.
-			a.suspendSparse(src, cnt, ids)
-			a.bIDsS = ids[:0]
+			// The asking tier is answered: dst is beyond every completed
+			// level, so d(src,dst) >= d+1 > l. Suspend here instead of
+			// sweeping on to dst — the caller defers the demand to tier d+1,
+			// where the next resume picks up from this frontier, so no level
+			// is ever expanded twice and levels beyond the deferral tier are
+			// paid only if a demand actually asks for them.
 			a.noteSweep(usedSparse, usedDense, crossed)
 			a.stat.resumeBound++
 			return true, int(d) + 1
-		}
-	}
-}
-
-// resumeStamp4 is resumeStampWd specialized to mw == 4 (129–256 sites, the
-// ISP100/ISP200-class benchmark range): the visited, frontier and next-level
-// bitmaps fit in four registers each, so a level costs no clears, no id-list
-// maintenance and no bounds-checked accumulator stores — the frontier words
-// themselves are the compact representation — and the stamp and expansion
-// passes are fused, so each new label is enumerated once: stamping a node
-// and folding its adjacency row into the next level's raw union happen under
-// a single TrailingZeros scan. Identical labeling and results; only
-// wall-clock differs.
-func (a *Allocator) resumeStamp4(src, dst, l int) (bool, int) {
-	const mw = 4
-	n := a.n
-	adj := a.liveAdjW
-	svis := a.sVis[src*mw : src*mw+mw]
-	sfr := a.sFront[src*mw : src*mw+mw]
-	sd := a.stampDist[src*n : src*n+n]
-	if a.rowGen[src] <= a.loadGen {
-		a.gen++
-		a.rowGen[src] = a.gen
-		a.rowLiveW[src>>6] &^= 1 << uint(src&63) // stamps without prev chains
-		a.probeFull[src] = false
-		sd[src] = int64(a.gen) << 32
-		svis[0], svis[1], svis[2], svis[3] = 0, 0, 0, 0
-		sfr[0], sfr[1], sfr[2], sfr[3] = 0, 0, 0, 0
-		svis[src>>6] = 1 << uint(src&63)
-		sfr[src>>6] = 1 << uint(src&63)
-		a.sLevel[src] = 0
-	}
-	dw, db := dst>>6, uint(dst&63)
-	if svis[dw]>>db&1 == 1 {
-		return true, int(int32(sd[dst]))
-	}
-	d := int64(a.sLevel[src])
-	if int(d) >= l {
-		a.stat.resumeBound++
-		return true, int(d) + 1 // dst lies beyond every completed level
-	}
-	gen := int64(a.rowGen[src])
-	vis0, vis1, vis2, vis3 := svis[0], svis[1], svis[2], svis[3]
-	// Seed the raw neighbor union of the stored frontier (its members are
-	// already stamped; only their expansion is pending).
-	var nf0, nf1, nf2, nf3 uint64
-	for m := sfr[0]; m != 0; m &= m - 1 {
-		r := bits.TrailingZeros64(m) * mw
-		nf0 |= adj[r]
-		nf1 |= adj[r+1]
-		nf2 |= adj[r+2]
-		nf3 |= adj[r+3]
-	}
-	for m := sfr[1]; m != 0; m &= m - 1 {
-		r := (64 + bits.TrailingZeros64(m)) * mw
-		nf0 |= adj[r]
-		nf1 |= adj[r+1]
-		nf2 |= adj[r+2]
-		nf3 |= adj[r+3]
-	}
-	for m := sfr[2]; m != 0; m &= m - 1 {
-		r := (128 + bits.TrailingZeros64(m)) * mw
-		nf0 |= adj[r]
-		nf1 |= adj[r+1]
-		nf2 |= adj[r+2]
-		nf3 |= adj[r+3]
-	}
-	for m := sfr[3]; m != 0; m &= m - 1 {
-		r := (192 + bits.TrailingZeros64(m)) * mw
-		nf0 |= adj[r]
-		nf1 |= adj[r+1]
-		nf2 |= adj[r+2]
-		nf3 |= adj[r+3]
-	}
-	for {
-		cur0 := nf0 &^ vis0
-		cur1 := nf1 &^ vis1
-		cur2 := nf2 &^ vis2
-		cur3 := nf3 &^ vis3
-		if cur0|cur1|cur2|cur3 == 0 {
-			// Frontier exhausted: svis is src's complete current component.
-			svis[0], svis[1], svis[2], svis[3] = vis0, vis1, vis2, vis3
-			sfr[0], sfr[1], sfr[2], sfr[3] = 0, 0, 0, 0
-			a.sLevel[src] = int32(d)
-			a.probeFull[src] = true
-			a.recordCutMaskW(svis)
-			a.stat.resumeExhaust++
-			return false, 0
-		}
-		d++
-		lv := gen<<32 | d
-		vis0 |= cur0
-		vis1 |= cur1
-		vis2 |= cur2
-		vis3 |= cur3
-		var curDst uint64
-		switch dw {
-		case 0:
-			curDst = cur0
-		case 1:
-			curDst = cur1
-		case 2:
-			curDst = cur2
-		default:
-			curDst = cur3
-		}
-		hit := curDst>>db&1 == 1
-		if hit || int(d) >= l {
-			// Suspension exit — dst labels in this level, or the asking tier
-			// is answered (dst beyond every completed level, so d(src,dst)
-			// >= d+1 > l; see resumeStamp1). Either way the level is stamped
-			// WITHOUT expanding: the raw neighbor union is discarded on
-			// return — the stored frontier is cur itself, and the next
-			// resume re-derives the union from it — so this level's
-			// adjacency ORs would be pure waste, and on small-diameter
-			// graphs the last level is most of the component.
-			for m := cur0; m != 0; m &= m - 1 {
-				sd[bits.TrailingZeros64(m)] = lv
-			}
-			for m := cur1; m != 0; m &= m - 1 {
-				sd[64+bits.TrailingZeros64(m)] = lv
-			}
-			for m := cur2; m != 0; m &= m - 1 {
-				sd[128+bits.TrailingZeros64(m)] = lv
-			}
-			for m := cur3; m != 0; m &= m - 1 {
-				sd[192+bits.TrailingZeros64(m)] = lv
-			}
-			svis[0], svis[1], svis[2], svis[3] = vis0, vis1, vis2, vis3
-			sfr[0], sfr[1], sfr[2], sfr[3] = cur0, cur1, cur2, cur3
-			a.sLevel[src] = int32(d)
-			if hit {
-				return true, int(d)
-			}
-			a.stat.resumeBound++
-			return true, int(d) + 1
-		}
-		nf0, nf1, nf2, nf3 = 0, 0, 0, 0
-		for m := cur0; m != 0; m &= m - 1 {
-			w := bits.TrailingZeros64(m)
-			sd[w] = lv
-			r := w * mw
-			nf0 |= adj[r]
-			nf1 |= adj[r+1]
-			nf2 |= adj[r+2]
-			nf3 |= adj[r+3]
-		}
-		for m := cur1; m != 0; m &= m - 1 {
-			w := bits.TrailingZeros64(m)
-			sd[64+w] = lv
-			r := (64 + w) * mw
-			nf0 |= adj[r]
-			nf1 |= adj[r+1]
-			nf2 |= adj[r+2]
-			nf3 |= adj[r+3]
-		}
-		for m := cur2; m != 0; m &= m - 1 {
-			w := bits.TrailingZeros64(m)
-			sd[128+w] = lv
-			r := (128 + w) * mw
-			nf0 |= adj[r]
-			nf1 |= adj[r+1]
-			nf2 |= adj[r+2]
-			nf3 |= adj[r+3]
-		}
-		for m := cur3; m != 0; m &= m - 1 {
-			w := bits.TrailingZeros64(m)
-			sd[192+w] = lv
-			r := (192 + w) * mw
-			nf0 |= adj[r]
-			nf1 |= adj[r+1]
-			nf2 |= adj[r+2]
-			nf3 |= adj[r+3]
 		}
 	}
 }
@@ -568,9 +309,9 @@ func (a *Allocator) resumeStamp4(src, dst, l int) (bool, int) {
 // bit-identical to the one shortestResidual would leave.
 //
 // Claim-tree repair. Each search persists the tree it builds — the labeling
-// order (cQueue), the level boundaries (cEnds), the labeled bitmap
-// (cVis/cVisW) and the last complete level (cDepth) — so later claims from
-// the same source reuse it instead of starting over:
+// order (cQueue), the level boundaries (cEnds), the labeled bitmap (cVis)
+// and the last complete level (cDepth) — so later claims from the same
+// source reuse it instead of starting over:
 //
 //   - Chain fast path: if the stored tree labeled dst and every edge of
 //     dst's stored prev chain still has positive residual, the chain IS the
@@ -600,17 +341,24 @@ func (a *Allocator) resumeStamp4(src, dst, l int) (bool, int) {
 // A saturated NON-tree edge triggers none of this — the resume-point scan
 // checks exactly the stored prev edges, which is the rowLive/usedBy
 // criterion applied lazily at claim time instead of eagerly at take time.
-// Validity rides on cGen (a tree is live iff cGen[src] > loadGen), and
-// every claim this engine answers — fast path, repaired, resumed or cold —
-// is bit-identical to a from-scratch claimSearch, which the claim-repair
-// differential suite asserts over 300 seeds with the reuse knob flipped.
+// Validity rides on cGen (a tree is live iff cGen[src] > loadGen); a source
+// with no live tree gets a cold build. Every claim this engine answers —
+// fast path, repaired, resumed or cold — is bit-identical to the map
+// reference's fresh search, which the differential suites assert.
+//
+// The search resumes from level F of src's stored tree (F = 0 is a cold
+// build). The kept queue prefix IS the canonical labeling order up to level
+// F; labels are rebuilt from it, so discarded deeper levels leave no trace,
+// and the queue and labels grow in place in the stored per-source rows —
+// suspending the tree costs only the depth and gen stores at the exits.
 func (a *Allocator) claimSearch(src, dst int) (bool, int) {
 	if a.cutHit(src, dst) {
 		return false, 0
 	}
 	a.stat.claim++
+	mw, n := a.mw, a.n
 	F := 0
-	if !a.noClaimReuse && a.cGen[src] > a.loadGen {
+	if a.cGen[src] > a.loadGen {
 		if ok, hops := a.claimFastPath(src, dst); ok {
 			a.stat.claimFast++
 			return true, hops
@@ -623,16 +371,61 @@ func (a *Allocator) claimSearch(src, dst int) (bool, int) {
 		}
 	} else {
 		// Cold build: seed the stored tree with its level 0.
-		a.cQueue[src*a.n] = int32(src)
-		a.cEnds[src*(a.n+1)] = 1
+		a.cQueue[src*n] = int32(src)
+		a.cEnds[src*(n+1)] = 1
 	}
-	if a.wide {
-		if a.mw == 4 {
-			return a.claimSearch4(src, dst, F)
+	adj, edgeOf := a.liveAdj, a.edgeOf
+	prevNE := a.prevNE[src*n : src*n+n]
+	ce := a.cEnds[src*(n+1) : src*(n+1)+n+1]
+	cq := a.cQueue[src*n : src*n+n : src*n+n]
+	lab := a.cVis[src*mw : src*mw+mw]
+	clear(lab)
+	q := cq[:ce[F]]
+	for _, v := range q {
+		lab[v>>6] |= 1 << uint(v&63)
+	}
+	head := 0
+	if F > 0 {
+		head = int(ce[F-1])
+	}
+	depth := F
+	levelEnd := len(q)
+	a.cGen[src] = a.gen
+	for ; head < len(q); head++ {
+		if head == levelEnd {
+			depth++
+			levelEnd = len(q)
+			ce[depth] = int32(levelEnd)
 		}
-		return a.claimSearchWd(src, dst, F)
+		v := q[head]
+		vLow := int64(v)
+		vRow := adj[int(v)*mw : int(v)*mw+mw]
+		for wi := 0; wi < mw; wi++ {
+			nw := vRow[wi] &^ lab[wi]
+			if nw == 0 {
+				continue
+			}
+			lab[wi] |= nw
+			base := wi << 6
+			for ; nw != 0; nw &= nw - 1 {
+				w := int32(base + bits.TrailingZeros64(nw))
+				prevNE[w] = int64(edgeOf[int(v)*n+int(w)])<<32 | vLow
+				if int(w) == dst {
+					// Bits of nw above dst were OR'd into the stored bitmap
+					// but never given prev entries; it must not claim them
+					// (the fast path walks prev chains on its say-so).
+					lab[wi] &^= nw & (nw - 1)
+					a.cDepth[src] = int32(depth)
+					return true, depth + 1
+				}
+				q = append(q, w)
+			}
+		}
 	}
-	return a.claimSearch1(src, dst, F)
+	a.cDepth[src] = int32(depth)
+	a.doomCut(lab)
+	a.stat.claimCut++
+	return false, 0
 }
 
 // claimFastPath answers a claim from src's stored tree when dst is labeled
@@ -640,11 +433,7 @@ func (a *Allocator) claimSearch(src, dst int) (bool, int) {
 // the criterion under which claimSearch documents the chain is exactly what
 // a fresh search would claim). The walk doubles as the hop count.
 func (a *Allocator) claimFastPath(src, dst int) (bool, int) {
-	if a.wide {
-		if a.cVisW[src*a.mw+dst>>6]>>uint(dst&63)&1 == 0 {
-			return false, 0
-		}
-	} else if a.cVis[src]>>uint(dst)&1 == 0 {
+	if a.cVis[src*a.mw+dst>>6]>>uint(dst&63)&1 == 0 {
 		return false, 0
 	}
 	caps := a.caps
@@ -690,343 +479,27 @@ func (a *Allocator) claimResumePoint(src int) int {
 	return depth
 }
 
-// claimSearch1 is the single-word (n <= 64) stealth claim search, resuming
-// from level F of src's stored tree (F = 0 is a cold build; the dispatcher
-// seeds queue[0] and ends[0]). The kept queue prefix IS the canonical
-// labeling order up to level F; labels are rebuilt from it, so discarded
-// deeper levels leave no trace, and the queue grows in place in the stored
-// per-source row — suspending the tree costs only the bitmap, depth and gen
-// stores at the exits.
-func (a *Allocator) claimSearch1(src, dst, F int) (bool, int) {
-	adj := a.liveAdj
-	n := a.n
-	edgeOf := a.edgeOf
-	prevNE := a.prevNE[src*n : src*n+n]
-	ce := a.cEnds[src*(n+1) : src*(n+1)+n+1]
-	cq := a.cQueue[src*n : src*n+n : src*n+n]
-	q := cq[:ce[F]]
-	var labeled uint64
-	for _, v := range q {
-		labeled |= 1 << uint(v)
-	}
-	head := 0
-	if F > 0 {
-		head = int(ce[F-1])
-	}
-	depth := F
-	levelEnd := len(q)
-	for ; head < len(q); head++ {
-		if head == levelEnd {
-			depth++
-			levelEnd = len(q)
-			ce[depth] = int32(levelEnd)
-		}
-		v := q[head]
-		vLow := int64(v)
-		nw := adj[v] &^ labeled
-		labeled |= nw
-		for ; nw != 0; nw &= nw - 1 {
-			w := int32(bits.TrailingZeros64(nw))
-			prevNE[w] = int64(edgeOf[int(v)*n+int(w)])<<32 | vLow
-			if int(w) == dst {
-				// Bits of nw above dst were OR'd into labeled but never
-				// given prev entries; the stored bitmap must not claim
-				// them (the fast path walks prev chains on its say-so).
-				a.cVis[src] = labeled &^ (nw & (nw - 1))
-				a.cDepth[src] = int32(depth)
-				a.cGen[src] = a.gen
-				return true, depth + 1
-			}
-			q = append(q, w)
-		}
-	}
-	a.cVis[src] = labeled
-	a.cDepth[src] = int32(depth)
-	a.cGen[src] = a.gen
-	a.recordCutMask(labeled)
-	a.stat.claimCut++
-	return false, 0
-}
-
-// claimSearchWd is the multi-word twin of claimSearch1.
-func (a *Allocator) claimSearchWd(src, dst, F int) (bool, int) {
-	mw, n := a.mw, a.n
-	edgeOf := a.edgeOf
-	lab := a.labeledW[:mw]
-	clear(lab)
-	prevNE := a.prevNE[src*n : src*n+n]
-	ce := a.cEnds[src*(n+1) : src*(n+1)+n+1]
-	cq := a.cQueue[src*n : src*n+n : src*n+n]
-	q := cq[:ce[F]]
-	for _, v := range q {
-		lab[v>>6] |= 1 << uint(v&63)
-	}
-	head := 0
-	if F > 0 {
-		head = int(ce[F-1])
-	}
-	depth := F
-	levelEnd := len(q)
-	for ; head < len(q); head++ {
-		if head == levelEnd {
-			depth++
-			levelEnd = len(q)
-			ce[depth] = int32(levelEnd)
-		}
-		v := q[head]
-		vLow := int64(v)
-		vRow := a.liveAdjW[int(v)*mw : int(v)*mw+mw]
-		for wi := 0; wi < mw; wi++ {
-			nw := vRow[wi] &^ lab[wi]
-			if nw == 0 {
-				continue
-			}
-			lab[wi] |= nw
-			base := wi << 6
-			for ; nw != 0; nw &= nw - 1 {
-				w := int32(base + bits.TrailingZeros64(nw))
-				prevNE[w] = int64(edgeOf[int(v)*n+int(w)])<<32 | vLow
-				if int(w) == dst {
-					// Bits of nw above dst never got prev entries; the
-					// stored bitmap must not claim them.
-					lab[wi] &^= nw & (nw - 1)
-					copy(a.cVisW[src*mw:src*mw+mw], lab)
-					a.cDepth[src] = int32(depth)
-					a.cGen[src] = a.gen
-					return true, depth + 1
-				}
-				q = append(q, w)
-			}
-		}
-	}
-	copy(a.cVisW[src*mw:src*mw+mw], lab)
-	a.cDepth[src] = int32(depth)
-	a.cGen[src] = a.gen
-	a.recordCutMaskW(lab)
-	a.stat.claimCut++
-	return false, 0
-}
-
-// claimStore4 writes the mw == 4 claim search's labels, last complete level
-// and validity stamp back into src's stored tree (the queue and level
-// boundaries already grew in place).
-func (a *Allocator) claimStore4(src, depth int, lab0, lab1, lab2, lab3 uint64) {
-	row := a.cVisW[src*4 : src*4+4]
-	row[0], row[1], row[2], row[3] = lab0, lab1, lab2, lab3
-	a.cDepth[src] = int32(depth)
-	a.cGen[src] = a.gen
-}
-
-// claimSearch4 is claimSearchWd specialized to mw == 4: the visited bitmap
-// lives in four registers and the per-node word loop is unrolled, with the
-// same FIFO scan order and therefore the same prev chains.
-func (a *Allocator) claimSearch4(src, dst, F int) (bool, int) {
-	const mw = 4
-	n := a.n
-	adj := a.liveAdjW
-	edgeOf := a.edgeOf
-	prevNE := a.prevNE[src*n : src*n+n]
-	ce := a.cEnds[src*(n+1) : src*(n+1)+n+1]
-	cq := a.cQueue[src*n : src*n+n : src*n+n]
-	q := cq[:ce[F]]
-	var lab0, lab1, lab2, lab3 uint64
-	for _, vv := range q {
-		v := int(vv)
-		switch v >> 6 {
-		case 0:
-			lab0 |= 1 << uint(v&63)
-		case 1:
-			lab1 |= 1 << uint(v&63)
-		case 2:
-			lab2 |= 1 << uint(v&63)
-		default:
-			lab3 |= 1 << uint(v&63)
-		}
-	}
-	head := 0
-	if F > 0 {
-		head = int(ce[F-1])
-	}
-	depth := F
-	levelEnd := len(q)
-	for ; head < len(q); head++ {
-		if head == levelEnd {
-			depth++
-			levelEnd = len(q)
-			ce[depth] = int32(levelEnd)
-		}
-		v := int(q[head])
-		vLow := int64(v)
-		r := v * mw
-		en := v * n
-		nw0 := adj[r] &^ lab0
-		lab0 |= nw0
-		for ; nw0 != 0; nw0 &= nw0 - 1 {
-			w := bits.TrailingZeros64(nw0)
-			prevNE[w] = int64(edgeOf[en+w])<<32 | vLow
-			if w == dst {
-				// Bits above dst in this word never got prev entries;
-				// strip them from the stored bitmap (likewise below).
-				a.claimStore4(src, depth, lab0&^(nw0&(nw0-1)), lab1, lab2, lab3)
-				return true, depth + 1
-			}
-			q = append(q, int32(w))
-		}
-		nw1 := adj[r+1] &^ lab1
-		lab1 |= nw1
-		for ; nw1 != 0; nw1 &= nw1 - 1 {
-			w := 64 + bits.TrailingZeros64(nw1)
-			prevNE[w] = int64(edgeOf[en+w])<<32 | vLow
-			if w == dst {
-				a.claimStore4(src, depth, lab0, lab1&^(nw1&(nw1-1)), lab2, lab3)
-				return true, depth + 1
-			}
-			q = append(q, int32(w))
-		}
-		nw2 := adj[r+2] &^ lab2
-		lab2 |= nw2
-		for ; nw2 != 0; nw2 &= nw2 - 1 {
-			w := 128 + bits.TrailingZeros64(nw2)
-			prevNE[w] = int64(edgeOf[en+w])<<32 | vLow
-			if w == dst {
-				a.claimStore4(src, depth, lab0, lab1, lab2&^(nw2&(nw2-1)), lab3)
-				return true, depth + 1
-			}
-			q = append(q, int32(w))
-		}
-		nw3 := adj[r+3] &^ lab3
-		lab3 |= nw3
-		for ; nw3 != 0; nw3 &= nw3 - 1 {
-			w := 192 + bits.TrailingZeros64(nw3)
-			prevNE[w] = int64(edgeOf[en+w])<<32 | vLow
-			if w == dst {
-				a.claimStore4(src, depth, lab0, lab1, lab2, lab3&^(nw3&(nw3-1)))
-				return true, depth + 1
-			}
-			q = append(q, int32(w))
-		}
-	}
-	a.claimStore4(src, depth, lab0, lab1, lab2, lab3)
-	lab := a.labeledW[:mw]
-	lab[0], lab[1], lab[2], lab[3] = lab0, lab1, lab2, lab3
-	a.recordCutMaskW(lab)
-	a.stat.claimCut++
-	return false, 0
-}
-
 // searchBounded reports whether dst is currently reachable from src over
 // positive-residual edges and, if so, the exact minimum hop count. It is a
 // pure query: levels go into private arrays, so the probe memo rows of both
-// endpoints survive untouched; only the doomed-word books are enriched when
-// a side exhausts. Mask paths only.
+// endpoints survive untouched; only the doomed rows are enriched when a
+// side exhausts. Frontiers are enumerated as in resumeStamp: from the
+// sparse id list up to bSparse members, by word sweep beyond.
 func (a *Allocator) searchBounded(src, dst int) (bool, int) {
 	if a.cutHit(src, dst) {
 		return false, 0
 	}
 	a.stat.bidi++
-	if a.wide {
-		return a.searchBoundedWd(src, dst)
-	}
-	return a.searchBounded1(src, dst)
-}
-
-// searchBounded1 is the single-word (n <= 64) bidirectional sweep: both
-// visited sets and frontiers live in registers.
-func (a *Allocator) searchBounded1(src, dst int) (bool, int) {
-	adj := a.liveAdj
-	a.bGen++
-	genS := int64(a.bGen)
-	a.bGen++
-	genD := int64(a.bGen)
-	lvS, lvD := a.bLvS, a.bLvD
-	lvS[src] = genS << 32
-	lvD[dst] = genD << 32
-	visS := uint64(1) << uint(src)
-	visD := uint64(1) << uint(dst)
-	frS, frD := visS, visD
-	dS, dD := 0, 0
-	for {
-		if bits.OnesCount64(frS) <= bits.OnesCount64(frD) {
-			var nf uint64
-			for m := frS; m != 0; m &= m - 1 {
-				nf |= adj[bits.TrailingZeros64(m)]
-			}
-			nf &^= visS
-			dS++
-			lv := genS<<32 | int64(dS)
-			for m := nf; m != 0; m &= m - 1 {
-				lvS[bits.TrailingZeros64(m)] = lv
-			}
-			if mm := nf & visD; mm != 0 {
-				best := math.MaxInt
-				for ; mm != 0; mm &= mm - 1 {
-					w := bits.TrailingZeros64(mm)
-					if lvD[w]>>32 == genD {
-						if c := dS + int(int32(lvD[w])); c < best {
-							best = c
-						}
-					}
-				}
-				a.stat.bidiMeetS++
-				return true, best
-			}
-			if nf == 0 {
-				a.recordCutMask(visS)
-				a.stat.bidiExhaustS++
-				return false, 0
-			}
-			visS |= nf
-			frS = nf
-		} else {
-			var nf uint64
-			for m := frD; m != 0; m &= m - 1 {
-				nf |= adj[bits.TrailingZeros64(m)]
-			}
-			nf &^= visD
-			dD++
-			lv := genD<<32 | int64(dD)
-			for m := nf; m != 0; m &= m - 1 {
-				lvD[bits.TrailingZeros64(m)] = lv
-			}
-			if mm := nf & visS; mm != 0 {
-				best := math.MaxInt
-				for ; mm != 0; mm &= mm - 1 {
-					w := bits.TrailingZeros64(mm)
-					if lvS[w]>>32 == genS {
-						if c := dD + int(int32(lvS[w])); c < best {
-							best = c
-						}
-					}
-				}
-				a.stat.bidiMeetD++
-				return true, best
-			}
-			if nf == 0 {
-				a.recordCutMask(visD)
-				a.doomed[src] |= visD // src sits outside dst's component for good
-				a.stat.bidiExhaustD++
-				return false, 0
-			}
-			visD |= nf
-			frD = nf
-		}
-	}
-}
-
-// searchBoundedWd is the multi-word twin of searchBounded1, with the same
-// sparse-list/word-sweep frontier enumeration as resumeStampWd.
-func (a *Allocator) searchBoundedWd(src, dst int) (bool, int) {
 	mw := a.mw
-	adj := a.liveAdjW
+	adj := a.liveAdj
 	visS := a.bVisS[:mw]
 	visD := a.bVisD[:mw]
 	frS := a.bFrS[:mw]
 	frD := a.bFrD[:mw]
 	nf := a.bNext[:mw]
-	clear(visS)
-	clear(visD)
-	clear(frS)
-	clear(frD)
+	for wi := range visS {
+		visS[wi], visD[wi], frS[wi], frD[wi] = 0, 0, 0, 0
+	}
 	a.bGen++
 	genS := int64(a.bGen)
 	a.bGen++
@@ -1121,11 +594,11 @@ func (a *Allocator) searchBoundedWd(src, dst int) (bool, int) {
 		}
 		if cnt == 0 {
 			if fromS {
-				a.recordCutMaskW(visS)
+				a.doomCut(visS)
 				a.stat.bidiExhaustS++
 			} else {
-				a.recordCutMaskW(visD)
-				row := a.doomedW[src*mw : src*mw+mw]
+				a.doomCut(visD)
+				row := a.doomed[src*mw : src*mw+mw]
 				for wi := range row {
 					row[wi] |= visD[wi] // src sits outside dst's component for good
 				}

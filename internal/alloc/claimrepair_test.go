@@ -7,18 +7,15 @@ import (
 	"owan/internal/topology"
 )
 
-// TestClaimRepairDifferential is the claim-tree reuse differential: the same
-// mixed-width case stream (single-word, generic multi-word, and four-word
-// register engines) run through an allocator with claim reuse on and one with
-// the knob forcing every claim onto a cold rebuild. The allocation maps must
-// agree path for path and rate for rate — cold rebuilds are the from-scratch
-// claimSearch the other suites pin against the reference, so equality here is
-// exactly "repaired tree == fresh claimSearch". Both allocators persist
-// across seeds, so stale trees from a previous load's topology are also in
-// play (cGen must fence them off).
+// TestClaimRepairDifferential is the claim-tree reuse differential: a
+// mixed-width case stream (single-word, two-word, and three/four-word rows)
+// run through one persistent allocator and checked path for path and rate
+// for rate against the map-based reference. Because the allocator persists
+// across seeds, stale trees from a previous load's topology and width are
+// also in play (cGen must fence them off). Every reuse path must fire: chain
+// fast-path answers, subtree repairs, tree extensions, and cold builds.
 func TestClaimRepairDifferential(t *testing.T) {
-	reuse, cold := NewAllocator(), NewAllocator()
-	cold.SetClaimReuse(false)
+	al := NewAllocator()
 	seeds := int64(300)
 	if testing.Short() {
 		seeds = 60
@@ -38,12 +35,12 @@ func TestClaimRepairDifferential(t *testing.T) {
 		default:
 			ls, ds, theta = randomQuadCase(rng)
 		}
-		sameResult(t, seed, cold.Greedy(ls, theta, ds), reuse.Greedy(ls, theta, ds))
+		sameResult(t, seed, greedyReference(ls, theta, ds), al.Greedy(ls, theta, ds))
 	}
-	st := &reuse.stat
-	rebuilds := st.claim - st.claimFast - st.claimRepair - st.claimResume
+	st := &al.stat
+	cold := st.claim - st.claimFast - st.claimRepair - st.claimResume
 	t.Logf("claim stats: calls=%d fast=%d repair=%d resume=%d cold=%d",
-		st.claim, st.claimFast, st.claimRepair, st.claimResume, rebuilds)
+		st.claim, st.claimFast, st.claimRepair, st.claimResume, cold)
 	for _, c := range []struct {
 		name string
 		n    uint64
@@ -51,19 +48,15 @@ func TestClaimRepairDifferential(t *testing.T) {
 		{"chain fast-path answers", st.claimFast},
 		{"subtree repairs", st.claimRepair},
 		{"tree extensions", st.claimResume},
-		{"cold rebuilds", rebuilds},
+		{"cold builds", cold},
 	} {
 		if c.n == 0 {
 			t.Errorf("no %s across the run — the path was never exercised", c.name)
 		}
 	}
-	if cs := &cold.stat; cs.claimFast != 0 || cs.claimRepair != 0 || cs.claimResume != 0 {
-		t.Errorf("reuse knob off still reused trees: fast=%d repair=%d resume=%d",
-			cs.claimFast, cs.claimRepair, cs.claimResume)
-	}
 }
 
-// TestClaimReuseMatchesReference anchors the reuse path directly against the
+// TestClaimReuseMatchesReference anchors the reuse path against the
 // map-based reference on the narrow single-word engine, where randomCase's
 // tiny dense graphs produce the most takes per tree and therefore the most
 // repair churn per claim.
@@ -86,8 +79,8 @@ func TestClaimReuseMatchesReference(t *testing.T) {
 // claimRepairCase is the benchmark fixture: a 200-site spine with chords and
 // a hot demand set drawn from a small endpoint pool, so successive claims
 // share sources (one repaired tree serves many demands), saturate edges
-// mid-run (forcing repairs rather than pure fast-path walks), and drive the
-// four-word register engines.
+// mid-run (forcing repairs rather than pure fast-path walks), on four-word
+// rows.
 func claimRepairCase() (*topology.LinkSet, []Demand) {
 	ls := topology.NewLinkSet(200)
 	for i := 0; i+1 < ls.N; i++ {
@@ -109,27 +102,13 @@ func claimRepairCase() (*topology.LinkSet, []Demand) {
 	return ls, ds
 }
 
-// BenchmarkClaimRepair measures the steady-state greedy allocation with the
-// claim-tree store on (the default): saturations repair the claiming tree in
-// place and same-source demands share it.
+// BenchmarkClaimRepair measures the steady-state greedy allocation on the
+// claim-repair fixture: saturations repair the claiming tree in place and
+// same-source demands share it.
 func BenchmarkClaimRepair(b *testing.B) {
 	ls, ds := claimRepairCase()
 	al := NewAllocator()
 	al.Throughput(ls, 10, ds) // warm buffers
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		al.Throughput(ls, 10, ds)
-	}
-}
-
-// BenchmarkClaimRepairCold is the same workload with claim reuse disabled —
-// every claim verification rebuilds its tree from scratch. The gap to
-// BenchmarkClaimRepair is what the repair path buys.
-func BenchmarkClaimRepairCold(b *testing.B) {
-	ls, ds := claimRepairCase()
-	al := NewAllocator()
-	al.SetClaimReuse(false)
-	al.Throughput(ls, 10, ds)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		al.Throughput(ls, 10, ds)

@@ -42,6 +42,55 @@ func randomCase(rng *rand.Rand) (*topology.LinkSet, []Demand, float64) {
 	return ls, ds, theta
 }
 
+// boundarySizes are topology sizes at and around the bitset word
+// boundaries: the smallest graph, sizes inside the first word, each full
+// last word (64, 128, 256), and the first site of each new word (65, 129,
+// 193).
+var boundarySizes = []int{2, 40, 63, 64, 65, 127, 128, 129, 192, 193, 255, 256}
+
+// boundaryCase draws a case on exactly n sites: a gapped spine plus n–2n
+// chords, and hot demands drawn mostly from a small endpoint pool that
+// always holds the last site (the top bit of the last row word), so claims
+// saturate edges, components split, and the last word's high bits are
+// labeled, claimed through and cut.
+func boundaryCase(rng *rand.Rand, n int) (*topology.LinkSet, []Demand, float64) {
+	ls := topology.NewLinkSet(n)
+	for i := 0; i+1 < n; i++ {
+		if rng.Float64() < 0.9 {
+			ls.Add(i, i+1, 1+rng.Intn(3))
+		}
+	}
+	chords := n + rng.Intn(n)
+	for c := 0; c < chords; c++ {
+		i, j := rng.Intn(n), rng.Intn(n)
+		if i != j {
+			ls.Add(min(i, j), max(i, j), 1+rng.Intn(3))
+		}
+	}
+	pool := []int{n - 1, 0, rng.Intn(n), rng.Intn(n), rng.Intn(n), rng.Intn(n)}
+	var ds []Demand
+	for i := 0; i < 10+rng.Intn(30); i++ {
+		s, d := pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]
+		if rng.Float64() < 0.3 {
+			s, d = rng.Intn(n), rng.Intn(n)
+		}
+		if s == d {
+			continue
+		}
+		rate := rng.Float64() * 120
+		if rng.Float64() < 0.1 {
+			rate = 0
+		}
+		ds = append(ds, Demand{ID: i, Src: s, Dst: d, RateGbps: rate})
+	}
+	theta := []float64{1, 2.5, 10}[rng.Intn(3)]
+	return ls, ds, theta
+}
+
+// boundarySeeds is the number of cases per boundary size in each reference
+// differential.
+const boundarySeeds = 20
+
 // sameResult asserts two results are bit-identical: same throughput, same
 // demand IDs, and per demand the same ordered path/rate lists.
 func sameResult(t *testing.T, seed int64, want, got *Result) {
@@ -76,15 +125,22 @@ func sameResult(t *testing.T, seed int64, want, got *Result) {
 
 // TestAllocatorMatchesReferenceGreedy is the flat-vs-map differential: on
 // randomized topologies and demand sets the Allocator must reproduce the
-// reference implementation exactly — throughput, path lists, and rates.
-// One Allocator is reused across all seeds so buffer-reuse bugs (stale
-// residuals, unreset tiers) cannot hide.
+// reference implementation exactly — throughput, path lists, and rates —
+// on small graphs and at every word-boundary size. One Allocator is reused
+// across all seeds so buffer-reuse bugs (stale residuals, unreset tiers)
+// cannot hide.
 func TestAllocatorMatchesReferenceGreedy(t *testing.T) {
 	al := NewAllocator()
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ls, ds, theta := randomCase(rng)
 		sameResult(t, seed, greedyReference(ls, theta, ds), al.Greedy(ls, theta, ds))
+	}
+	for _, n := range boundarySizes {
+		for seed := int64(1000 * n); seed < int64(1000*n)+boundarySeeds; seed++ {
+			ls, ds, theta := boundaryCase(rand.New(rand.NewSource(seed)), n)
+			sameResult(t, seed, greedyReference(ls, theta, ds), al.Greedy(ls, theta, ds))
+		}
 	}
 }
 
@@ -96,6 +152,12 @@ func TestAllocatorMatchesReferenceSequential(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		ls, ds, theta := randomCase(rng)
 		sameResult(t, seed, greedySequentialReference(ls, theta, ds), al.GreedySequential(ls, theta, ds))
+	}
+	for _, n := range boundarySizes {
+		for seed := int64(1000 * n); seed < int64(1000*n)+boundarySeeds; seed++ {
+			ls, ds, theta := boundaryCase(rand.New(rand.NewSource(seed)), n)
+			sameResult(t, seed, greedySequentialReference(ls, theta, ds), al.GreedySequential(ls, theta, ds))
+		}
 	}
 }
 
@@ -139,7 +201,10 @@ func TestAllocatorThroughputZeroAlloc(t *testing.T) {
 
 // TestAllocatorReuseAcrossTopologySizes shrinks and grows the topology
 // between calls on one Allocator: leftover state from a larger load must
-// never leak into a smaller one.
+// never leak into a smaller one, nor a narrower row width into a wider one.
+// After the small-graph alternation the loads walk the word-boundary sizes
+// up, down, and in a shuffled order, so the row width grows and shrinks
+// across every word count on one allocator.
 func TestAllocatorReuseAcrossTopologySizes(t *testing.T) {
 	al := NewAllocator()
 	for seed := int64(0); seed < 60; seed++ {
@@ -151,6 +216,33 @@ func TestAllocatorReuseAcrossTopologySizes(t *testing.T) {
 		tiny.Add(0, 1, 1)
 		d2 := []Demand{{ID: 0, Src: 0, Dst: 1, RateGbps: 25}}
 		sameResult(t, seed, greedyReference(tiny, 10, d2), al.Greedy(tiny, 10, d2))
+	}
+	rng := rand.New(rand.NewSource(9500))
+	order := append([]int(nil), boundarySizes...)
+	for i := len(boundarySizes) - 1; i >= 0; i-- {
+		order = append(order, boundarySizes[i])
+	}
+	for _, i := range rng.Perm(len(boundarySizes)) {
+		order = append(order, boundarySizes[i])
+	}
+	grew, shrank := 0, 0
+	for k, n := range order {
+		prev := al.mw
+		ls, ds, theta := boundaryCase(rng, n)
+		want := greedyReference(ls, theta, ds)
+		sameResult(t, int64(k), want, al.Greedy(ls, theta, ds))
+		if got := al.Throughput(ls, theta, ds); got != want.Throughput {
+			t.Fatalf("load %d (n=%d): Throughput %v != reference %v", k, n, got, want.Throughput)
+		}
+		switch {
+		case al.mw > prev:
+			grew++
+		case al.mw < prev:
+			shrank++
+		}
+	}
+	if grew == 0 || shrank == 0 {
+		t.Fatalf("row width never crossed both ways: grew %d, shrank %d", grew, shrank)
 	}
 }
 
@@ -225,13 +317,13 @@ func randomSwapPatch(rng *rand.Rand, ls *topology.LinkSet, k int) (*topology.Lin
 // TestThroughputPatchedMatchesReference is the delta-path differential: a
 // base topology is registered once with SetBase, then random swap patches
 // are evaluated through the warm path and checked bit-identical against the
-// map-based reference on the fully materialized patched topology. One
-// allocator serves all seeds so stale warm-load state cannot hide.
+// map-based reference on the fully materialized patched topology, on small
+// graphs and at every word-boundary size. One allocator serves all seeds so
+// stale warm-load state cannot hide.
 func TestThroughputPatchedMatchesReference(t *testing.T) {
 	al := NewAllocator()
-	for seed := int64(0); seed < 300; seed++ {
-		rng := rand.New(rand.NewSource(4000 + seed))
-		ls, ds, theta := randomCase(rng)
+	check := func(seed int64, rng *rand.Rand, ls *topology.LinkSet, ds []Demand, theta float64) {
+		t.Helper()
 		al.SetBase(ls, theta)
 		for trial := 0; trial < 3; trial++ {
 			patched, patch := randomSwapPatch(rng, ls, 1+rng.Intn(3))
@@ -244,6 +336,18 @@ func TestThroughputPatchedMatchesReference(t *testing.T) {
 		// The warm path must not corrupt subsequent cold evaluations.
 		if got, want := al.Throughput(ls, theta, ds), greedyReference(ls, theta, ds).Throughput; got != want {
 			t.Fatalf("seed %d: cold Throughput after patched runs: %v != %v", seed, got, want)
+		}
+	}
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(4000 + seed))
+		ls, ds, theta := randomCase(rng)
+		check(seed, rng, ls, ds, theta)
+	}
+	for _, n := range boundarySizes {
+		for seed := int64(1000*n + 500); seed < int64(1000*n+500)+boundarySeeds; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			ls, ds, theta := boundaryCase(rng, n)
+			check(seed, rng, ls, ds, theta)
 		}
 	}
 }

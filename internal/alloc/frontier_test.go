@@ -7,15 +7,14 @@ import (
 	"owan/internal/topology"
 )
 
-// randomQuadCase scales the differential inputs into the four-word mask range
-// (129–250 sites), which the wide harness (65–120) never reaches — without it
-// the register-specialized engines (resumeStamp4, claimSearch4) would be
-// pinned only by benchmarks. The mix is tuned to force every engine verdict,
-// not just the happy path: the spine has gaps so some components disconnect
-// (frontier-exhaustion early-outs), demands are drawn from a small endpoint
-// pool so pairs repeat across IDs, and rates run hot against link counts so
-// claims saturate edges mid-run — which is what decays probe's stamped bounds
-// and routes re-verification through the bidirectional searchBounded.
+// randomQuadCase scales the differential inputs into the three- and four-word
+// row range (129–250 sites), which the wide harness (65–120) never reaches.
+// The mix is tuned to force every engine verdict, not just the happy path:
+// the spine has gaps so some components disconnect (frontier-exhaustion
+// early-outs), demands are drawn from a small endpoint pool so pairs repeat
+// across IDs, and rates run hot against link counts so claims saturate edges
+// mid-run — which is what decays probe's stamped bounds and routes
+// re-verification through the bidirectional searchBounded.
 func randomQuadCase(rng *rand.Rand) (*topology.LinkSet, []Demand, float64) {
 	n := 129 + rng.Intn(122)
 	ls := topology.NewLinkSet(n)
@@ -90,11 +89,11 @@ func quadStatChecks(t *testing.T, al *Allocator) {
 }
 
 // TestAllocatorQuadMatchesReference is the 129–250-site differential: the
-// four-word register engines must reproduce the map-based reference exactly.
-// The site range straddles the mw==4 specialization boundary (193 sites), so
-// the run also covers the generic three-word engines and the handoff between
-// them, and one Allocator is reused across all seeds so resumed-row state
-// from one load's topology can never leak a stale answer into the next.
+// engines on three- and four-word rows must reproduce the map-based
+// reference exactly. The site range straddles the three/four-word boundary
+// (193 sites), so the run also covers the handoff between widths, and one
+// Allocator is reused across all seeds so resumed-row state from one load's
+// topology can never leak a stale answer into the next.
 func TestAllocatorQuadMatchesReference(t *testing.T) {
 	al := NewAllocator()
 	seeds := int64(300)
@@ -114,30 +113,9 @@ func TestAllocatorQuadMatchesReference(t *testing.T) {
 	quadStatChecks(t, al)
 }
 
-// TestAllocatorQuadMatchesScalar cross-checks the four-word register engines
-// against the scalar fallback on the same inputs — the two must agree bit for
-// bit, which is what the ISP200 benchmark's speedup claim rests on.
-func TestAllocatorQuadMatchesScalar(t *testing.T) {
-	mask, scalar := NewAllocator(), NewAllocator()
-	scalar.SetScalarFallback(true)
-	seeds := int64(300)
-	if testing.Short() {
-		seeds = 60
-	}
-	for seed := int64(0); seed < seeds; seed++ {
-		rng := rand.New(rand.NewSource(seed + 40000))
-		ls, ds, theta := randomQuadCase(rng)
-		sameResult(t, seed, scalar.Greedy(ls, theta, ds), mask.Greedy(ls, theta, ds))
-		if scalar.useMask {
-			t.Fatal("scalar fallback allocator took a mask path")
-		}
-	}
-	quadStatChecks(t, mask)
-}
-
 // TestThroughputPatchedQuad extends the warm-path differential into the
-// four-word range: ThroughputPatched must equal the reference on the patched
-// topology, and a cold Throughput afterwards must still be exact.
+// three- and four-word range: ThroughputPatched must equal the reference on
+// the patched topology, and a cold Throughput afterwards must still be exact.
 func TestThroughputPatchedQuad(t *testing.T) {
 	al := NewAllocator()
 	seeds := int64(120)
@@ -163,15 +141,14 @@ func TestThroughputPatchedQuad(t *testing.T) {
 }
 
 // TestFrontierSparseDenseCrossing pins the bSparse enumeration threshold in
-// resumeStampWd (65–128 sites — the four-word engine has no sparse list to
-// cross). The graphs are dense enough that mid-sweep frontiers exceed bSparse
-// nodes: every BFS starts sparse (a frontier of one), so sweeps must cross
-// the threshold — within one call when a sweep spans several levels, or
-// across a suspension when tier-truncated sweeps advance one level per call
-// and the persisted sparse list carries the entry mode over. Sparse-list
-// levels, word-swept levels, and threshold crossings must all be observed,
-// and the results must match the reference exactly on both sides of every
-// crossing.
+// resumeStamp (90–128 sites, so a frontier can outgrow bSparse). The graphs
+// are dense enough that mid-sweep frontiers exceed bSparse nodes: every BFS
+// starts sparse (a frontier of one), so sweeps must cross the threshold —
+// within one call when a sweep spans several levels, or across a suspension
+// when tier-truncated sweeps advance one level per call and the persisted
+// sparse list carries the entry mode over. Sparse-list levels, word-swept
+// levels, and threshold crossings must all be observed, and the results must
+// match the reference exactly on both sides of every crossing.
 func TestFrontierSparseDenseCrossing(t *testing.T) {
 	al := NewAllocator()
 	seeds := int64(150)
@@ -212,9 +189,8 @@ func TestFrontierSparseDenseCrossing(t *testing.T) {
 	}
 }
 
-// TestAllocatorQuadZeroAlloc: the four-word register path must stay
-// allocation-free in steady state, like the single- and generic multi-word
-// paths.
+// TestAllocatorQuadZeroAlloc: four-word rows must stay allocation-free in
+// steady state, like one- and two-word rows.
 func TestAllocatorQuadZeroAlloc(t *testing.T) {
 	ls := topology.NewLinkSet(200)
 	for i := 0; i+1 < ls.N; i++ {
@@ -235,7 +211,7 @@ func TestAllocatorQuadZeroAlloc(t *testing.T) {
 	al := NewAllocator()
 	al.Throughput(ls, 10, ds) // warm buffers
 	if al.mw != 4 {
-		t.Fatalf("expected the four-word path, mw=%d", al.mw)
+		t.Fatalf("expected four-word rows, mw=%d", al.mw)
 	}
 	if avg := testing.AllocsPerRun(20, func() {
 		al.Throughput(ls, 10, ds)

@@ -8,7 +8,7 @@ import (
 )
 
 // randomWideCase is randomCase scaled past the one-word boundary: 65–120
-// sites, so every load takes the multi-word mask path. Chord probability
+// sites, so every load runs on two-word rows. Chord probability
 // drops with n to keep edge counts (and test runtime) in the same ballpark
 // as real ISP topologies rather than dense graphs.
 func randomWideCase(rng *rand.Rand) (*topology.LinkSet, []Demand, float64) {
@@ -44,9 +44,9 @@ func randomWideCase(rng *rand.Rand) (*topology.LinkSet, []Demand, float64) {
 }
 
 // TestAllocatorWideMatchesReference is the >64-site differential: the
-// multi-word mask path must reproduce the map-based reference exactly —
+// engines on two-word rows must reproduce the map-based reference exactly —
 // throughput, path lists, and rates. One Allocator is reused across all
-// seeds so stale wide-mask state cannot hide.
+// seeds so stale row state cannot hide.
 func TestAllocatorWideMatchesReference(t *testing.T) {
 	al := NewAllocator()
 	seeds := int64(300)
@@ -56,40 +56,15 @@ func TestAllocatorWideMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ls, ds, theta := randomWideCase(rng)
-		if !al.wide {
-			// First load hasn't happened yet on seed 0; check after.
-			_ = al.Greedy(ls, theta, ds)
-			if !al.wide {
-				t.Fatalf("seed %d: n=%d did not take the multi-word path", seed, ls.N)
-			}
-		}
 		sameResult(t, seed, greedyReference(ls, theta, ds), al.Greedy(ls, theta, ds))
-	}
-}
-
-// TestAllocatorWideMatchesScalar cross-checks the multi-word mask path
-// against the scalar fallback (SetScalarFallback) on the same inputs — the
-// two must agree bit for bit, which is also what the ISP100 benchmark's
-// speedup claim rests on.
-func TestAllocatorWideMatchesScalar(t *testing.T) {
-	mask, scalar := NewAllocator(), NewAllocator()
-	scalar.SetScalarFallback(true)
-	seeds := int64(300)
-	if testing.Short() {
-		seeds = 60
-	}
-	for seed := int64(0); seed < seeds; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		ls, ds, theta := randomWideCase(rng)
-		sameResult(t, seed, scalar.Greedy(ls, theta, ds), mask.Greedy(ls, theta, ds))
-		if scalar.useMask {
-			t.Fatal("scalar fallback allocator took a mask path")
+		if al.mw != 2 {
+			t.Fatalf("seed %d: n=%d loaded %d-word rows, want 2", seed, ls.N, al.mw)
 		}
 	}
 }
 
 // TestThroughputPatchedWide extends the warm-path differential past 64
-// sites: ThroughputPatched on the multi-word path must equal the reference
+// sites: ThroughputPatched on two-word rows must equal the reference
 // on the patched topology, and a cold Throughput afterwards must still be
 // exact.
 func TestThroughputPatchedWide(t *testing.T) {
@@ -116,8 +91,8 @@ func TestThroughputPatchedWide(t *testing.T) {
 	}
 }
 
-// TestAllocatorWideZeroAlloc: the multi-word path must stay allocation-free
-// in steady state, exactly like the single-word path.
+// TestAllocatorWideZeroAlloc: two-word rows must stay allocation-free in
+// steady state, exactly like one-word rows.
 func TestAllocatorWideZeroAlloc(t *testing.T) {
 	ls := topology.NewLinkSet(100)
 	for i := 0; i+1 < ls.N; i++ {
@@ -137,8 +112,8 @@ func TestAllocatorWideZeroAlloc(t *testing.T) {
 	}
 	al := NewAllocator()
 	al.Throughput(ls, 10, ds) // warm buffers
-	if !al.wide {
-		t.Fatal("expected the multi-word path")
+	if al.mw != 2 {
+		t.Fatalf("expected two-word rows, mw=%d", al.mw)
 	}
 	if avg := testing.AllocsPerRun(20, func() {
 		al.Throughput(ls, 10, ds)

@@ -75,8 +75,8 @@ func BenchmarkEnergy(b *testing.B) {
 	}
 }
 
-// ispScaleEnergyCase builds an ISP100-class energy case: a >64-site network
-// where the allocator and optical layer run their multi-word mask paths.
+// ispScaleEnergyCase builds an ISP100-class energy case: a >64-site network,
+// so the allocator and optical layer run on multi-word bitset rows.
 func ispScaleEnergyCase(sites int) (*Owan, *topology.LinkSet, []alloc.Demand) {
 	net := topology.ISP(sites, 10, 1)
 	o := newOwan(net, 1)
@@ -94,10 +94,8 @@ func ispScaleEnergyCase(sites int) (*Owan, *topology.LinkSet, []alloc.Demand) {
 	return o, topology.InitialTopology(net), alloc.DemandsFromTransfers(ts, 300)
 }
 
-func benchEnergyScale(b *testing.B, sites int, scalar bool) {
+func benchEnergyScale(b *testing.B, sites int) {
 	o, s, demands := ispScaleEnergyCase(sites)
-	o.al.SetScalarFallback(scalar)
-	o.opt.SetScalarFallback(scalar)
 	o.Energy(s, demands) // warm the scratch buffers
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -106,24 +104,16 @@ func benchEnergyScale(b *testing.B, sites int, scalar bool) {
 }
 
 // BenchmarkEnergyISP100 measures the energy evaluation past the 64-site
-// single-word limit: "mask" is the production configuration (multi-word
-// bitset BFS in the allocator, multi-word reach masks in the optical layer),
-// "scalar" forces both layers onto their scalar/materialized fallbacks — the
-// pre-bitset behavior for >64 sites. Results are bit-identical (pinned by
-// the wide differential tests); the ratio isolates the per-BFS scan
-// advantage of the bitset walk. The scalar fallback keeps its failure-cut
-// memo and CSR adjacency, which already answer a large share of queries, so
-// the measured gap is the word-parallel labeling itself (see DESIGN.md §9
-// for the measured numbers and why greedy's bottleneck-take bounds them).
+// one-word limit: two-word bitset rows in the allocator and in the optical
+// layer's reach masks (DESIGN.md §9 has the measured numbers).
 func BenchmarkEnergyISP100(b *testing.B) {
-	b.Run("mask", func(b *testing.B) { benchEnergyScale(b, 100, false) })
-	b.Run("scalar", func(b *testing.B) { benchEnergyScale(b, 100, true) })
+	benchEnergyScale(b, 100)
 }
 
-// BenchmarkEnergyISP200 extends the scaling curve to 200 sites (mask path
-// only; the scalar fallback is measured at 100 sites).
+// BenchmarkEnergyISP200 extends the scaling curve to 200 sites (four-word
+// rows).
 func BenchmarkEnergyISP200(b *testing.B) {
-	benchEnergyScale(b, 200, false)
+	benchEnergyScale(b, 200)
 }
 
 // TestEnergyISP100SteadyStateAllocs holds the >64-site energy evaluation to

@@ -490,7 +490,7 @@ func Fig10d(sc Scale) (*figdata.Figure, error) {
 // (cumulative search wall-clock, accepted slot energy), so "tempered reaches
 // the plain annealer's energy in less wall-clock" reads directly off the
 // curves. Run on the paper's ISP topology at 40 sites and an ISP100-class
-// network, so both the single-word and multi-word bitset paths are measured.
+// network, so both one-word and two-word bitset rows are measured.
 func FigTempering(sc Scale) (*figdata.Figure, error) {
 	f := figdata.NewFigure("tempering", "Warm-start + replica exchange vs plain annealing", "cumulative seconds", "Gbps")
 	const slots = 6

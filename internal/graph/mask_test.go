@@ -63,13 +63,14 @@ func materializedShortest(sc *Scratch, g *Graph, reach []uint64, words int, node
 	return hops, true
 }
 
-// TestMaskShortestWMatchesMaterialized is the multi-word mask Dijkstra
-// differential: across sizes on both sides of the word boundary the mask
-// search must return exactly the path the materialized transit graph does.
+// TestMaskShortestWMatchesMaterialized is the mask Dijkstra differential:
+// across sizes inside one word and on both sides of the word boundaries the
+// mask search must return exactly the path the materialized transit graph
+// does.
 func TestMaskShortestWMatchesMaterialized(t *testing.T) {
 	var sc, scRef Scratch
 	g := New(0)
-	for _, n := range []int{5, 40, 64, 65, 100, 130} {
+	for _, n := range []int{5, 40, 63, 64, 65, 100, 128, 130} {
 		for seed := int64(0); seed < 60; seed++ {
 			rng := rand.New(rand.NewSource(seed*1000 + int64(n)))
 			reach, words, nodeMask, w := maskCase(rng, n)
@@ -94,37 +95,6 @@ func TestMaskShortestWMatchesMaterialized(t *testing.T) {
 					if got[i] != want[i] {
 						t.Fatalf("n=%d seed %d (%d,%d): hops %v, reference %v", n, seed, src, dst, got, want)
 					}
-				}
-			}
-		}
-	}
-}
-
-// TestMaskShortestWMatchesSingleWord pins the multi-word routine to the
-// single-word one on graphs that fit a word: the specialized n<=64 path and
-// the general path must be interchangeable.
-func TestMaskShortestWMatchesSingleWord(t *testing.T) {
-	var scW, sc1 Scratch
-	for seed := int64(0); seed < 150; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n := 4 + rng.Intn(61)
-		reach, words, nodeMask, w := maskCase(rng, n)
-		if words != 1 {
-			t.Fatalf("n=%d produced %d words", n, words)
-		}
-		for q := 0; q < 6; q++ {
-			src, dst := rng.Intn(n), rng.Intn(n)
-			if src == dst || nodeMask[0]>>uint(src)&1 == 0 || nodeMask[0]>>uint(dst)&1 == 0 {
-				continue
-			}
-			want, wok := MaskShortestNodeWeighted(&sc1, reach, nodeMask[0], w, src, dst, nil)
-			got, gok := MaskShortestNodeWeightedW(&scW, reach, 1, nodeMask, w, src, dst, nil)
-			if wok != gok || len(want) != len(got) {
-				t.Fatalf("seed %d (%d,%d): W variant diverged: %v vs %v", seed, src, dst, got, want)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d (%d,%d): W variant path %v, single-word %v", seed, src, dst, got, want)
 				}
 			}
 		}

@@ -14,14 +14,12 @@ import (
 // across graphs of different sizes (buffers grow monotonically) but must not
 // be shared between goroutines.
 type Scratch struct {
-	// Buffers of the mask Dijkstras (MaskShortestNodeWeighted*).
+	// Buffers of the mask Dijkstra (MaskShortestNodeWeightedW); seen is its
+	// visited bitset.
 	dist []float64
 	prev []Edge
-	seen []bool
+	seen []uint64
 	h    heap
-	// Multi-word visited set of MaskShortestNodeWeightedW (the >64-vertex
-	// twin of the single-word seen register).
-	seenW []uint64
 
 	// Per-vertex state of the Graph searches (search), valid for the run
 	// whose number is epoch: starting a run is one increment, not an O(n)
@@ -45,11 +43,9 @@ func (sc *Scratch) grow(n int) {
 	if cap(sc.dist) < n {
 		sc.dist = make([]float64, n)
 		sc.prev = make([]Edge, n)
-		sc.seen = make([]bool, n)
 	}
 	sc.dist = sc.dist[:n]
 	sc.prev = sc.prev[:n]
-	sc.seen = sc.seen[:n]
 }
 
 // Reset reshapes the graph to n vertices with no edges while retaining the
@@ -67,72 +63,23 @@ func (g *Graph) Reset(n int) {
 	g.n = n
 }
 
-// MaskShortestNodeWeighted runs Dijkstra over the vertex set given by the
-// set bits of nodeMask (vertex ids below 64), where a directed edge u->v
-// exists iff bit v of reach[u]&nodeMask is set and carries the weight of
-// its HEAD node, w[v] — the node-weighted transit-graph transform of the
-// optical layer, evaluated without materializing the graph. The vertex
-// sequence src..dst is appended to hops; ok reports reachability.
+// MaskShortestNodeWeightedW runs Dijkstra over the vertex set given by the
+// set bits of nodeMask, where a directed edge u->v exists iff bit v of
+// reach row u & nodeMask is set and carries the weight of its HEAD node,
+// w[v] — the node-weighted transit-graph transform of the optical layer,
+// evaluated without materializing the graph. reach holds `words` uint64 per
+// vertex (bitset layout, row-major), nodeMask is one `words`-long bitset,
+// and vertex ids run to 64*words. The vertex sequence src..dst is appended
+// to hops; ok reports reachability.
 //
 // Results are bit-identical to building the transit graph over the same
 // vertex set (neighbors enumerated in ascending id order) and running
-// ShortestPathScratch on it: the push sequence this loop feeds the heap is
-// value- and order-identical, the heap breaks distance ties purely by array
-// position, and the relaxation test is the same strict comparison — so the
-// same path falls out, just without the O(V²) edge-list build.
-func MaskShortestNodeWeighted(sc *Scratch, reach []uint64, nodeMask uint64, w []float64, src, dst int, hops []int) (_ []int, ok bool) {
-	n := len(reach)
-	sc.grow(n)
-	dist, prev := sc.dist, sc.prev
-	for m := nodeMask; m != 0; m &= m - 1 {
-		v := bits.TrailingZeros64(m)
-		dist[v] = math.Inf(1)
-		prev[v].From = -1
-	}
-	dist[src] = 0
-	var seen uint64
-	sc.h = sc.h[:0]
-	sc.h.push(item{src, 0})
-	for len(sc.h) > 0 {
-		it := sc.h.pop()
-		if seen>>uint(it.v)&1 == 1 {
-			continue
-		}
-		seen |= 1 << uint(it.v)
-		if it.v == dst {
-			break
-		}
-		du := dist[it.v]
-		for m := reach[it.v] & nodeMask; m != 0; m &= m - 1 {
-			v := bits.TrailingZeros64(m)
-			if nd := du + w[v]; nd < dist[v] {
-				dist[v] = nd
-				prev[v].From = it.v
-				sc.h.push(item{v, nd})
-			}
-		}
-	}
-	if math.IsInf(dist[dst], 1) {
-		return hops, false
-	}
-	i := len(hops)
-	for v := dst; v != src; v = prev[v].From {
-		hops = append(hops, v)
-	}
-	hops = append(hops, src)
-	for a, b := i, len(hops)-1; a < b; a, b = a+1, b-1 {
-		hops[a], hops[b] = hops[b], hops[a]
-	}
-	return hops, true
-}
-
-// MaskShortestNodeWeightedW is MaskShortestNodeWeighted for vertex sets past
-// one word: reach holds `words` uint64 per vertex (bitset layout, row-major),
-// nodeMask is one `words`-long bitset, and vertex ids run to 64*words. The
-// relaxation loop scans each reach row word-ascending then bit-ascending —
-// ascending vertex id, the same neighbor order as the single-word loop and
-// the materialized transit graph — so the heap push sequence, tie-breaks,
-// and resulting path are bit-identical to both.
+// ShortestPathScratch on it: each reach row is scanned word-ascending then
+// bit-ascending — ascending vertex id — so the push sequence this loop feeds
+// the heap is value- and order-identical, the heap breaks distance ties
+// purely by array position, and the relaxation test is the same strict
+// comparison — so the same path falls out, just without the O(V²)
+// edge-list build.
 func MaskShortestNodeWeightedW(sc *Scratch, reach []uint64, words int, nodeMask []uint64, w []float64, src, dst int, hops []int) (_ []int, ok bool) {
 	n := len(reach) / words
 	sc.grow(n)
@@ -146,13 +93,11 @@ func MaskShortestNodeWeightedW(sc *Scratch, reach []uint64, words int, nodeMask 
 		}
 	}
 	dist[src] = 0
-	if cap(sc.seenW) < words {
-		sc.seenW = make([]uint64, words)
+	if cap(sc.seen) < words {
+		sc.seen = make([]uint64, words)
 	}
-	seen := sc.seenW[:words]
-	for i := range seen {
-		seen[i] = 0
-	}
+	seen := sc.seen[:words]
+	clear(seen)
 	sc.h = sc.h[:0]
 	sc.h.push(item{src, 0})
 	for len(sc.h) > 0 {

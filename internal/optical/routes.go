@@ -39,7 +39,6 @@ type routeTables struct {
 	pairAlts   [][][]fiberRoute
 	inReach    []bool
 	regenReach bitset.Set
-	reachMask  []uint64
 	reachMaskW bitset.Set
 	maskW      int
 
@@ -384,23 +383,12 @@ func (rt *routeTables) canReach(net *topology.Network, u, v int) bool {
 func (rt *routeTables) deriveReach(net *topology.Network) {
 	ns := net.NumSites()
 	rt.maskW = bitset.Words(ns)
-	if ns <= 64 {
-		rt.reachMask = make([]uint64, ns)
-		for u := 0; u < ns; u++ {
-			for v := 0; v < ns; v++ {
-				if rt.inReach[u*ns+v] {
-					rt.reachMask[u] |= 1 << uint(v)
-				}
-			}
-		}
-	} else {
-		rt.reachMaskW = make(bitset.Set, ns*rt.maskW)
-		for u := 0; u < ns; u++ {
-			row := rt.reachMaskW[u*rt.maskW : (u+1)*rt.maskW]
-			for v := 0; v < ns; v++ {
-				if rt.inReach[u*ns+v] {
-					row.Set(v)
-				}
+	rt.reachMaskW = make(bitset.Set, ns*rt.maskW)
+	for u := 0; u < ns; u++ {
+		row := rt.reachMaskW[u*rt.maskW : (u+1)*rt.maskW]
+		for v := 0; v < ns; v++ {
+			if rt.inReach[u*ns+v] {
+				row.Set(v)
 			}
 		}
 	}
@@ -408,10 +396,6 @@ func (rt *routeTables) deriveReach(net *topology.Network) {
 	// the reach masks, expanding only through sites whose static regenerator
 	// pool is nonzero (the source itself needs no regenerator to transmit). A
 	// row holds the sites reached, the source excluded.
-	rows := rt.reachMaskW
-	if ns <= 64 {
-		rows = rt.reachMask
-	}
 	regen, done := bitset.New(ns), bitset.New(ns)
 	for v, s := range net.Sites {
 		if s.Regenerators > 0 {
@@ -421,7 +405,7 @@ func (rt *routeTables) deriveReach(net *topology.Network) {
 	rt.regenReach = make(bitset.Set, ns*rt.maskW)
 	for u := 0; u < ns; u++ {
 		row := rt.regenReach[u*rt.maskW : (u+1)*rt.maskW]
-		bitset.Closure(row, done, rows, regen, u)
+		bitset.Closure(row, done, rt.reachMaskW, regen, u)
 		row.Clear(u)
 	}
 }
@@ -463,7 +447,6 @@ func (rt *routeTables) withoutFiber(net *topology.Network, cut int) *routeTables
 		pairAlts:   slices.Clone(rt.pairAlts),
 		inReach:    rt.inReach,
 		regenReach: rt.regenReach,
-		reachMask:  rt.reachMask,
 		reachMaskW: rt.reachMaskW,
 		maskW:      rt.maskW,
 		tied:       bitset.New(ns * ns),

@@ -92,23 +92,12 @@ func referenceRouteTables(net *topology.Network) (rt *routeTables, shortest [][]
 func referenceDeriveReach(rt *routeTables, net *topology.Network) {
 	ns := net.NumSites()
 	rt.maskW = bitset.Words(ns)
-	if ns <= 64 {
-		rt.reachMask = make([]uint64, ns)
-		for u := 0; u < ns; u++ {
-			for v := 0; v < ns; v++ {
-				if rt.inReach[u*ns+v] {
-					rt.reachMask[u] |= 1 << uint(v)
-				}
-			}
-		}
-	} else {
-		rt.reachMaskW = make(bitset.Set, ns*rt.maskW)
-		for u := 0; u < ns; u++ {
-			row := rt.reachMaskW[u*rt.maskW : (u+1)*rt.maskW]
-			for v := 0; v < ns; v++ {
-				if rt.inReach[u*ns+v] {
-					row.Set(v)
-				}
+	rt.reachMaskW = make(bitset.Set, ns*rt.maskW)
+	for u := 0; u < ns; u++ {
+		row := rt.reachMaskW[u*rt.maskW : (u+1)*rt.maskW]
+		for v := 0; v < ns; v++ {
+			if rt.inReach[u*ns+v] {
+				row.Set(v)
 			}
 		}
 	}

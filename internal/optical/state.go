@@ -135,7 +135,7 @@ type State struct {
 	regenFree  []int // remaining regenerators per site
 	// regenAvail and wRegen are the persistent compacted form of the
 	// regenerator-transit-graph vertex set that findRegenRoute's mask
-	// Dijkstras consume: bit v of regenAvail is set iff regenFree[v] > 0,
+	// Dijkstra consumes: bit v of regenAvail is set iff regenFree[v] > 0,
 	// and wRegen[v] caches that site's node weight (1/regenFree[v] + 1e-6,
 	// or 1 under the unit-weights ablation; garbage where the bit is clear).
 	// Both are maintained incrementally at every pool mutation (setRegen and
@@ -193,20 +193,12 @@ type State struct {
 	// infeasible circuit is an order-independent shortfall, not a resource
 	// signal.
 	regenReach bitset.Set
-	// reachMask[u] packs row u of inReach into one word when the network has
-	// at most 64 sites (nil otherwise): the transit-graph adjacency as
-	// bitmasks, consumed by graph.MaskShortestNodeWeighted so the common
-	// regenerator-route query never materializes the transit graph.
-	// reachMaskW is its multi-word twin for larger networks (maskW words per
-	// row, consumed by MaskShortestNodeWeightedW); exactly one of the two is
-	// non-nil.
-	reachMask  []uint64
+	// reachMaskW packs row u of inReach into a maskW-word bitset row: the
+	// transit-graph adjacency as bitmasks, consumed by
+	// graph.MaskShortestNodeWeightedW so the common regenerator-route query
+	// never materializes the transit graph.
 	reachMaskW bitset.Set
 	maskW      int // words per bitset row (bitset.Words(ns))
-	// savedMask/savedMaskW park the reach masks while SetScalarFallback(true)
-	// is in effect, so the fast paths can be restored afterwards.
-	savedMask  []uint64
-	savedMaskW bitset.Set
 	// scratch holds the reusable per-circuit working buffers. It is owned
 	// by this State alone: Clone gives each clone a fresh lazy scratch, so
 	// clones stay safe to use concurrently.
@@ -218,7 +210,7 @@ type State struct {
 // buffers grow monotonically and are reused.
 type provScratch struct {
 	nodes     []int           // regenerator-graph node list
-	nodeMaskW bitset.Set      // multi-word node mask (>64-site mask Dijkstra)
+	nodeMaskW bitset.Set      // vertex set of the mask Dijkstra
 	need      []int           // per-site regenerator need (routeBuildable)
 	hops      []int           // hopsOf result buffer
 	tg        *graph.Graph    // regenerator transit graph, Reset per route
@@ -285,7 +277,6 @@ func newState(net *topology.Network, rt *routeTables) *State {
 		pairAlts:   rt.pairAlts,
 		inReach:    rt.inReach,
 		regenReach: rt.regenReach,
-		reachMask:  rt.reachMask,
 		reachMaskW: rt.reachMaskW,
 		maskW:      rt.maskW,
 	}
@@ -428,11 +419,8 @@ func (s *State) Clone() *State {
 		pairAlts:         s.pairAlts,
 		inReach:          s.inReach,
 		regenReach:       s.regenReach,
-		reachMask:        s.reachMask,
 		reachMaskW:       s.reachMaskW,
 		maskW:            s.maskW,
-		savedMask:        s.savedMask,
-		savedMaskW:       s.savedMaskW,
 	}
 	for id, w := range s.fiberUse {
 		if w != nil {
@@ -506,25 +494,6 @@ func (s *State) Circuit(id int) (*Circuit, bool) {
 func (s *State) SetUnitRegenWeights(on bool) {
 	s.unitRegenWeights = on
 	s.rebuildRegenCaches() // the cached node weights embed the formula
-}
-
-// SetScalarFallback disables (or restores) the bitmask regenerator-routing
-// fast paths, forcing every route query onto the materialized transit-graph
-// path. Results are bit-identical either way — like the allocator knob of the
-// same name, this exists so benchmarks can measure the masks' speedup and
-// differential tests can cross-check the two implementations.
-func (s *State) SetScalarFallback(on bool) {
-	if on {
-		if s.reachMask != nil || s.reachMaskW != nil {
-			s.savedMask, s.savedMaskW = s.reachMask, s.reachMaskW
-			s.reachMask, s.reachMaskW = nil, nil
-		}
-		return
-	}
-	if s.savedMask != nil || s.savedMaskW != nil {
-		s.reachMask, s.reachMaskW = s.savedMask, s.savedMaskW
-		s.savedMask, s.savedMaskW = nil, nil
-	}
 }
 
 // FiberPathIDs returns the fiber ids of the shortest fiber path between two
@@ -801,40 +770,23 @@ func (s *State) findRegenRoute(src, dst int) ([]int, error) {
 	s.segmentOnly = false // this query needs the regenerator graph
 	ns := s.net.NumSites()
 	sc := s.scratchBuf()
-	// Mask fast path (networks of at most 64 sites): run the node-weighted
-	// Dijkstra directly on the reach bitmasks — bit-identical to building
-	// the transit graph and searching it (see MaskShortestNodeWeighted) —
-	// and only fall through to the materialized graph when the shortest
-	// route is not buildable and Yen's enumeration is needed.
-	if s.reachMask != nil {
-		// The vertex set and weights come straight from the persistent
-		// regenAvail/wRegen caches (maintained at every pool mutation), so
-		// the per-query O(n) rebuild the loop here used to do is gone. The
-		// endpoints join the set for the duration of the query with weight
-		// 0, exactly as the scan set them: w[src] is never read (no
-		// relaxation can beat dist[src] = 0 with non-negative weights) and
-		// w[dst] must be 0. Where the availability bit is clear the cached
-		// weight is stale, but such vertices are outside nodeMask and the
-		// Dijkstra never reads them.
-		w := s.wRegen
-		nodeMask := s.regenAvail[0] | 1<<uint(src) | 1<<uint(dst)
-		wSrc, wDst := w[src], w[dst]
-		w[src], w[dst] = 0, 0
-		hops, ok := graph.MaskShortestNodeWeighted(&sc.sp, s.reachMask, nodeMask, w, src, dst, sc.hops[:0])
-		w[src], w[dst] = wSrc, wDst
-		if !ok {
-			return nil, errNoRegenRoute
-		}
-		sc.hops = hops
-		if s.routeBuildable(hops) {
-			return hops, nil
-		}
-	} else if s.reachMaskW != nil {
-		// Multi-word twin of the branch above for networks past 64 sites:
-		// identical node weights and relaxation order, so the same route
-		// falls out (see MaskShortestNodeWeightedW). The vertex set is the
-		// persistent availability mask plus the endpoints — a word copy, not
-		// an O(n) scan.
+	// Mask fast path: run the node-weighted Dijkstra directly on the reach
+	// bitmasks — bit-identical to building the transit graph and searching
+	// it (see MaskShortestNodeWeightedW) — and only fall through to the
+	// materialized graph when the shortest route is not buildable and Yen's
+	// enumeration is needed. (With reachMaskW nil every query takes the
+	// materialized path; the differential tests use that as the reference.)
+	if s.reachMaskW != nil {
+		// The vertex set is the persistent availability mask regenAvail plus
+		// the endpoints — a word copy, not an O(n) scan — and the weights
+		// come straight from the persistent wRegen cache; both are
+		// maintained at every pool mutation. The endpoints join the set for
+		// the duration of the query with weight 0, exactly as the scan set
+		// them: w[src] is never read (no relaxation can beat dist[src] = 0
+		// with non-negative weights) and w[dst] must be 0. Where the
+		// availability bit is clear the cached weight is stale, but such
+		// vertices are outside the vertex set and the Dijkstra never reads
+		// them.
 		w := s.wRegen
 		sc.nodeMaskW = bitset.Grow(sc.nodeMaskW, ns)
 		sc.nodeMaskW.Copy(s.regenAvail)

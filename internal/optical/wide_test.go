@@ -4,31 +4,33 @@ import (
 	"math/rand"
 	"testing"
 
+	"owan/internal/bitset"
 	"owan/internal/topology"
 )
 
-// TestWideMaskRoutingMatchesMaterialized is the >64-site optical
-// differential: on ISP100-class networks, provisioning with the multi-word
-// reach masks (reachMaskW, the default) must produce exactly the effective
-// topology the materialized transit-graph path does. The materialized
-// reference is obtained by nil-ing the mask on a sibling State — the
-// findRegenRoute branch falls through to building the regenerator graph.
+// TestWideMaskRoutingMatchesMaterialized is the regenerator-routing
+// differential: provisioning with the reach masks (reachMaskW, one row per
+// site at every network size) must produce exactly the effective topology
+// the materialized transit-graph path does, on networks inside one word
+// (ISP40, Internet2, InterDC-25) and past it (ISP80, ISP100). The
+// materialized reference is obtained by nil-ing the mask on a sibling State —
+// the findRegenRoute branch falls through to building the regenerator graph.
 func TestWideMaskRoutingMatchesMaterialized(t *testing.T) {
 	nets := []*topology.Network{
+		topology.ISP(40, 10, 1),
+		topology.Internet2(8),
+		topology.InterDC(25, 5, 8, 2),
 		topology.ISP(100, 10, 1),
 		topology.ISP(80, 8, 2),
 	}
 	for ni, net := range nets {
 		n := net.NumSites()
 		mask := NewState(net)
-		if mask.reachMaskW == nil || mask.reachMask != nil {
-			t.Fatalf("net %d: expected the multi-word mask on %d sites", ni, n)
+		if want := bitset.Words(n) * n; len(mask.reachMaskW) != want {
+			t.Fatalf("net %d: reach mask holds %d words, want %d for %d sites", ni, len(mask.reachMaskW), want, n)
 		}
 		plain := NewState(net)
-		plain.SetScalarFallback(true) // force the materialized transit-graph path
-		if plain.reachMaskW != nil {
-			t.Fatal("SetScalarFallback left the multi-word mask live")
-		}
+		plain.reachMaskW = nil // force the materialized transit-graph path
 		rng := rand.New(rand.NewSource(int64(ni)))
 		cases := []*topology.LinkSet{topology.InitialTopology(net)}
 		for c := 0; c < 6; c++ {
@@ -42,11 +44,10 @@ func TestWideMaskRoutingMatchesMaterialized(t *testing.T) {
 			}
 			cases = append(cases, ls)
 		}
-		for ci, ls := range cases {
+		for _, ls := range cases {
 			want := plain.ProvisionEffective(ls).Clone()
 			got := mask.ProvisionEffective(ls)
 			sameLinkSet(t, "mask vs materialized", want, got)
-			_ = ci
 		}
 	}
 }
