@@ -13,8 +13,14 @@ vet:
 		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; \
 	fi
 
+# test is tier-1. The -timeout makes a test that waits on the wall clock (a
+# search bounded by seconds rather than by its schedule) fail loudly instead
+# of stretching the suite. The 300-seed differential suites that temper,
+# claims, routes and update replay with the cache defeated stay inside
+# go test ./... too; they are most of tier-1's remaining time (internal/core
+# about 17 s and internal/optical about 37 s on two cores).
 test:
-	$(GO) test ./...
+	$(GO) test -timeout 5m ./...
 
 # The annealing engine evaluates energies on a worker pool; run the whole
 # internal tree under the race detector so any shared-state regression in

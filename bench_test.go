@@ -332,22 +332,6 @@ func BenchmarkFig10cBreakdown(b *testing.B) {
 	}
 }
 
-func BenchmarkFig10dSARuntime(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		f, err := experiments.Fig10d(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if y, ok := f.Get("owan", 0.02); ok {
-			b.ReportMetric(y, "sec-avg-ct-20ms")
-		}
-		if y, ok := f.Get("owan", 5.12); ok {
-			b.ReportMetric(y, "sec-avg-ct-5120ms")
-		}
-	}
-}
-
 func BenchmarkValidationEmuVsSim(b *testing.B) {
 	sc := benchScale()
 	for i := 0; i < b.N; i++ {

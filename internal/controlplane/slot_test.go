@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"reflect"
 	"runtime"
@@ -22,12 +23,15 @@ import (
 // acked at idle-path latency, not after the search, and joins the following
 // slot with that slot as its arrival.
 func TestSubmitDuringSearch(t *testing.T) {
-	const budget = 500 * time.Millisecond
+	// A slow cooling rate makes the search long: rung 0 needs
+	// ln(EpsilonFrac)/ln(alpha) ≈ 69 k iterations to cool to ε, and the
+	// iteration cap is out of reach, so the schedule alone ends it.
+	const alpha = 0.9999
+	schedule := int(math.Ceil(math.Log(core.DefaultEpsilonFrac) / math.Log(alpha)))
 	ctrl, err := NewServer(context.Background(), nil,
 		WithCoreConfig(core.Config{
 			Net: topology.Internet2(8), Policy: transfer.SJF, Seed: 1,
-			// The search reheats and runs to the wall-clock deadline.
-			TimeBudget: budget, MaxIterations: 1 << 30,
+			Alpha: alpha, MaxIterations: 1 << 30,
 		}),
 		WithSlotSeconds(10),
 	)
@@ -48,8 +52,9 @@ func TestSubmitDuringSearch(t *testing.T) {
 	slot := ctrl.Slot()
 	tickStart := time.Now()
 	tickEnd := make(chan time.Time, 1)
+	var tickStats core.SearchStats
 	go func() {
-		ctrl.Tick()
+		tickStats = ctrl.Tick()
 		tickEnd <- time.Now()
 	}()
 	// The Tick is searching once its snapshot phase has moved admitSlot on.
@@ -96,8 +101,13 @@ func TestSubmitDuringSearch(t *testing.T) {
 	if !end.After(statusAt) {
 		t.Fatalf("the Tick ended before the submit and status were answered: nothing was measured")
 	}
-	if d := end.Sub(tickStart); d < budget*8/10 {
-		t.Fatalf("Tick took %v, the search did not run to its %v budget", d, budget)
+	if tickStats.Iterations != schedule {
+		t.Fatalf("search ran %d iterations, want its whole %d-iteration schedule", tickStats.Iterations, schedule)
+	}
+	// The submit and status landed early in the search, not at its tail: the
+	// Tick ran at least as long again after they were answered.
+	if d, answered := end.Sub(tickStart), statusAt.Sub(tickStart); d < 2*answered {
+		t.Fatalf("Tick took %v, want at least twice the %v it took to answer the submit and status", d, answered)
 	}
 	ctrl.mu.Lock()
 	remaining, lastServed := tr.Remaining, tr.LastServed

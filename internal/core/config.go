@@ -57,9 +57,6 @@ func (c Config) Validate() error {
 	if c.MaxIterations < 0 {
 		return fmt.Errorf("core: config: MaxIterations must be non-negative, got %d", c.MaxIterations)
 	}
-	if c.TimeBudget < 0 {
-		return fmt.Errorf("core: config: TimeBudget must be non-negative, got %v", c.TimeBudget)
-	}
 	if c.NeighborMoves < 0 {
 		return fmt.Errorf("core: config: NeighborMoves must be non-negative, got %d", c.NeighborMoves)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"owan/internal/topology"
 )
@@ -41,7 +40,6 @@ func TestValidateRejectsNonsense(t *testing.T) {
 		{"negative init temp", func(c *Config) { c.InitTempFrac = -1 }, "InitTempFrac"},
 		{"negative starve", func(c *Config) { c.StarveSlots = -1 }, "StarveSlots"},
 		{"negative iterations", func(c *Config) { c.MaxIterations = -1 }, "MaxIterations"},
-		{"negative budget", func(c *Config) { c.TimeBudget = -time.Second }, "TimeBudget"},
 		{"negative moves", func(c *Config) { c.NeighborMoves = -1 }, "NeighborMoves"},
 		{"negative workers", func(c *Config) { c.Workers = -1 }, "Workers"},
 		{"negative batch", func(c *Config) { c.BatchSize = -1 }, "BatchSize"},

@@ -40,9 +40,6 @@ type Config struct {
 	EpsilonFrac float64
 	// MaxIterations caps annealing iterations regardless of temperature.
 	MaxIterations int
-	// TimeBudget, if positive, stops the search after this wall-clock
-	// duration (the knob of Figure 10d).
-	TimeBudget time.Duration
 	// InitTempFrac scales the initial temperature relative to the current
 	// throughput. Algorithm 1 uses the raw throughput (frac 1), but energy
 	// deltas of a 2-circuit move are a few percent of total throughput, so
@@ -632,12 +629,8 @@ func (o *Owan) ComputeNetworkState(current *topology.LinkSet, active []*transfer
 	T, warmStarted := o.warmStartTemp(eCur, coldT0)
 	stats.InitialTemp = T
 	stats.WarmStarted = warmStarted
-	deadline := time.Time{}
-	if o.cfg.TimeBudget > 0 {
-		deadline = start.Add(o.cfg.TimeBudget)
-	}
 
-	sBest, eBest, finalT := o.anneal(ev, current, sCur, eCur, T, coldT0, epsilon, deadline, &stats)
+	sBest, eBest, finalT := o.anneal(ev, current, sCur, eCur, T, epsilon, &stats)
 	ev.finish(&stats)
 
 	plan := o.opt.ProvisionTopology(sBest)
@@ -701,10 +694,10 @@ func (o *Owan) warmStartTemp(eCur, coldT0 float64) (float64, bool) {
 //   - every rung runs at most MaxIterations, and the search ends when rung 0
 //     reaches the cap;
 //   - the ε rule applies to rung 0 at the top of each round and after each
-//     evaluated candidate: it ends the search or, under a TimeBudget,
-//     reheats every rung to its ladder T0 and keeps searching until time
-//     runs out (longer budgets monotonically improve the best state found,
-//     the behaviour Figure 10d measures);
+//     evaluated candidate: once rung 0 has cooled to epsilon the search
+//     ends. The schedule alone bounds the search; Figure 10d budgets it by
+//     setting MaxIterations = B and Alpha = EpsilonFrac^(1/B), so every
+//     budget is one complete anneal from T0 down to ε;
 //   - every ExchangeInterval rounds the exchange sweep runs and, on slots
 //     that warm-started or run more than one rung, the early exit stops the
 //     search once the best energy stalls for ConvergeWindows windows.
@@ -712,28 +705,14 @@ func (o *Owan) warmStartTemp(eCur, coldT0 float64) (float64, bool) {
 // With DeltaEval at R = 1 candidates are move lists evaluated on the delta
 // path and materialized only when they become the best or the current state
 // (delta.go); otherwise they are LinkSets from the recycling pool.
-func (o *Owan) anneal(ev *evaluator, current, sInit *topology.LinkSet, eInit, T, T0, epsilon float64, deadline time.Time, stats *SearchStats) (*topology.LinkSet, float64, float64) {
+func (o *Owan) anneal(ev *evaluator, current, sInit *topology.LinkSet, eInit, T, epsilon float64, stats *SearchStats) (*topology.LinkSet, float64, float64) {
 	R := o.cfg.Replicas
-	rungs := o.newRungs(sInit, eInit, T, T0)
+	rungs := o.newRungs(sInit, eInit, T)
 	var exRng *rand.Rand
 	if R > 1 {
 		exRng = rand.New(rand.NewSource(mixSeed(o.cfg.Seed, o.slotSeq, -1)))
 	}
 	sBest, eBest := sInit, eInit
-	// quenched applies the ε rule to rung 0: true ends the search; under a
-	// TimeBudget it reheats every rung to its ladder T0 instead.
-	quenched := func() bool {
-		if rungs[0].T > epsilon {
-			return false
-		}
-		if deadline.IsZero() {
-			return true
-		}
-		for r := range rungs {
-			rungs[r].T = rungs[r].T0
-		}
-		return false
-	}
 	cands := make([]*topology.LinkSet, 0, R*o.cfg.BatchSize)
 	needEval := make([]bool, 0, R*o.cfg.BatchSize)
 	var energies []float64
@@ -760,11 +739,7 @@ func (o *Owan) anneal(ev *evaluator, current, sInit *topology.LinkSet, eInit, T,
 	rounds, streak := 0, 0
 	windowBest := eBest
 	stop := false
-	for !stop && rungs[0].iters < o.cfg.MaxIterations && !quenched() {
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			break
-		}
-
+	for !stop && rungs[0].iters < o.cfg.MaxIterations && rungs[0].T > epsilon {
 		// Generate the round. Every candidate of a rung derives from that
 		// rung's current state; candidates outside the churn trust region
 		// around the slot's starting topology are rejected without an energy
@@ -853,7 +828,7 @@ func (o *Owan) anneal(ev *evaluator, current, sInit *topology.LinkSet, eInit, T,
 					baseSeq++
 				}
 				g.T *= o.cfg.Alpha
-				if r == 0 && quenched() {
+				if r == 0 && g.T <= epsilon {
 					stop = true
 					break reduce
 				}

@@ -36,7 +36,7 @@ type rung struct {
 	rng   *rand.Rand
 	sCur  *topology.LinkSet
 	eCur  float64
-	T, T0 float64
+	T     float64
 	iters int
 	n     int
 }
@@ -59,9 +59,8 @@ func mixSeed(seed, slotSeq int64, stream int) int64 {
 }
 
 // newRungs builds the ladder for one search: Config.Replicas rungs starting
-// from (sInit, eInit), rung r at temperature T and reheat temperature T0
-// scaled by temperLadderStep^r.
-func (o *Owan) newRungs(sInit *topology.LinkSet, eInit, T, T0 float64) []rung {
+// from (sInit, eInit), rung r at temperature T scaled by temperLadderStep^r.
+func (o *Owan) newRungs(sInit *topology.LinkSet, eInit, T float64) []rung {
 	rungs := make([]rung, o.cfg.Replicas)
 	for r := range rungs {
 		scale := math.Pow(temperLadderStep, float64(r))
@@ -69,7 +68,7 @@ func (o *Owan) newRungs(sInit *topology.LinkSet, eInit, T, T0 float64) []rung {
 		if r > 0 {
 			rng = rand.New(rand.NewSource(mixSeed(o.cfg.Seed, o.slotSeq, r)))
 		}
-		rungs[r] = rung{rng: rng, sCur: sInit, eCur: eInit, T: T * scale, T0: T0 * scale}
+		rungs[r] = rung{rng: rng, sCur: sInit, eCur: eInit, T: T * scale}
 	}
 	return rungs
 }

@@ -7,7 +7,7 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
+	"math"
 
 	"owan/internal/core"
 	"owan/internal/sim"
@@ -179,7 +179,11 @@ var ApproachNames = []string{
 
 // Scheduler builds a sim.Scheduler by name. Deadline-aware runs use EDF
 // inside Owan; others use SJF (the paper's default for completion time).
-func Scheduler(name string, net *topology.Network, sc Scale, deadlines bool, seed int64, budget time.Duration) (sim.Scheduler, error) {
+// A positive budget B gives Owan's search a schedule of exactly B
+// iterations — MaxIterations = B and Alpha = EpsilonFrac^(1/B), so each
+// slot is one complete anneal from T0 down to ε (Fig 10d); 0 keeps the
+// scale's iteration cap and the default cooling rate.
+func Scheduler(name string, net *topology.Network, sc Scale, deadlines bool, seed int64, budget int) (sim.Scheduler, error) {
 	policy := transfer.SJF
 	if deadlines {
 		policy = transfer.EDF
@@ -190,7 +194,10 @@ func Scheduler(name string, net *topology.Network, sc Scale, deadlines bool, see
 	owanCfg := core.DefaultConfig(net)
 	owanCfg.Policy = policy
 	owanCfg.MaxIterations = sc.OwanIterations
-	owanCfg.TimeBudget = budget
+	if budget > 0 {
+		owanCfg.MaxIterations = budget
+		owanCfg.Alpha = math.Pow(owanCfg.EpsilonFrac, 1/float64(budget))
+	}
 	owanCfg.Workers = sc.OwanWorkers
 	owanCfg.BatchSize = sc.OwanBatch
 	owanCfg.EnergyCacheSize = sc.OwanEnergyCache
@@ -236,8 +243,9 @@ type RunSpec struct {
 	DeadlineFactor float64 // 0 = no deadlines
 	Seed           int64
 	Scale          Scale
-	// OwanBudget optionally caps the annealing wall-clock time (Fig 10d).
-	OwanBudget time.Duration
+	// OwanBudget, if positive, is the annealing schedule length in
+	// iterations per slot (Fig 10d; see Scheduler).
+	OwanBudget int
 	// Requests, when non-nil, replaces the synthetic workload (trace
 	// replay). DeadlineFactor still selects EDF scheduling when positive.
 	Requests []transfer.Request

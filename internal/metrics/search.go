@@ -51,7 +51,7 @@ type TemperingEfficiency struct {
 	ExchangeRate float64
 	// BudgetUsed is the fraction of the per-replica iteration budget the
 	// search actually ran, in [0,1]; below 1 only when the search stopped
-	// early (converged, schedule exhausted, or out of wall-clock budget).
+	// before its iteration cap (converged, or rung 0 cooled to ε first).
 	BudgetUsed float64
 }
 
