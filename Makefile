@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build vet test race bench bench-smoke temper claims update routes faults ctl loadgen-smoke check
+.PHONY: build vet test race bench bench-smoke temper claims update routes fuzz faults ctl loadgen-smoke check
 
 build:
 	$(GO) build ./...
@@ -47,11 +47,13 @@ bench-smoke:
 # two- and three/four-word rows, the patched warm path at each width, row
 # widths growing and shrinking on one allocator, and claim-tree reuse with
 # its fast-path, repair, extension and cold-build paths each exercised — the
-# wavelength-availability index against the from-scratch occupancy scan, and
-# the alternate-tier provision-cache migration against cold provisioning.
+# wavelength-availability index against the from-scratch occupancy scan, the
+# alternate-tier migration of the topology memo's effective links against
+# cold provisioning, and the 300-seed search with the memo and persistent
+# evaluator against the no-memo reference, slot by slot through a fiber cut.
 claims:
 	$(GO) test -count=1 \
-		-run 'TestAllocatorMatchesReferenceGreedy|TestAllocatorMatchesReferenceSequential|TestAllocatorWideMatchesReference|TestAllocatorQuadMatchesReference|TestThroughputPatchedMatchesReference|TestThroughputPatchedWide|TestThroughputPatchedQuad|TestAllocatorReuseAcrossTopologySizes|TestClaimRepairDifferential|TestClaimReuseMatchesReference|TestLambdaIndexMatchesOccupancy|TestWithoutFiberAlternateCacheMigration' \
+		-run 'TestAllocatorMatchesReferenceGreedy|TestAllocatorMatchesReferenceSequential|TestAllocatorWideMatchesReference|TestAllocatorQuadMatchesReference|TestThroughputPatchedMatchesReference|TestThroughputPatchedWide|TestThroughputPatchedQuad|TestAllocatorReuseAcrossTopologySizes|TestClaimRepairDifferential|TestClaimReuseMatchesReference|TestLambdaIndexMatchesOccupancy|TestWithoutFiberAlternateCacheMigration|TestPersistentEvaluatorMatchesFresh' \
 		./internal/alloc/ ./internal/optical/ ./internal/core/
 
 # update replays the flat update scheduler's pinning suite with the test
@@ -85,6 +87,12 @@ routes:
 	$(GO) test -count=1 \
 		-run 'TestBuilderFingerprints|TestPrimTreeDifferential|TestPlaceRegeneratorsDifferential|TestClosureMatchesBFS|TestKShortestDifferential|TestKShortestBoundedDifferential|TestKShortestAllocationFree|TestTreeArcMatchesShortestPath|TestRouteRepairDifferential|TestRouteTablesReachSweep|TestRouteTablesDieWithNetwork|TestFiberPathIDsStable|TestPlannerSharesSchedulerCut|TestStateWithoutFiber' \
 		./internal/topology/ ./internal/bitset/ ./internal/graph/ ./internal/optical/ ./internal/sim/
+
+# fuzz is a 10-second smoke of topology.DecodeKey: whatever it accepts must
+# re-encode to exactly its input, with strictly sorted in-range links. The
+# committed corpus (internal/topology/testdata/fuzz) replays in plain go test.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzDecodeKey -fuzztime 10s ./internal/topology/
 
 # temper replays the committed 300-seed golden digests: the annealing loop
 # in compat mode (Replicas=1, WarmStart=false) must reproduce the
@@ -131,7 +139,7 @@ loadgen-smoke:
 # check is the tier-1 gate: clean build, vet, full tests, race-detected
 # internal tests (including the delta differential harnesses), the
 # tempering golden differential, the claim, flat-planner and route-table
-# differentials, a one-shot benchmark smoke, the seeded fault-injection
-# matrix, the controller's slot-discipline tests, and the admission
-# load-generator smoke.
-check: build vet test race temper claims update routes bench-smoke faults ctl loadgen-smoke
+# differentials, the key-decoder fuzz smoke, a one-shot benchmark smoke, the
+# seeded fault-injection matrix, the controller's slot-discipline tests, and
+# the admission load-generator smoke.
+check: build vet test race temper claims update routes fuzz bench-smoke faults ctl loadgen-smoke

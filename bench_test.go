@@ -18,7 +18,6 @@ import (
 	"owan/internal/experiments"
 	"owan/internal/figdata"
 	"owan/internal/graph"
-	"owan/internal/metrics"
 	"owan/internal/optical"
 	"owan/internal/topology"
 	"owan/internal/transfer"
@@ -428,8 +427,8 @@ func BenchmarkAnnealParallelCold(b *testing.B) { benchAnneal(b, runtime.GOMAXPRO
 // across iterations, the way a scheduler drives consecutive slots. Warm
 // iterations exercise the persistent evaluator: the base snapshot is reused
 // when the slot starts from the same topology, and re-provisions of
-// previously seen candidate topologies are answered by the cross-slot
-// provision cache.
+// previously seen candidate topologies are answered by the memo's
+// cross-slot effective links.
 func BenchmarkAnnealISP100(b *testing.B) {
 	net := topology.ISP(100, 10, 1)
 	ts := ablationWorkload(b, net)
@@ -458,7 +457,7 @@ func BenchmarkAnnealISP100(b *testing.B) {
 
 // BenchmarkAnnealISP200 is AnnealISP100 at the 200-site scale the frontier-
 // compacted engines target (four 64-bit mask words): one long-lived
-// controller, warm persistent evaluator, cross-slot provision cache. The
+// controller, warm persistent evaluator, cross-slot topology memo. The
 // iteration budget is halved against ISP100 so a full -bench sweep stays in
 // the minutes range; anneal-iters/s is the comparable figure.
 func BenchmarkAnnealISP200(b *testing.B) {
@@ -541,106 +540,6 @@ func BenchmarkAnnealTemperedR4Cold(b *testing.B) { benchAnnealTempered(b, 4, fal
 // BenchmarkAnnealTemperedWarmOnly isolates the warm start from the ladder:
 // a single chain whose repeated-demand slots start low and early-exit.
 func BenchmarkAnnealTemperedWarmOnly(b *testing.B) { benchAnnealTempered(b, 1, true) }
-
-// TestMemoizedCacheNoRegression guards the energy cache against a cost
-// regression it once had (cache-on allocating ~38% more than cache-off from
-// per-put key copies): on the memoization-friendly workload
-// the cache must not allocate more than the uncached search, and must not
-// be meaningfully slower.
-func TestMemoizedCacheNoRegression(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs two measured benchmarks")
-	}
-	net := topology.Internet2(8)
-	var ts []*transfer.Transfer
-	reqs, err := workload.Generate(workload.Config{
-		Sites:            net.NumSites(),
-		MeanSizeGbits:    2 * workload.TB,
-		TotalDemandGbits: 800 * workload.TB,
-		Load:             1,
-		DurationSlots:    1,
-		Seed:             7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range reqs {
-		ts = append(ts, transfer.NewTransfer(r))
-	}
-	// One controller per variant, driven across slots the way a scheduler
-	// does: the persistent evaluator retains the cache arena between slots
-	// (reset keeps every buffer), so steady-state slots must not pay any
-	// cache allocation at all. The warm-up slot absorbs the one-time arena
-	// setup. Both variants consume identical RNG streams (caching never
-	// changes the trajectory), so their per-slot work is comparable.
-	measure := func(cacheSize int) testing.BenchmarkResult {
-		return testing.Benchmark(func(b *testing.B) {
-			cfg := core.Config{
-				Net: net, Policy: transfer.SJF, Seed: 11,
-				MaxIterations: 400, MaxChurn: -1, EnergyCacheSize: cacheSize,
-			}
-			o := core.New(cfg)
-			defer o.Close()
-			start := topology.InitialTopology(net)
-			o.ComputeNetworkState(start, ts, 0, experiments.SlotSeconds)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				o.ComputeNetworkState(start, ts, 0, experiments.SlotSeconds)
-			}
-		})
-	}
-	off := measure(0)
-	on := measure(4096)
-	if off.N == 0 || on.N == 0 {
-		t.Fatal("benchmark did not run")
-	}
-	// Allow a handful of allocs of slack: one-time growth (map buckets,
-	// arena refills) amortizes over an adaptively chosen b.N, so the
-	// per-op figure jitters by a few against a ~4300 baseline. The PR 4
-	// regression this guards was +38%.
-	const allocSlack = 16
-	if on.AllocsPerOp() > off.AllocsPerOp()+allocSlack {
-		t.Errorf("cache-on allocates more than cache-off: %d > %d+%d allocs/op",
-			on.AllocsPerOp(), off.AllocsPerOp(), allocSlack)
-	}
-	// Time is noisy in CI; only catch gross regressions.
-	if float64(on.NsPerOp()) > 1.3*float64(off.NsPerOp()) {
-		t.Errorf("cache-on is >30%% slower than cache-off: %v vs %v ns/op",
-			on.NsPerOp(), off.NsPerOp())
-	}
-	t.Logf("cache-off: %v ns/op %d allocs/op; cache-on: %v ns/op %d allocs/op",
-		off.NsPerOp(), off.AllocsPerOp(), on.NsPerOp(), on.AllocsPerOp())
-}
-
-// BenchmarkAnnealMemoized shows what the energy cache buys on a small
-// topology whose swap moves frequently revisit states while cooling.
-func BenchmarkAnnealMemoized(b *testing.B) {
-	net := topology.Internet2(8)
-	ts := ablationWorkload(b, net)
-	for _, cacheSize := range []int{0, 4096} {
-		name := "off"
-		if cacheSize > 0 {
-			name = "on"
-		}
-		b.Run("cache-"+name, func(b *testing.B) {
-			cfg := core.Config{
-				Net: net, Policy: transfer.SJF, Seed: 11,
-				MaxIterations: 400, MaxChurn: -1, EnergyCacheSize: cacheSize,
-			}
-			b.ResetTimer()
-			hits, misses := 0, 0
-			for i := 0; i < b.N; i++ {
-				o := core.New(cfg)
-				st := o.ComputeNetworkState(topology.InitialTopology(net), ts, 0, experiments.SlotSeconds)
-				hits += st.Stats.CacheHits
-				misses += st.Stats.CacheMisses
-				o.Close()
-			}
-			b.ReportMetric(100*metrics.ComputeSearchEfficiency(hits, misses, nil).HitRate, "cache-hit-%")
-		})
-	}
-}
 
 // --- Ablation benches (DESIGN.md §4) ---
 

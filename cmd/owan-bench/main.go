@@ -37,8 +37,6 @@ func main() {
 		outdir   = flag.String("outdir", "", "directory for per-figure data files (optional)")
 		workers  = flag.Int("workers", 0, "annealing energy-evaluation goroutines and per-figure simulation runs in flight (0 = serial; see core.Config.Workers)")
 		batch    = flag.Int("batch", 0, "annealing candidate batch per temperature step (0 = workers; pin it when comparing -workers values — batch is part of the search semantics)")
-		cache    = flag.Int("cache", 0, "annealing energy memoization cache entries (0 = off)")
-		provc    = flag.Int("provcache", 0, "cross-slot provision cache entries (0 = default on, negative = off; results identical either way)")
 		delta    = flag.Bool("delta", false, "incremental candidate evaluation (core.Config.DeltaEval); results identical for a seed either way")
 		replicas = flag.Int("replicas", 0, "parallel-tempering replica count (0 or 1 = single chain; part of the search semantics)")
 		warm     = flag.Bool("warmstart", false, "seed each slot's cooling schedule from the previous slot (core.Config.WarmStart)")
@@ -57,8 +55,6 @@ func main() {
 	}
 	sc.OwanWorkers = *workers
 	sc.OwanBatch = *batch
-	sc.OwanEnergyCache = *cache
-	sc.OwanProvisionCache = *provc
 	sc.OwanDeltaEval = *delta
 	sc.OwanReplicas = *replicas
 	sc.OwanWarmStart = *warm

@@ -34,8 +34,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "annealing seed")
 		workers   = flag.Int("workers", 0, "energy-evaluation goroutines (0 = serial; results identical for a seed either way)")
 		batch     = flag.Int("batch", 0, "candidate batch per temperature step (0 = workers; part of the search semantics)")
-		cache     = flag.Int("cache", 0, "energy memoization cache entries (0 = off)")
-		provc     = flag.Int("provcache", 0, "cross-slot provision cache entries (0 = default on, negative = off; results identical either way)")
 		delta     = flag.Bool("delta", false, "incremental candidate evaluation (core.Config.DeltaEval); results identical for a seed either way")
 		replicas  = flag.Int("replicas", 0, "parallel-tempering replica count (0 or 1 = single chain; part of the search semantics)")
 		warm      = flag.Bool("warmstart", false, "seed each slot's cooling schedule from the previous slot (shorter schedules on low-drift slots)")
@@ -66,8 +64,6 @@ func main() {
 	cfg.Seed = *seed
 	cfg.Workers = *workers
 	cfg.BatchSize = *batch
-	cfg.EnergyCacheSize = *cache
-	cfg.ProvisionCacheSize = *provc
 	cfg.DeltaEval = *delta
 	cfg.Replicas = *replicas
 	cfg.WarmStart = *warm

@@ -35,8 +35,6 @@ func main() {
 		traceOut = flag.String("save-trace", "", "write the generated workload to a JSON trace file")
 		workers  = flag.Int("workers", 0, "annealing energy-evaluation goroutines (0 = serial)")
 		batch    = flag.Int("batch", 0, "annealing candidate batch per temperature step (0 = workers; pin it when comparing -workers values — batch is part of the search semantics)")
-		cache    = flag.Int("cache", 0, "annealing energy memoization cache entries (0 = off)")
-		provc    = flag.Int("provcache", 0, "cross-slot provision cache entries (0 = default on, negative = off; same results, less wall-clock)")
 		delta    = flag.Bool("delta", false, "incremental candidate evaluation (snapshot deltas; same results, less wall-clock)")
 		replicas = flag.Int("replicas", 0, "parallel-tempering replica count (0 or 1 = single chain; part of the search semantics)")
 		warm     = flag.Bool("warmstart", false, "seed each slot's cooling schedule from the previous slot (shorter schedules on low-drift slots)")
@@ -55,8 +53,6 @@ func main() {
 	}
 	sc.OwanWorkers = *workers
 	sc.OwanBatch = *batch
-	sc.OwanEnergyCache = *cache
-	sc.OwanProvisionCache = *provc
 	sc.OwanDeltaEval = *delta
 	sc.OwanReplicas = *replicas
 	sc.OwanWarmStart = *warm

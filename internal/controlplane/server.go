@@ -890,8 +890,8 @@ func (c *Controller) FailFiber(fiberID int) error {
 		return fmt.Errorf("unknown fiber %d", fiberID)
 	}
 	c.failed[fiberID] = true
-	// The replaced core's evaluator goroutines are done; its provision cache
-	// and route tables live on in the new one.
+	// The replaced core's evaluator goroutines are done; its memo's
+	// still-valid effective links and its route tables live on in the new one.
 	c.owan.Close()
 	c.owan = nw
 	// Fiber ids keep their meaning across a cut, but the circuits' fiber

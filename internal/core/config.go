@@ -66,9 +66,6 @@ func (c Config) Validate() error {
 	if c.BatchSize < 0 {
 		return fmt.Errorf("core: config: BatchSize must be non-negative, got %d", c.BatchSize)
 	}
-	if c.EnergyCacheSize < 0 {
-		return fmt.Errorf("core: config: EnergyCacheSize must be non-negative, got %d", c.EnergyCacheSize)
-	}
 	if c.Replicas < 0 {
 		return fmt.Errorf("core: config: Replicas must be non-negative (0 = single chain), got %d", c.Replicas)
 	}
@@ -78,9 +75,9 @@ func (c Config) Validate() error {
 	if c.WarmTempFloor < 0 || c.WarmTempFloor > 1 {
 		return fmt.Errorf("core: config: WarmTempFloor must be in [0,1], got %v", c.WarmTempFloor)
 	}
-	// MaxChurn, ProvisionCacheSize and ConvergeWindows may be negative by
-	// contract: negative disables the churn bound / the provision cache /
-	// the early-exit convergence check (each zero value means "default",
-	// since defaults never weaken the paper's schedule).
+	// MaxChurn and ConvergeWindows may be negative by contract: negative
+	// disables the churn bound / the early-exit convergence check (each zero
+	// value means "default", since defaults never weaken the paper's
+	// schedule).
 	return nil
 }

@@ -43,7 +43,6 @@ func TestValidateRejectsNonsense(t *testing.T) {
 		{"negative moves", func(c *Config) { c.NeighborMoves = -1 }, "NeighborMoves"},
 		{"negative workers", func(c *Config) { c.Workers = -1 }, "Workers"},
 		{"negative batch", func(c *Config) { c.BatchSize = -1 }, "BatchSize"},
-		{"negative cache", func(c *Config) { c.EnergyCacheSize = -1 }, "EnergyCacheSize"},
 		{"negative replicas", func(c *Config) { c.Replicas = -1 }, "Replicas"},
 		{"negative exchange interval", func(c *Config) { c.ExchangeInterval = -2 }, "ExchangeInterval"},
 		{"warm floor negative", func(c *Config) { c.WarmTempFloor = -0.1 }, "WarmTempFloor"},

@@ -101,6 +101,16 @@ func linksGet(links []topology.Link, u, v int) int {
 	return 0
 }
 
+// patchMoves appends the patch that applies the net deltas acc to the
+// (U, V)-sorted base enumeration: each touched pair with its new count, in
+// (U, V) order, as topology.MergePatch takes it.
+func patchMoves(dst []topology.Link, acc []pairDelta, base []topology.Link) []topology.Link {
+	for _, pd := range acc {
+		dst = append(dst, topology.Link{U: pd.u, V: pd.v, Count: linksGet(base, pd.u, pd.v) + pd.d})
+	}
+	return dst
+}
+
 // swapOnceMove is swapOnce against a sorted enumeration instead of a
 // LinkSet. The RNG consumption is identical: Intn(total) plus an orientation
 // Intn(2) per sample, two samples per try, up to 32 tries.
@@ -143,21 +153,18 @@ func (o *Owan) swapOnceMove(links []topology.Link, total int) (swapMove, bool) {
 
 // neighborMoves is ComputeNeighbor without materialization: it appends the
 // moves of one neighbor of the base topology to buf. baseLinks must be the
-// sorted enumeration of base and total its circuit count (invariant under
+// base's sorted enumeration and total its circuit count (invariant under
 // swaps, so it never changes mid-candidate). For NeighborMoves > 1 the later
 // swaps sample from the merged enumeration of base plus the moves so far —
 // byte-identical to the Links() of the intermediate topology swapOnce sees.
 // ok is false only when the first swap finds no valid move, matching
 // ComputeNeighbor returning nil.
-func (o *Owan) neighborMoves(base *topology.LinkSet, baseLinks []topology.Link, total int, buf []swapMove) ([]swapMove, bool) {
+func (o *Owan) neighborMoves(baseLinks []topology.Link, total int, buf []swapMove) ([]swapMove, bool) {
 	for m := 0; m < o.cfg.NeighborMoves; m++ {
 		links := baseLinks
 		if len(buf) > 0 {
 			o.nbAcc = accumMoves(buf, o.nbAcc[:0])
-			o.nbPatch = o.nbPatch[:0]
-			for _, pd := range o.nbAcc {
-				o.nbPatch = append(o.nbPatch, topology.Link{U: pd.u, V: pd.v, Count: base.Get(pd.u, pd.v) + pd.d})
-			}
+			o.nbPatch = patchMoves(o.nbPatch[:0], o.nbAcc, baseLinks)
 			o.nbMerged = topology.MergePatch(o.nbMerged[:0], baseLinks, o.nbPatch)
 			links = o.nbMerged
 		}

@@ -68,21 +68,6 @@ type Config struct {
 	// keep the one-candidate-at-a-time chain. BatchSize is part of the
 	// search semantics: changing it changes the trajectory.
 	BatchSize int
-	// EnergyCacheSize bounds the per-search energy memoization cache in
-	// entries (2-circuit swaps frequently revisit topologies while
-	// cooling). 0 disables caching. The cache never changes results —
-	// only whether an energy is recomputed.
-	EnergyCacheSize int
-	// ProvisionCacheSize bounds the controller-lifetime provision memoization
-	// cache in entries: a map from network-layer topologies to their effective
-	// (optically realized) link enumerations. Provisioning is a pure function
-	// of the topology — independent of demands and of prior provisioning — so
-	// unlike the energy cache this one persists across slots, and the
-	// warm-started first evaluation of a slot is typically a hit. 0 selects
-	// DefaultProvisionCache; negative disables the cache. Like the energy
-	// cache it never changes results, only whether a provisioning is
-	// recomputed.
-	ProvisionCacheSize int
 	// DeltaEval enables incremental candidate evaluation: per accepted base
 	// topology the optical layer is provisioned once and frozen as a
 	// snapshot, and each candidate (which differs by a few swapped circuits)
@@ -146,10 +131,6 @@ const (
 	DefaultStarveSlots = 3
 	DefaultInitTemp    = 0.02
 	DefaultMaxChurn    = 16
-	// DefaultProvisionCache is the provision-cache capacity when
-	// Config.ProvisionCacheSize is 0. Entries are an effective-link
-	// enumeration each (a few KB on ISP100), so the default stays small.
-	DefaultProvisionCache = 128
 	// DefaultExchangeInterval is how many batches each tempering replica
 	// runs between exchange attempts (and between early-exit checks).
 	DefaultExchangeInterval = 4
@@ -190,9 +171,6 @@ func (c Config) withDefaults() Config {
 	if c.BatchSize < 1 {
 		c.BatchSize = c.Workers
 	}
-	if c.ProvisionCacheSize == 0 {
-		c.ProvisionCacheSize = DefaultProvisionCache
-	}
 	if c.Replicas < 1 {
 		c.Replicas = 1
 	}
@@ -218,9 +196,9 @@ type SearchStats struct {
 	// returned topology.
 	Churn   int
 	Elapsed time.Duration
-	// CacheHits counts candidate energies served from the memoization
-	// cache; CacheMisses counts full energy evaluations (with the cache
-	// disabled every evaluated candidate is a miss).
+	// CacheHits counts candidate energies served from the topology memo
+	// (computed earlier in the same search); CacheMisses counts the energy
+	// evaluations of the rest.
 	CacheHits   int
 	CacheMisses int
 	// WorkerEvals[i] is how many energies evaluator worker i computed
@@ -238,9 +216,8 @@ type SearchStats struct {
 	// matches the retained snapshot reports 0 builds.
 	SnapshotBuilds int
 	// ProvisionHits counts cold evaluations whose effective links were served
-	// from the controller-lifetime provision cache; ProvisionMisses counts
-	// the full provisionings that filled it. Both stay zero with the cache
-	// disabled.
+	// from the topology memo (recorded in this or an earlier slot);
+	// ProvisionMisses counts the full provisionings that filled it.
 	ProvisionHits   int
 	ProvisionMisses int
 	// Replicas is the effective tempering replica count of this search
@@ -276,7 +253,7 @@ type NetworkState struct {
 // Owan is the controller core. It is not safe for concurrent use; the
 // controller invokes it once per time slot. The evaluator behind
 // ComputeNetworkState — worker goroutines, per-worker optical and allocator
-// scratch, the delta snapshot, the cache arenas — lives as long as the Owan
+// scratch, the delta snapshot — and the topology memo live as long as the Owan
 // and is reused across slots; call Close when discarding a controller whose
 // Workers > 1 searches have run, to stop the pool goroutines.
 type Owan struct {
@@ -285,18 +262,18 @@ type Owan struct {
 	al  *alloc.Allocator
 	rng *rand.Rand
 	// ev is the persistent evaluator, created lazily on the first
-	// ComputeNetworkState call; provCache is the controller-lifetime
-	// topology -> effective-links memo it consults (nil when disabled).
-	ev        *evaluator
-	provCache *provisionCache
-	// disablePersist (tests) restores the pre-persistence behavior: a
-	// throwaway evaluator per ComputeNetworkState and no provision cache.
-	// The cross-slot differential harness runs both variants on equal seeds
-	// to pin that persistence never changes a trajectory.
+	// ComputeNetworkState call; memo is the topology memo it consults
+	// (memo.go).
+	ev   *evaluator
+	memo *memo
+	// disablePersist (tests) is the no-memo reference: a throwaway
+	// evaluator per ComputeNetworkState and a nil memo. The differential
+	// harnesses run both variants on equal seeds to pin that the memo and
+	// the persistent evaluator never change a trajectory.
 	disablePersist bool
-	// onCacheHit, when set (tests), observes every energy-cache hit with
-	// the candidate topology and the energy the cache returned. Only the
-	// classic (materialized) path invokes it; delta-mode cache activity is
+	// onCacheHit, when set (tests), observes every energy served from the
+	// memo with the candidate topology and the energy returned. Only the
+	// classic (materialized) path invokes it; delta-mode memo activity is
 	// visible through SearchStats instead.
 	onCacheHit func(s *topology.LinkSet, energy float64)
 	// Scratch for delta-mode neighbor generation (see delta.go).
@@ -339,11 +316,11 @@ func New(cfg Config) *Owan {
 // cfg.Net.
 func newOn(cfg Config, opt *optical.State) *Owan {
 	return &Owan{
-		cfg:       cfg,
-		opt:       opt,
-		al:        alloc.NewAllocator(),
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		provCache: newProvisionCache(cfg.ProvisionCacheSize),
+		cfg:  cfg,
+		opt:  opt,
+		al:   alloc.NewAllocator(),
+		rng:  rand.New(rand.NewSource(cfg.Seed)),
+		memo: newMemo(memoCap),
 	}
 }
 
@@ -393,17 +370,17 @@ func energyOn(opt *optical.State, al *alloc.Allocator, theta float64, s *topolog
 
 // SetUnitRegenWeights forwards the regenerator-balancing ablation knob to
 // the optical layer. The knob changes what provisioning produces, so every
-// piece of provisioning-derived persistent state is invalidated: the
-// provision cache is cleared and the evaluator (whose retained snapshot and
-// worker clones embed the old weights) is dropped and lazily rebuilt.
+// piece of provisioning-derived persistent state is invalidated: the memo is
+// cleared and the evaluator (whose retained snapshot and worker clones embed
+// the old weights) is dropped and lazily rebuilt.
 func (o *Owan) SetUnitRegenWeights(on bool) {
 	o.opt.SetUnitRegenWeights(on)
 	if o.ev != nil {
 		o.ev.close()
 		o.ev = nil
 	}
-	if o.provCache != nil {
-		o.provCache.clear()
+	if o.memo != nil {
+		o.memo.clear()
 	}
 	// The recorded warm energy was measured under the old weights; a
 	// warm-started schedule seeded from it would under-explore.
@@ -414,15 +391,16 @@ func (o *Owan) SetUnitRegenWeights(on bool) {
 // the given fiber (failure handling, §3.4). The annealing seed is carried
 // over; topology state lives with the caller, so warm starts persist.
 //
-// The provision cache is migrated rather than dropped: an entry survives
-// when its provisioning run stayed on the direct-segment fast path and
+// The memo's effective links are migrated rather than dropped (its energies
+// never are): an entry survives when its provisioning run stayed on the
+// direct-segment fast path and
 // every link of its topology routes identically on the reduced network —
 // audited against the primary routes alone (optical.SameDirectRouting) for
 // primary-only runs, or against the primary plus the full alternate table
 // (optical.SameSegmentRouting) for runs that also drew on alternates —
 // conditions under which re-provisioning provably reproduces the cached
 // effective links. On a typical single-fiber failure most site pairs keep
-// their routes, so the failure-response search starts with a warm cache
+// their routes, so the failure-response search starts with a warm memo
 // instead of re-provisioning every candidate it has already seen.
 func (o *Owan) WithoutFiber(fiberID int) *Owan {
 	opt := o.opt.WithoutFiber(fiberID)
@@ -432,13 +410,13 @@ func (o *Owan) WithoutFiber(fiberID int) *Owan {
 	cfg := o.cfg
 	cfg.Net = opt.Network()
 	nw := newOn(cfg, opt)
-	if nw.provCache != nil && o.provCache != nil {
+	if o.memo != nil {
 		var links []topology.Link
-		nw.provCache.migrateFrom(o.provCache, func(key []byte, n int, direct bool) bool {
-			var kn int
+		nw.memo.migrateFrom(o.memo, func(key []byte, direct bool) bool {
+			var n int
 			var ok bool
-			kn, links, ok = topology.DecodeKey(key, links[:0])
-			if !ok || kn != n || n != cfg.Net.NumSites() {
+			n, links, ok = topology.DecodeKey(key, links[:0])
+			if !ok || n != cfg.Net.NumSites() {
 				return false
 			}
 			for _, l := range links {
@@ -583,8 +561,8 @@ func canonEq(a, b, c, d int) bool {
 //
 // The search proceeds in batches: per temperature step it generates up to
 // Config.BatchSize candidate neighbors of the current state, evaluates
-// their energies (concurrently when Config.Workers > 1, with memoization
-// when Config.EnergyCacheSize > 0), and then reduces the batch in fixed
+// their energies (concurrently when Config.Workers > 1, each topology at
+// most once per search through the memo), and then reduces the batch in fixed
 // generation order with the standard Metropolis acceptance rule. Candidate
 // generation and acceptance draw from seeded RNGs on this goroutine, so for
 // a given (Seed, BatchSize, Replicas) the result is bit-identical regardless
@@ -597,9 +575,9 @@ func (o *Owan) ComputeNetworkState(current *topology.LinkSet, active []*transfer
 
 	// The evaluator is controller-lifetime state: created once, then re-armed
 	// per slot by begin(). Its worker pool, per-worker optical and allocator
-	// scratch, delta snapshot and cache arenas all carry over, so a
-	// warm-started slot skips the snapshot rebuild and its first energy is
-	// usually a provision-cache hit.
+	// scratch and delta snapshot all carry over, so a warm-started slot skips
+	// the snapshot rebuild, and its first energy usually finds its effective
+	// links in the memo.
 	ev := o.ev
 	if ev == nil || o.disablePersist {
 		ev = newEvaluator(o)
@@ -612,7 +590,7 @@ func (o *Owan) ComputeNetworkState(current *topology.LinkSet, active []*transfer
 	ev.begin(demands)
 
 	sCur := current.Clone()
-	eCur := ev.energyFull(&ev.ctx0, sCur)
+	eCur := ev.initial(sCur)
 	stats := SearchStats{InitialEnergy: eCur, Replicas: o.cfg.Replicas}
 
 	coldT0 := eCur * o.cfg.InitTempFrac
@@ -635,16 +613,15 @@ func (o *Owan) ComputeNetworkState(current *topology.LinkSet, active []*transfer
 
 	plan := o.opt.ProvisionTopology(sBest)
 	eff := plan.Effective(sBest.N)
-	if o.provCache != nil {
-		// Seed the cross-slot cache with the returned topology's effective
-		// links: the next slot warm-starts from sBest, so its first (and most
-		// expensive) evaluation becomes a hit. plan.Effective is pinned
-		// identical to ProvisionEffective, so the entry equals what the cold
-		// path would have stored.
-		key := sBest.AppendKey(ev.ctx0.keyBuf[:0])
-		ev.ctx0.keyBuf = key
+	if o.memo != nil {
+		// Seed the memo with the returned topology's effective links: the
+		// next slot warm-starts from sBest, so its first (and most expensive)
+		// evaluation becomes a hit. plan.Effective is pinned identical to
+		// ProvisionEffective, so the entry equals what the cold path would
+		// have stored.
+		ev.initKey = sBest.AppendKey(ev.initKey[:0])
 		ev.ctx0.eff = eff.AppendLinks(ev.ctx0.eff[:0])
-		o.provCache.put(topology.KeyHash(key), key, eff.N, ev.ctx0.eff, o.opt.DirectOnly(), o.opt.SegmentOnly())
+		o.memo.putLinks(topology.KeyHash(ev.initKey), ev.initKey, ev.ctx0.eff, o.opt.DirectOnly(), o.opt.SegmentOnly())
 	}
 	res := o.al.Greedy(eff, o.cfg.Net.ThetaGbps, demands)
 	stats.BestEnergy = eBest
@@ -763,7 +740,7 @@ func (o *Owan) anneal(ev *evaluator, current, sInit *topology.LinkSet, eInit, T,
 			k := min(o.cfg.BatchSize, o.cfg.MaxIterations-g.iters)
 			for g.n = 0; g.n < k; g.n++ {
 				if useDelta {
-					mv, ok := o.neighborMoves(g.sCur, linksCur, totalCur, movesBuf[g.n][:0])
+					mv, ok := o.neighborMoves(linksCur, totalCur, movesBuf[g.n][:0])
 					movesBuf[g.n] = mv
 					if !ok {
 						stop = true

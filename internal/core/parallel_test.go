@@ -20,17 +20,31 @@ func searchFixture() (*topology.Network, []*transfer.Transfer) {
 }
 
 func runSearch(net *topology.Network, ts []*transfer.Transfer, cfg Config) *NetworkState {
+	return runSearchOn(net, ts, cfg, nil)
+}
+
+// runSearchOn is runSearch with prep applied to the controller before the
+// search (nil: none) — the seam tests use to resize or drop the memo.
+func runSearchOn(net *topology.Network, ts []*transfer.Transfer, cfg Config, prep func(*Owan)) *NetworkState {
 	cfg.Net = net
 	cfg.Policy = transfer.SJF
 	o := New(cfg)
 	defer o.Close()
+	if prep != nil {
+		prep(o)
+	}
 	return o.ComputeNetworkState(topology.InitialTopology(net), ts, 0, 300)
 }
 
+// tinyMemo gives a controller a two-entry memo, so the search evicts
+// constantly.
+func tinyMemo(o *Owan) { o.memo = newMemo(2) }
+
 // TestGoldenDeterminism is the determinism contract: for a fixed
 // (Seed, BatchSize) the search result is bit-identical across repeated
-// runs, across worker counts (serial vs parallel evaluation), and across
-// cache configurations. Only Seed and BatchSize may change the trajectory.
+// runs, across worker counts (serial vs parallel evaluation), and with the
+// memo full-size, tiny or absent. Only Seed and BatchSize may change the
+// trajectory.
 func TestGoldenDeterminism(t *testing.T) {
 	net, ts := searchFixture()
 	base := Config{Seed: 42, MaxIterations: 240, BatchSize: 4, Workers: 1}
@@ -40,17 +54,21 @@ func TestGoldenDeterminism(t *testing.T) {
 		t.Fatalf("degenerate reference search: %+v", ref.Stats)
 	}
 
-	variants := map[string]Config{
-		"rerun":           base,
-		"parallel-2":      {Seed: 42, MaxIterations: 240, BatchSize: 4, Workers: 2},
-		"parallel-8":      {Seed: 42, MaxIterations: 240, BatchSize: 4, Workers: 8},
-		"parallel-cached": {Seed: 42, MaxIterations: 240, BatchSize: 4, Workers: 8, EnergyCacheSize: 512},
-		"serial-cached":   {Seed: 42, MaxIterations: 240, BatchSize: 4, Workers: 1, EnergyCacheSize: 512},
-		"oversized-pool":  {Seed: 42, MaxIterations: 240, BatchSize: 4, Workers: 16},
-		"tiny-cache":      {Seed: 42, MaxIterations: 240, BatchSize: 4, Workers: 4, EnergyCacheSize: 2},
+	variants := map[string]struct {
+		cfg  Config
+		prep func(*Owan)
+	}{
+		"rerun":             {base, nil},
+		"parallel-2":        {Config{Seed: 42, MaxIterations: 240, BatchSize: 4, Workers: 2}, nil},
+		"parallel-8":        {Config{Seed: 42, MaxIterations: 240, BatchSize: 4, Workers: 8}, nil},
+		"parallel-no-memo":  {Config{Seed: 42, MaxIterations: 240, BatchSize: 4, Workers: 8}, disablePersistence},
+		"serial-no-memo":    {base, disablePersistence},
+		"oversized-pool":    {Config{Seed: 42, MaxIterations: 240, BatchSize: 4, Workers: 16}, nil},
+		"tiny-cache":        {Config{Seed: 42, MaxIterations: 240, BatchSize: 4, Workers: 4}, tinyMemo},
+		"tiny-cache-serial": {base, tinyMemo},
 	}
-	for name, cfg := range variants {
-		got := runSearch(net, ts, cfg)
+	for name, v := range variants {
+		got := runSearchOn(net, ts, v.cfg, v.prep)
 		if !got.Topology.Equal(ref.Topology) {
 			t.Errorf("%s: topology diverged from reference\n ref=%v\n got=%v",
 				name, ref.Topology.Links(), got.Topology.Links())
@@ -75,19 +93,19 @@ func TestGoldenDeterminism(t *testing.T) {
 	}
 }
 
-// TestEnergyCacheCorrectness records every cache hit during a search and
-// recomputes the energy from scratch on a fresh optical.State, asserting
+// TestEnergyCacheCorrectness records every energy the memo serves during a
+// search and recomputes it from scratch on a fresh optical.State, asserting
 // exact equality. This guards against stale-state bugs in worker-pool
 // State reuse: a worker whose Reset missed occupancy would poison the
-// cache with energies that a clean evaluation cannot reproduce.
+// memo with energies that a clean evaluation cannot reproduce.
 func TestEnergyCacheCorrectness(t *testing.T) {
-	// The 4-site square revisits topologies constantly, so the cache gets
+	// The 4-site square revisits topologies constantly, so the memo gets
 	// real hits within a few hundred iterations.
 	net := topology.Square()
 	ts := mkTransfers([3]int{0, 1, 2000}, [3]int{2, 3, 2000}, [3]int{0, 2, 900})
 	cfg := Config{
 		Net: net, Policy: transfer.SJF, Seed: 7,
-		MaxIterations: 400, BatchSize: 4, Workers: 4, EnergyCacheSize: 128,
+		MaxIterations: 400, BatchSize: 4, Workers: 4,
 	}
 	o := New(cfg)
 
@@ -101,7 +119,7 @@ func TestEnergyCacheCorrectness(t *testing.T) {
 	}
 	st := o.ComputeNetworkState(topology.InitialTopology(net), ts, 0, 300)
 	if st.Stats.CacheHits == 0 {
-		t.Fatal("search produced no cache hits; fixture lost its power")
+		t.Fatal("search produced no memo hits; fixture lost its power")
 	}
 	if len(hits) != st.Stats.CacheHits {
 		t.Fatalf("hook observed %d hits, stats counted %d", len(hits), st.Stats.CacheHits)
@@ -120,40 +138,41 @@ func TestEnergyCacheCorrectness(t *testing.T) {
 }
 
 // TestSearchCounters validates the bookkeeping the engine exports: every
-// evaluated candidate is either a cache hit or a miss, every miss is one
-// worker evaluation, and the pool reports one slot per worker.
+// evaluated candidate is either a memo hit or a miss, every miss is one
+// worker evaluation, the pool reports one slot per worker, and the no-memo
+// reference serves nothing.
 func TestSearchCounters(t *testing.T) {
 	net, ts := searchFixture()
 	for _, cfg := range []Config{
 		{Seed: 5, MaxIterations: 150, Workers: 1},
 		{Seed: 5, MaxIterations: 150, Workers: 4, BatchSize: 4},
-		{Seed: 5, MaxIterations: 150, Workers: 4, BatchSize: 4, EnergyCacheSize: 64},
-		{Seed: 5, MaxIterations: 150, Workers: 1, EnergyCacheSize: 64},
 	} {
-		name := fmt.Sprintf("w%d-b%d-c%d", cfg.Workers, cfg.BatchSize, cfg.EnergyCacheSize)
-		st := runSearch(net, ts, cfg)
-		wantSlots := cfg.Workers
-		if wantSlots < 1 {
-			wantSlots = 1
-		}
-		if len(st.Stats.WorkerEvals) != wantSlots {
-			t.Errorf("%s: %d worker slots, want %d", name, len(st.Stats.WorkerEvals), wantSlots)
-		}
-		sum := 0
-		for _, e := range st.Stats.WorkerEvals {
-			sum += e
-		}
-		if sum != st.Stats.CacheMisses {
-			t.Errorf("%s: worker evals sum %d != cache misses %d", name, sum, st.Stats.CacheMisses)
-		}
-		if st.Stats.CacheMisses == 0 {
-			t.Errorf("%s: no energy evaluations recorded", name)
-		}
-		if cfg.EnergyCacheSize == 0 && st.Stats.CacheHits != 0 {
-			t.Errorf("%s: cache disabled but %d hits reported", name, st.Stats.CacheHits)
-		}
-		if lookups := st.Stats.CacheHits + st.Stats.CacheMisses; lookups > st.Stats.Iterations {
-			t.Errorf("%s: %d lookups exceed %d iterations", name, lookups, st.Stats.Iterations)
+		for _, noMemo := range []bool{false, true} {
+			name := fmt.Sprintf("w%d-b%d-nomemo=%v", cfg.Workers, cfg.BatchSize, noMemo)
+			var prep func(*Owan)
+			if noMemo {
+				prep = disablePersistence
+			}
+			st := runSearchOn(net, ts, cfg, prep)
+			if len(st.Stats.WorkerEvals) != cfg.Workers {
+				t.Errorf("%s: %d worker slots, want %d", name, len(st.Stats.WorkerEvals), cfg.Workers)
+			}
+			sum := 0
+			for _, e := range st.Stats.WorkerEvals {
+				sum += e
+			}
+			if sum != st.Stats.CacheMisses {
+				t.Errorf("%s: worker evals sum %d != cache misses %d", name, sum, st.Stats.CacheMisses)
+			}
+			if st.Stats.CacheMisses == 0 {
+				t.Errorf("%s: no energy evaluations recorded", name)
+			}
+			if noMemo && st.Stats.CacheHits+st.Stats.ProvisionHits+st.Stats.ProvisionMisses != 0 {
+				t.Errorf("%s: no memo but memo activity reported: %+v", name, st.Stats)
+			}
+			if lookups := st.Stats.CacheHits + st.Stats.CacheMisses; lookups > st.Stats.Iterations {
+				t.Errorf("%s: %d lookups exceed %d iterations", name, lookups, st.Stats.Iterations)
+			}
 		}
 	}
 }

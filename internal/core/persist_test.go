@@ -8,14 +8,14 @@ import (
 	"owan/internal/topology"
 )
 
-// disablePersistence flips a controller into the pre-persistence mode used as
-// the differential reference: a throwaway evaluator per ComputeNetworkState
-// call and no cross-slot provision cache. Everything else — RNG, config,
-// optical state — is untouched, so the two modes share a trajectory exactly
-// when persistence is inert.
+// disablePersistence flips a controller into the no-memo mode used as the
+// differential reference: a throwaway evaluator per ComputeNetworkState call
+// and no topology memo. Everything else — RNG, config, optical state — is
+// untouched, so the two modes share a trajectory exactly when the memo and
+// the persistent evaluator are inert.
 func disablePersistence(o *Owan) {
 	o.disablePersist = true
-	o.provCache = nil
+	o.memo = nil
 }
 
 // persistNets mixes the small comfortable networks of the delta harness with
@@ -33,20 +33,21 @@ func persistNets() []*topology.Network {
 }
 
 // TestPersistentEvaluatorMatchesFresh is the cross-slot differential for the
-// persistent evaluator and provision cache: across 300 randomized seeds, a
-// controller that keeps its evaluator (worker pool, delta snapshot, provision
-// LRU) across slots must produce bit-identical per-slot results to one that
-// rebuilds everything each slot — including across a WithoutFiber failure
-// event, after which both continue on fresh controllers for the smaller
-// network. The persistent side must also actually hit its provision cache
-// somewhere in the run, so the contract cannot pass vacuously.
+// persistent evaluator and the topology memo: across 300 randomized seeds, a
+// controller that keeps its evaluator (worker pool, delta snapshot) and memo
+// across slots must produce bit-identical per-slot results to one that
+// rebuilds the evaluator each slot and has no memo — including across a
+// WithoutFiber failure event, after which both continue on fresh controllers
+// for the smaller network. The persistent side must also actually be served
+// links and energies by its memo somewhere in the run, so the contract
+// cannot pass vacuously.
 func TestPersistentEvaluatorMatchesFresh(t *testing.T) {
 	nets := persistNets()
 	seeds := int64(300)
 	if testing.Short() {
 		seeds = 60
 	}
-	totalProvHits, totalWarmSlots := 0, 0
+	totalProvHits, totalEnergyHits, totalWarmSlots := 0, 0, 0
 	for seed := int64(0); seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(11000 + seed))
 		net := nets[int(seed)%len(nets)]
@@ -63,9 +64,7 @@ func TestPersistentEvaluatorMatchesFresh(t *testing.T) {
 			Workers:       []int{1, 1, 4}[rng.Intn(3)],
 			DeltaEval:     rng.Intn(2) == 0,
 		}
-		if rng.Intn(3) == 0 {
-			cfg.EnergyCacheSize = 64
-		}
+		rng.Intn(3) // the retired energy-cache size draw, kept so later seeds keep their configs
 
 		pers := New(cfg)
 		fresh := New(cfg)
@@ -77,9 +76,9 @@ func TestPersistentEvaluatorMatchesFresh(t *testing.T) {
 			if slot == 2 && len(net.Fibers) > 1 {
 				// Fail a fiber mid-run on both sides. WithoutFiber returns a
 				// fresh controller; the persistent one must keep matching even
-				// though it migrates still-valid provision-cache entries across
-				// the failure (the fresh side gets no cache at all), and the
-				// old pool is closed.
+				// though it migrates still-valid memo links across the failure
+				// (the fresh side gets no memo at all), and the old pool is
+				// closed.
 				fid := net.Fibers[len(net.Fibers)/2].ID
 				oldP, oldF := pers, fresh
 				pers = pers.WithoutFiber(fid)
@@ -98,10 +97,11 @@ func TestPersistentEvaluatorMatchesFresh(t *testing.T) {
 			name := fmt.Sprintf("seed %d slot %d net %s w%d b%d delta=%v",
 				seed, slot, net.Name, cfg.Workers, cfg.BatchSize, cfg.DeltaEval)
 			sameSearch(t, name, ref, got)
-			if ref.Stats.ProvisionHits != 0 || ref.Stats.ProvisionMisses != 0 {
-				t.Fatalf("%s: provision counters nonzero with persistence off: %+v", name, ref.Stats)
+			if ref.Stats.ProvisionHits != 0 || ref.Stats.ProvisionMisses != 0 || ref.Stats.CacheHits != 0 {
+				t.Fatalf("%s: memo counters nonzero without a memo: %+v", name, ref.Stats)
 			}
 			totalProvHits += got.Stats.ProvisionHits
+			totalEnergyHits += got.Stats.CacheHits
 			if slot > 0 && got.Stats.SnapshotBuilds < ref.Stats.SnapshotBuilds {
 				totalWarmSlots++ // retained snapshot saved a rebuild
 			}
@@ -111,15 +111,19 @@ func TestPersistentEvaluatorMatchesFresh(t *testing.T) {
 		fresh.Close()
 	}
 	if totalProvHits == 0 {
-		t.Fatal("no provision-cache hits across the run — the persistent cache never fired")
+		t.Fatal("no memo links served across the run — the cross-slot half never fired")
 	}
-	t.Logf("provision hits=%d, slots with a saved snapshot build=%d", totalProvHits, totalWarmSlots)
+	if totalEnergyHits == 0 {
+		t.Fatal("no memo energies served across the run — the per-search half never fired")
+	}
+	t.Logf("links hits=%d, energy hits=%d, slots with a saved snapshot build=%d",
+		totalProvHits, totalEnergyHits, totalWarmSlots)
 }
 
 // TestPersistentSnapshotReuse pins the warm-start fast path directly: when a
 // slot starts from exactly the topology whose snapshot the evaluator retained,
-// the delta search must not rebuild it, and the slot's first energy must be a
-// provision-cache hit (seeded by the previous slot's final plan).
+// the delta search must not rebuild it, and the slot's first energy must
+// find its links in the memo (seeded by the previous slot's final plan).
 func TestPersistentSnapshotReuse(t *testing.T) {
 	net, ts := searchFixture()
 	o := New(Config{Net: net, Seed: 3, MaxIterations: 120, BatchSize: 2, DeltaEval: true})
@@ -131,7 +135,7 @@ func TestPersistentSnapshotReuse(t *testing.T) {
 	}
 	// Same demands, warm start from the slot's own output: the first base is
 	// the retained snapshot whenever the search ended on its last accepted
-	// state; regardless, the initial energy must hit the seeded cache.
+	// state; regardless, the initial energy must hit the seeded memo.
 	second := o.ComputeNetworkState(first.Topology, ts, 1, 300)
 	if second.Stats.ProvisionHits == 0 {
 		t.Fatalf("warm slot had no provision hits: %+v", second.Stats)

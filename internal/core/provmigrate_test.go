@@ -9,7 +9,7 @@ import (
 	"owan/internal/topology"
 )
 
-// migrationNet builds an ISP-style network tuned for the provision-cache
+// migrationNet builds an ISP-style network tuned for the memo's links
 // migration scenario: optical reach is raised so the topology walk provisions
 // direct-only (the migratable class), and one fiber is duplicated in
 // parallel. The duplicate never carries a primary route — shortest-path
@@ -32,7 +32,7 @@ func migrationNet(sites int) (*topology.Network, int) {
 }
 
 // TestWithoutFiberCacheMigration pins the soundness and the non-vacuity of
-// the provision-cache migration across a fiber failure. Soundness: every
+// the memo's links migration across a fiber failure. Soundness: every
 // entry WithoutFiber carries over must hold exactly the effective links that
 // provisioning its topology from scratch on the REDUCED network produces.
 // Non-vacuity, both ways: failing the redundant parallel fiber (no primary
@@ -51,7 +51,7 @@ func TestWithoutFiberCacheMigration(t *testing.T) {
 		o := New(Config{Net: net, Seed: 500 + seed})
 		rng := rand.New(rand.NewSource(900 + seed))
 
-		// Populate the cache with a neighbor walk, exactly as searches do:
+		// Populate the memo with a neighbor walk, exactly as searches do:
 		// provision each visited topology and record its effective links
 		// with the run's direct-only audit bit.
 		s := topology.InitialTopology(net)
@@ -59,12 +59,12 @@ func TestWithoutFiberCacheMigration(t *testing.T) {
 			eff := o.opt.ProvisionEffective(s)
 			links := eff.AppendLinks(nil)
 			key := s.AppendKey(nil)
-			o.provCache.put(topology.KeyHash(key), key, eff.N, links, o.opt.DirectOnly(), o.opt.SegmentOnly())
+			o.memo.putLinks(topology.KeyHash(key), key, links, o.opt.DirectOnly(), o.opt.SegmentOnly())
 			s = o.computeNeighbor(rng, s)
 		}
 		directEntries := 0
-		for i := 0; i < o.provCache.used; i++ {
-			if o.provCache.entries[i].directOnly {
+		for i := 0; i < o.memo.used; i++ {
+			if o.memo.entries[i].directOnly {
 				directEntries++
 			}
 		}
@@ -80,9 +80,9 @@ func TestWithoutFiberCacheMigration(t *testing.T) {
 		}
 		for _, fid := range fids {
 			nw := o.WithoutFiber(fid)
-			migrated := nw.provCache.used
+			migrated := nw.memo.used
 			migratedTotal += migrated
-			droppedTotal += o.provCache.used - migrated
+			droppedTotal += o.memo.used - migrated
 			if fid == dupID && migrated < directEntries {
 				t.Fatalf("seed %d: failing the redundant fiber migrated %d < %d direct-only entries",
 					seed, migrated, directEntries)
@@ -90,7 +90,7 @@ func TestWithoutFiberCacheMigration(t *testing.T) {
 
 			ref := optical.NewState(nw.cfg.Net)
 			for idx := 0; idx < migrated; idx++ {
-				e := &nw.provCache.entries[idx]
+				e := &nw.memo.entries[idx]
 				n, reqLinks, ok := topology.DecodeKey(e.key, nil)
 				if !ok || n != nw.cfg.Net.NumSites() {
 					t.Fatalf("seed %d fiber %d: bad migrated key", seed, fid)
@@ -116,10 +116,10 @@ func TestWithoutFiberCacheMigration(t *testing.T) {
 		o.Close()
 	}
 	if migratedTotal == 0 {
-		t.Fatalf("no cache entry ever migrated; predicate is vacuously rejecting")
+		t.Fatalf("no memo entry ever migrated; predicate is vacuously rejecting")
 	}
 	if droppedTotal == 0 {
-		t.Fatalf("no cache entry ever dropped; predicate is vacuously accepting")
+		t.Fatalf("no memo entry ever dropped; predicate is vacuously accepting")
 	}
 	t.Logf("migrated %d entries, dropped %d", migratedTotal, droppedTotal)
 }
@@ -179,12 +179,12 @@ func TestWithoutFiberAlternateCacheMigration(t *testing.T) {
 			eff := o.opt.ProvisionEffective(s)
 			links := eff.AppendLinks(nil)
 			key := s.AppendKey(nil)
-			o.provCache.put(topology.KeyHash(key), key, eff.N, links, o.opt.DirectOnly(), o.opt.SegmentOnly())
+			o.memo.putLinks(topology.KeyHash(key), key, links, o.opt.DirectOnly(), o.opt.SegmentOnly())
 			s = o.computeNeighbor(rng, s)
 		}
 		segEntries := 0
-		for i := 0; i < o.provCache.used; i++ {
-			e := &o.provCache.entries[i]
+		for i := 0; i < o.memo.used; i++ {
+			e := &o.memo.entries[i]
 			if e.segmentOnly && !e.directOnly {
 				segEntries++
 			}
@@ -197,9 +197,9 @@ func TestWithoutFiberAlternateCacheMigration(t *testing.T) {
 		}
 		for _, fid := range fids {
 			nw := o.WithoutFiber(fid)
-			migrated := nw.provCache.used
+			migrated := nw.memo.used
 			migratedTotal += migrated
-			droppedTotal += o.provCache.used - migrated
+			droppedTotal += o.memo.used - migrated
 			if fid == cleanID && migrated < segEntries {
 				t.Fatalf("seed %d: failing the table-less parallel migrated %d entries, < %d segment-only ones",
 					seed, migrated, segEntries)
@@ -207,7 +207,7 @@ func TestWithoutFiberAlternateCacheMigration(t *testing.T) {
 
 			ref := optical.NewState(nw.cfg.Net)
 			for idx := 0; idx < migrated; idx++ {
-				e := &nw.provCache.entries[idx]
+				e := &nw.memo.entries[idx]
 				if e.segmentOnly && !e.directOnly {
 					segMigrated++
 				}
@@ -242,7 +242,7 @@ func TestWithoutFiberAlternateCacheMigration(t *testing.T) {
 		t.Fatalf("no segment-only entry ever migrated; the alternate audit never fires")
 	}
 	if droppedTotal == 0 {
-		t.Fatalf("no cache entry ever dropped; predicate is vacuously accepting")
+		t.Fatalf("no memo entry ever dropped; predicate is vacuously accepting")
 	}
 	t.Logf("segment-only entries %d, segment-only migrated %d, migrated %d, dropped %d",
 		segEntriesTotal, segMigrated, migratedTotal, droppedTotal)

@@ -13,8 +13,8 @@ import (
 // TestTemperedGoldenDeterminism extends the PR 1 determinism contract to
 // tempering: for a fixed (Seed, BatchSize, Replicas) the search result —
 // topology, energy, chain stats, and the exchange counters — is
-// bit-identical across Workers ∈ {1, 4, GOMAXPROCS} and across cache
-// configurations. This test also runs under `make race`, where it doubles
+// bit-identical across Workers ∈ {1, 4, GOMAXPROCS} and with or without the
+// memo. This test also runs under `make race`, where it doubles
 // as the data-race check on the flattened multi-replica batches.
 func TestTemperedGoldenDeterminism(t *testing.T) {
 	net, ts := searchFixture()
@@ -31,15 +31,18 @@ func TestTemperedGoldenDeterminism(t *testing.T) {
 		t.Fatalf("tempered search attempted no exchanges: %+v", ref.Stats)
 	}
 
-	variants := map[string]Config{
-		"rerun":           base,
-		"parallel-4":      {Seed: 42, MaxIterations: 240, BatchSize: 4, Replicas: 4, Workers: 4},
-		"gomaxprocs":      {Seed: 42, MaxIterations: 240, BatchSize: 4, Replicas: 4, Workers: runtime.GOMAXPROCS(0)},
-		"parallel-cached": {Seed: 42, MaxIterations: 240, BatchSize: 4, Replicas: 4, Workers: 4, EnergyCacheSize: 512},
-		"oversized-pool":  {Seed: 42, MaxIterations: 240, BatchSize: 4, Replicas: 4, Workers: 16},
+	variants := map[string]struct {
+		cfg  Config
+		prep func(*Owan)
+	}{
+		"rerun":            {base, nil},
+		"parallel-4":       {Config{Seed: 42, MaxIterations: 240, BatchSize: 4, Replicas: 4, Workers: 4}, nil},
+		"gomaxprocs":       {Config{Seed: 42, MaxIterations: 240, BatchSize: 4, Replicas: 4, Workers: runtime.GOMAXPROCS(0)}, nil},
+		"parallel-no-memo": {Config{Seed: 42, MaxIterations: 240, BatchSize: 4, Replicas: 4, Workers: 4}, disablePersistence},
+		"oversized-pool":   {Config{Seed: 42, MaxIterations: 240, BatchSize: 4, Replicas: 4, Workers: 16}, nil},
 	}
-	for name, cfg := range variants {
-		got := runSearch(net, ts, cfg)
+	for name, v := range variants {
+		got := runSearchOn(net, ts, v.cfg, v.prep)
 		if !got.Topology.Equal(ref.Topology) {
 			t.Errorf("%s: topology diverged from reference\n ref=%v\n got=%v",
 				name, ref.Topology.Links(), got.Topology.Links())

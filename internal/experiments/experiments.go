@@ -66,18 +66,10 @@ type Scale struct {
 	// comparing worker counts: for a fixed (seed, batch) the trajectory
 	// is bit-identical at any OwanWorkers.
 	OwanBatch int
-	// OwanEnergyCache bounds the per-search energy memoization cache in
-	// entries (0 disables).
-	OwanEnergyCache int
 	// OwanDeltaEval enables incremental candidate evaluation in the
 	// annealing search (see core.Config.DeltaEval). The trajectory is
 	// bit-identical either way; only wall-clock changes.
 	OwanDeltaEval bool
-	// OwanProvisionCache sizes the demand-independent provision cache that
-	// persists across slots (entries; 0 = core's default on, negative
-	// disables — see core.Config.ProvisionCacheSize). Like the energy
-	// cache it never changes a trajectory, only wall-clock.
-	OwanProvisionCache int
 	// OwanReplicas sets the parallel-tempering replica count (0 or 1 =
 	// single chain — see core.Config.Replicas). Part of the search
 	// semantics: the trajectory is a pure function of (seed, batch,
@@ -200,9 +192,7 @@ func Scheduler(name string, net *topology.Network, sc Scale, deadlines bool, see
 	}
 	owanCfg.Workers = sc.OwanWorkers
 	owanCfg.BatchSize = sc.OwanBatch
-	owanCfg.EnergyCacheSize = sc.OwanEnergyCache
 	owanCfg.DeltaEval = sc.OwanDeltaEval
-	owanCfg.ProvisionCacheSize = sc.OwanProvisionCache
 	owanCfg.Replicas = sc.OwanReplicas
 	owanCfg.WarmStart = sc.OwanWarmStart
 	owanCfg.Seed = seed

@@ -542,7 +542,6 @@ func FigTempering(sc Scale) (*figdata.Figure, error) {
 			}
 			cfg.Workers = sc.OwanWorkers
 			cfg.BatchSize = sc.OwanBatch
-			cfg.EnergyCacheSize = sc.OwanEnergyCache
 			cfg.Replicas = v.replicas
 			cfg.WarmStart = v.warm
 			cfg.Seed = 7

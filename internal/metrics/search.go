@@ -3,15 +3,15 @@ package metrics
 import "math"
 
 // SearchEfficiency summarizes the annealing engine's evaluation counters:
-// how much of the work the memoization cache absorbed and how evenly the
+// how much of the work the topology memo absorbed and how evenly the
 // energy evaluations spread over the worker pool. internal/core reports the
 // raw counters in its SearchStats; this helper turns them into the ratios
 // the controller logs and the bench harness aggregates.
 type SearchEfficiency struct {
-	// Evaluations is the number of full energy computations (cache misses).
+	// Evaluations is the number of full energy computations (memo misses).
 	Evaluations int
-	// HitRate is cache hits over all energy lookups, in [0,1]; 0 when the
-	// cache is disabled or nothing was looked up.
+	// HitRate is memo hits over all energy lookups, in [0,1]; 0 when
+	// nothing was looked up.
 	HitRate float64
 	// WorkerBalance is mean/max evaluations across workers, in (0,1]:
 	// 1 means a perfectly even pool, values near 1/N mean one worker did

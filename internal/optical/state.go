@@ -153,8 +153,9 @@ type State struct {
 	// direct-segment fast path on the pair's PRIMARY fiber route (a single
 	// unregenerated span, no alternate route, no regenerator graph). Such a
 	// run consulted nothing but the primary route tables and the wavelength
-	// occupancy those same routes produced — the property the provision-cache
-	// migration on fiber failure needs (see SameDirectRouting).
+	// occupancy those same routes produced — the property the migration of
+	// internal/core's memoized effective links on fiber failure needs (see
+	// SameDirectRouting).
 	directOnly bool
 	// segmentOnly is the weaker audit tier: true while every findRegenRoute
 	// call since the last Reset was answered by the direct-segment fast path
@@ -455,7 +456,7 @@ func (s *State) Reset() {
 
 // DirectOnly reports whether every route query since the last Reset was
 // answered by the direct-segment fast path on a primary fiber route.
-// Consumers use it to mark provision-cache entries whose provisioning
+// Consumers use it to mark memoized effective links whose provisioning
 // depended only on the primary per-pair route tables, making them eligible
 // for migration across a fiber removal.
 func (s *State) DirectOnly() bool { return s.directOnly }
@@ -519,8 +520,8 @@ func (s *State) canReach(u, v int) bool { return s.inReach[u*s.net.NumSites()+v]
 // each primary first-fit scan returns the same wavelength, succeeds before
 // any alternate is consulted — which is why the alternate tables need no
 // comparison — and yields identical effective capacities. This is the
-// validity predicate of the provision-cache migration across a fiber
-// removal in internal/core.
+// validity predicate of internal/core's memo migration across a fiber
+// removal.
 func (s *State) SameDirectRouting(t *State, u, v int) bool {
 	ns := s.net.NumSites()
 	if t.net.NumSites() != ns {

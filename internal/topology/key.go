@@ -2,6 +2,7 @@ package topology
 
 import (
 	"encoding/binary"
+	"math"
 )
 
 // Key returns a canonical byte string uniquely identifying the link multiset
@@ -45,7 +46,7 @@ func AppendKeyFromLinks(buf []byte, n int, links []Link) []byte {
 
 // KeyHash returns the 64-bit FNV-1a hash of a key produced by AppendKey /
 // AppendKeyFromLinks. Unlike the key it can collide, so exact lookups must
-// verify the full key bytes on a hash match (internal/core's energy cache
+// verify the full key bytes on a hash match (internal/core's topology memo
 // does).
 func KeyHash(key []byte) uint64 {
 	const (
@@ -108,28 +109,42 @@ func MergePatch(dst []Link, base []Link, patch []Link) []Link {
 
 // DecodeKey parses a key produced by AppendKey / AppendKeyFromLinks back
 // into the site count and the (U, V)-sorted link list, appending the links
-// to dst. ok is false if the bytes are not a well-formed key. This is the
-// inverse the provision-cache migration needs: cached entries are keyed by
-// the encoded topology, and deciding whether an entry survives a network
-// change requires walking its links.
+// to dst. ok is false unless the bytes are exactly such a key: every varint
+// minimal and within int, links strictly (U, V)-sorted with 0 ≤ U < V < n and
+// Count ≥ 1 — so AppendKeyFromLinks re-encodes them to exactly the input. On
+// failure dst comes back at its original length. This is the inverse the
+// memo migration in internal/core needs: entries are keyed by the encoded
+// topology, and deciding whether one survives a network change requires
+// walking its links.
 func DecodeKey(key []byte, dst []Link) (n int, _ []Link, ok bool) {
-	u64, k := binary.Uvarint(key)
-	if k <= 0 {
+	orig := len(dst)
+	next := func() (int, bool) {
+		u64, k := binary.Uvarint(key)
+		// k <= 0: truncated, or longer than 64 bits. A last byte of 0 past
+		// the first is a non-minimal encoding, and a value past MaxInt does
+		// not re-encode from an int.
+		if k <= 0 || (k > 1 && key[k-1] == 0) || u64 > math.MaxInt {
+			return 0, false
+		}
+		key = key[k:]
+		return int(u64), true
+	}
+	if n, ok = next(); !ok {
 		return 0, dst, false
 	}
-	key = key[k:]
-	n = int(u64)
+	prev := Link{U: -1}
 	for len(key) > 0 {
 		var l Link
-		for _, p := range []*int{&l.U, &l.V, &l.Count} {
-			u64, k = binary.Uvarint(key)
-			if k <= 0 {
-				return 0, dst, false
-			}
-			key = key[k:]
-			*p = int(u64)
+		var okU, okV, okC bool
+		l.U, okU = next()
+		l.V, okV = next()
+		l.Count, okC = next()
+		sorted := l.U > prev.U || (l.U == prev.U && l.V > prev.V)
+		if !okU || !okV || !okC || l.U >= l.V || l.V >= n || l.Count < 1 || !sorted {
+			return 0, dst[:orig], false
 		}
 		dst = append(dst, l)
+		prev = l
 	}
 	return n, dst, true
 }

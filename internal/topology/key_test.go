@@ -150,3 +150,80 @@ func TestMergePatchMatchesRebuild(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeKeyRoundTrip: every key AppendKey produces decodes to its own
+// site count and links, appended after whatever dst already held.
+func TestDecodeKeyRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	prefix := []Link{{U: 7, V: 9, Count: 1}}
+	for trial := 0; trial < 300; trial++ {
+		ls := randomLinkSet(rng, 2+rng.Intn(300), rng.Intn(40))
+		n, links, ok := DecodeKey(ls.AppendKey(nil), slices.Clone(prefix))
+		if !ok || n != ls.N {
+			t.Fatalf("trial %d: DecodeKey = (%d, ok=%v), want (%d, true)", trial, n, ok, ls.N)
+		}
+		if links[0] != prefix[0] || !slices.Equal(links[1:], ls.Links()) {
+			t.Fatalf("trial %d: decoded %v, want %v after the prefix", trial, links, ls.Links())
+		}
+	}
+}
+
+// TestDecodeKeyRejectsMalformed: bytes that are not exactly an AppendKey
+// encoding must come back ok = false, with dst at its original length.
+func TestDecodeKeyRejectsMalformed(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		key  []byte
+	}{
+		{"empty", nil},
+		{"truncated link", []byte{4, 0, 1}},
+		{"site past n", []byte{2, 5, 7, 1}},
+		{"U above V, zero count", []byte{4, 2, 1, 0}},
+		{"U equals V", []byte{4, 1, 1, 1}},
+		{"unsorted pairs", []byte{4, 2, 1, 1, 0, 1, 1}},
+		{"duplicate pair", []byte{4, 0, 1, 1, 0, 1, 2}},
+		{"non-minimal varint", []byte{4, 0x81, 0x00, 3, 1}},
+		{"non-minimal site count", []byte{0x84, 0x00}},
+		{"site count -1", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}},
+		{"varint past 64 bits", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}},
+	} {
+		dst := []Link{{U: 0, V: 1, Count: 1}}
+		n, links, ok := DecodeKey(tc.key, dst)
+		if ok {
+			t.Errorf("%s: % x decoded as n=%d links=%v, want ok = false", tc.name, tc.key, n, links[1:])
+		}
+		if len(links) != 1 {
+			t.Errorf("%s: dst grew to %d links on failure", tc.name, len(links))
+		}
+	}
+}
+
+// FuzzDecodeKey: whatever DecodeKey accepts re-encodes to exactly its input,
+// with links strictly (U, V)-sorted, 0 ≤ U < V < n and Count ≥ 1. Seeded
+// from real keys (and testdata/fuzz/FuzzDecodeKey holds malformed ones).
+func FuzzDecodeKey(f *testing.F) {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 16; i++ {
+		f.Add(randomLinkSet(rng, 2+rng.Intn(200), rng.Intn(30)).AppendKey(nil))
+	}
+	f.Fuzz(func(t *testing.T, key []byte) {
+		n, links, ok := DecodeKey(key, nil)
+		if !ok {
+			if len(links) != 0 {
+				t.Fatalf("rejected % x but appended %v", key, links)
+			}
+			return
+		}
+		if got := AppendKeyFromLinks(nil, n, links); !slices.Equal(got, key) {
+			t.Fatalf("% x decoded to n=%d %v, which re-encodes to % x", key, n, links, got)
+		}
+		for i, l := range links {
+			if l.U < 0 || l.U >= l.V || l.V >= n || l.Count < 1 {
+				t.Fatalf("% x: link %d = %+v out of range for n=%d", key, i, l, n)
+			}
+			if i > 0 && (links[i-1].U > l.U || (links[i-1].U == l.U && links[i-1].V >= l.V)) {
+				t.Fatalf("% x: links %d, %d not strictly sorted: %v", key, i-1, i, links)
+			}
+		}
+	})
+}
