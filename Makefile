@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build vet test race bench bench-smoke temper claims update routes fuzz faults ctl loadgen-smoke check
+.PHONY: build vet test race bench bench-smoke bench-module temper claims update routes fuzz faults ctl loadgen-smoke check
 
 build:
 	$(GO) build ./...
@@ -40,6 +40,13 @@ bench:
 # slot pipeline is measured by bench/run.sh, not here.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/core ./internal/update
+
+# bench-module vets and tests the benchmark (bench/), a module of its own
+# that go build ./... and go test ./... at the root never compile, though it
+# builds against internal/core, internal/controlplane and the simulator.
+bench-module:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench -count=1 .
 
 # claims replays the incremental-engine differentials with the test cache
 # defeated: the allocator's engines against the map-based reference
@@ -88,11 +95,15 @@ routes:
 		-run 'TestBuilderFingerprints|TestPrimTreeDifferential|TestPlaceRegeneratorsDifferential|TestClosureMatchesBFS|TestKShortestDifferential|TestKShortestBoundedDifferential|TestKShortestAllocationFree|TestTreeArcMatchesShortestPath|TestRouteRepairDifferential|TestRouteTablesReachSweep|TestRouteTablesDieWithNetwork|TestFiberPathIDsStable|TestPlannerSharesSchedulerCut|TestStateWithoutFiber' \
 		./internal/topology/ ./internal/bitset/ ./internal/graph/ ./internal/optical/ ./internal/sim/
 
-# fuzz is a 10-second smoke of topology.DecodeKey: whatever it accepts must
-# re-encode to exactly its input, with strictly sorted in-range links. The
-# committed corpus (internal/topology/testdata/fuzz) replays in plain go test.
+# fuzz is a 10-second smoke of each decoder, one go test per target (go test
+# fuzzes one target per run). topology.DecodeKey: whatever it accepts must
+# re-encode to exactly its input, with strictly sorted in-range links.
+# controlplane.ReadMsg: no frame may panic it, and re-framing what it accepts
+# is a fixed point. The committed corpora (testdata/fuzz in each package)
+# replay in plain go test.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeKey -fuzztime 10s ./internal/topology/
+	$(GO) test -run '^$$' -fuzz FuzzReadMsg -fuzztime 10s ./internal/controlplane/
 
 # temper replays the committed 300-seed golden digests: the annealing loop
 # in compat mode (Replicas=1, WarmStart=false) must reproduce the
@@ -120,7 +131,7 @@ faults:
 # and joins the next slot; Tick, wire submits, status reads and fiber cuts
 # run against each other and end in Close with no goroutine left; a store
 # holding only the records each slot changed recovers like one rewritten in
-# full every slot.
+# full every slot, and a successor recovers the fiber cuts made before it.
 ctl:
 	$(GO) test -race -count=3 \
 		-run 'TestSubmitDuringSearch|TestSlotOpsConcurrent|TestRecoveryEquivalence' \
@@ -139,7 +150,8 @@ loadgen-smoke:
 # check is the tier-1 gate: clean build, vet, full tests, race-detected
 # internal tests (including the delta differential harnesses), the
 # tempering golden differential, the claim, flat-planner and route-table
-# differentials, the key-decoder fuzz smoke, a one-shot benchmark smoke, the
-# seeded fault-injection matrix, the controller's slot-discipline tests, and
-# the admission load-generator smoke.
-check: build vet test race temper claims update routes fuzz bench-smoke faults ctl loadgen-smoke
+# differentials, the key- and frame-decoder fuzz smokes, a one-shot benchmark
+# smoke, the benchmark module's vet and tests, the seeded fault-injection
+# matrix, the controller's slot-discipline tests, and the admission
+# load-generator smoke.
+check: build vet test race temper claims update routes fuzz bench-smoke bench-module faults ctl loadgen-smoke

@@ -10,6 +10,9 @@
 //	owan-bench            # quick scale (minutes)
 //	owan-bench -full      # paper scale (tens of minutes)
 //	owan-bench -fig fig7 -topo isp
+//
+// The search flags are core.SearchFlags; -workers also bounds how many of a
+// figure's simulation runs are in flight at once.
 package main
 
 import (
@@ -21,6 +24,7 @@ import (
 	"strings"
 	"time"
 
+	"owan/internal/core"
 	"owan/internal/experiments"
 	"owan/internal/figdata"
 	"owan/internal/prof"
@@ -28,19 +32,15 @@ import (
 
 func main() {
 	var (
-		full     = flag.Bool("full", false, "run at paper scale (slower)")
-		figSel   = flag.String("fig", "all", "figure to run: fig7|fig8|fig9|fig10a|fig10b|fig10c|fig10d|validation|failure|failure-correlated|tempering|all")
-		topo     = flag.String("topo", "all", "topology for fig7/8/9/10b: internet2|isp|interdc|isp200|all (isp200 is the opt-in stress scale; pair it with the trim flags)")
-		slots    = flag.Int("slots", 0, "override the arrival-window slot count (0 = scale default; trims large-topology runs)")
-		iters    = flag.Int("iters", 0, "override the annealing iteration cap (0 = scale default)")
-		seeds    = flag.Int("seeds", 0, "override the per-cell seed count (0 = scale default)")
-		outdir   = flag.String("outdir", "", "directory for per-figure data files (optional)")
-		workers  = flag.Int("workers", 0, "annealing energy-evaluation goroutines and per-figure simulation runs in flight (0 = serial; see core.Config.Workers)")
-		batch    = flag.Int("batch", 0, "annealing candidate batch per temperature step (0 = workers; pin it when comparing -workers values — batch is part of the search semantics)")
-		delta    = flag.Bool("delta", false, "incremental candidate evaluation (core.Config.DeltaEval); results identical for a seed either way")
-		replicas = flag.Int("replicas", 0, "parallel-tempering replica count (0 or 1 = single chain; part of the search semantics)")
-		warm     = flag.Bool("warmstart", false, "seed each slot's cooling schedule from the previous slot (core.Config.WarmStart)")
-		pf       = prof.Register()
+		full   = flag.Bool("full", false, "run at paper scale (slower)")
+		figSel = flag.String("fig", "all", "figure to run: fig7|fig8|fig9|fig10a|fig10b|fig10c|fig10d|validation|failure|failure-correlated|tempering|all")
+		topo   = flag.String("topo", "all", "topology for fig7/8/9/10b: internet2|isp|interdc|isp200|all (isp200 is the opt-in stress scale; pair it with the trim flags)")
+		slots  = flag.Int("slots", 0, "override the arrival-window slot count (0 = scale default; trims large-topology runs)")
+		iters  = flag.Int("iters", 0, "override the annealing iteration cap (0 = scale default)")
+		seeds  = flag.Int("seeds", 0, "override the per-cell seed count (0 = scale default)")
+		outdir = flag.String("outdir", "", "directory for per-figure data files (optional)")
+		search = core.SearchFlags(flag.CommandLine)
+		pf     = prof.Register()
 	)
 	flag.Parse()
 	stopProf, err := pf.Start()
@@ -53,12 +53,10 @@ func main() {
 	if *full {
 		sc = experiments.FullScale()
 	}
-	sc.OwanWorkers = *workers
-	sc.OwanBatch = *batch
-	sc.OwanDeltaEval = *delta
-	sc.OwanReplicas = *replicas
-	sc.OwanWarmStart = *warm
-	sc.FigWorkers = *workers
+	sc.Search = search
+	var knobs core.Config
+	search(&knobs)
+	sc.FigWorkers = knobs.Workers
 	if *slots > 0 {
 		sc.HorizonSlots = *slots
 	}

@@ -32,11 +32,7 @@ func main() {
 		ports     = flag.Int("ports", 10, "router ports per site")
 		slot      = flag.Duration("slot", 5*time.Second, "slot duration (paper: 5m; demos use seconds)")
 		seed      = flag.Int64("seed", 1, "annealing seed")
-		workers   = flag.Int("workers", 0, "energy-evaluation goroutines (0 = serial; results identical for a seed either way)")
-		batch     = flag.Int("batch", 0, "candidate batch per temperature step (0 = workers; part of the search semantics)")
-		delta     = flag.Bool("delta", false, "incremental candidate evaluation (core.Config.DeltaEval); results identical for a seed either way")
-		replicas  = flag.Int("replicas", 0, "parallel-tempering replica count (0 or 1 = single chain; part of the search semantics)")
-		warm      = flag.Bool("warmstart", false, "seed each slot's cooling schedule from the previous slot (shorter schedules on low-drift slots)")
+		search    = core.SearchFlags(flag.CommandLine)
 		heartbeat = flag.Duration("heartbeat", controlplane.DefaultReadTimeout, "declare a client dead after this much silence (clients ping every 10s by default)")
 		wtimeout  = flag.Duration("write-timeout", controlplane.DefaultWriteTimeout, "per-client write deadline for rate pushes; a slower client is dropped and marked for resync")
 		maxcli    = flag.Int("max-clients", 0, "registered-client cap; excess hellos get a typed overloaded error (0 = unlimited)")
@@ -62,11 +58,7 @@ func main() {
 	cfg := core.DefaultConfig(nw)
 	cfg.Policy = transfer.SJF
 	cfg.Seed = *seed
-	cfg.Workers = *workers
-	cfg.BatchSize = *batch
-	cfg.DeltaEval = *delta
-	cfg.Replicas = *replicas
-	cfg.WarmStart = *warm
+	search(&cfg)
 	ctrl, err := controlplane.NewServer(context.Background(), nil,
 		controlplane.WithCoreConfig(cfg),
 		controlplane.WithSlotSeconds(slot.Seconds()),

@@ -16,6 +16,7 @@ import (
 	"math"
 	"os"
 
+	"owan/internal/core"
 	"owan/internal/experiments"
 	"owan/internal/metrics"
 	"owan/internal/prof"
@@ -33,11 +34,7 @@ func main() {
 		full     = flag.Bool("full", false, "paper-scale parameters")
 		traceIn  = flag.String("trace", "", "replay transfer requests from a JSON trace file")
 		traceOut = flag.String("save-trace", "", "write the generated workload to a JSON trace file")
-		workers  = flag.Int("workers", 0, "annealing energy-evaluation goroutines (0 = serial)")
-		batch    = flag.Int("batch", 0, "annealing candidate batch per temperature step (0 = workers; pin it when comparing -workers values — batch is part of the search semantics)")
-		delta    = flag.Bool("delta", false, "incremental candidate evaluation (snapshot deltas; same results, less wall-clock)")
-		replicas = flag.Int("replicas", 0, "parallel-tempering replica count (0 or 1 = single chain; part of the search semantics)")
-		warm     = flag.Bool("warmstart", false, "seed each slot's cooling schedule from the previous slot (shorter schedules on low-drift slots)")
+		search   = core.SearchFlags(flag.CommandLine)
 		pf       = prof.Register()
 	)
 	flag.Parse()
@@ -51,11 +48,7 @@ func main() {
 	if *full {
 		sc = experiments.FullScale()
 	}
-	sc.OwanWorkers = *workers
-	sc.OwanBatch = *batch
-	sc.OwanDeltaEval = *delta
-	sc.OwanReplicas = *replicas
-	sc.OwanWarmStart = *warm
+	sc.Search = search
 	var reqs []transfer.Request
 	if *traceIn != "" {
 		f, err := os.Open(*traceIn)

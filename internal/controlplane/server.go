@@ -64,7 +64,7 @@ type Controller struct {
 	slotMu     sync.Mutex
 	owan       *core.Owan
 	topo       *topology.LinkSet
-	failed     map[int]bool // fiber ids already failed (idempotent reports)
+	failed     []int // cut fiber ids in cut order, as persisted under failedKey
 	prevUpdate *update.State
 	updScratch *update.Scratch
 
@@ -217,7 +217,6 @@ func newController(ctx context.Context, st *store.Store, o serverOptions) (*Cont
 		sites:        map[int]*clientConn{},
 		tokens:       map[string]int{},
 		tokenByID:    map[int]string{},
-		failed:       map[int]bool{},
 		resyncNeeded: map[int]bool{},
 		conns:        map[*clientConn]bool{},
 		done:         make(chan struct{}),
@@ -419,10 +418,14 @@ func marshalRecords(recs ...persistedTransfer) []store.KV {
 	return kvs
 }
 
-// recover rebuilds in-memory transfer state from the store (controller
-// failover: "we spawn a new instance, which starts to compute and
-// reconfigure the network state at the next time slot"). The next-id
-// counter resumes past the largest recovered id, so ids stay unique
+// failedKey is the store record holding the cut fiber ids in cut order.
+const failedKey = "meta/failed"
+
+// recover rebuilds in-memory state from the store (controller failover:
+// "we spawn a new instance, which starts to compute and reconfigure the
+// network state at the next time slot"). Fiber cuts are replayed in the
+// order they happened, so the successor plans on the same plant. The
+// next-id counter resumes past the largest recovered id, so ids stay unique
 // across takeovers; tokens and ownership come back with the transfers.
 // Finished transfers come back as a count and a token only, the state a
 // controller that had run those slots itself would hold.
@@ -431,6 +434,22 @@ func (c *Controller) recover() error {
 		if err := json.Unmarshal(b, &c.slot); err != nil {
 			return err
 		}
+	}
+	if b, ok := c.st.Get(failedKey); ok {
+		var cuts []int
+		if err := json.Unmarshal(b, &cuts); err != nil {
+			return fmt.Errorf("controlplane: corrupt %s record: %w", failedKey, err)
+		}
+		for _, id := range cuts {
+			nw := c.owan.WithoutFiber(id)
+			if nw == c.owan {
+				return fmt.Errorf("controlplane: %s names unknown fiber %d", failedKey, id)
+			}
+			c.owan.Close()
+			c.owan = nw
+		}
+		c.failed = cuts
+		c.Net = c.owan.Net()
 	}
 	for _, k := range c.st.Keys("transfer/") {
 		b, _ := c.st.Get(k)
@@ -879,7 +898,7 @@ func (c *Controller) ResyncPending() []int {
 func (c *Controller) FailFiber(fiberID int) error {
 	c.slotMu.Lock()
 	defer c.slotMu.Unlock()
-	if c.failed[fiberID] {
+	if slices.Contains(c.failed, fiberID) {
 		// Already failed: reports are idempotent so a client retrying
 		// after a lost ack (or several sites noticing the same failure)
 		// succeeds.
@@ -889,7 +908,11 @@ func (c *Controller) FailFiber(fiberID int) error {
 	if nw == c.owan {
 		return fmt.Errorf("unknown fiber %d", fiberID)
 	}
-	c.failed[fiberID] = true
+	c.failed = append(c.failed, fiberID)
+	// Persist the cut before acking it, so a successor recovering from the
+	// store does not plan over the cut fiber.
+	b, _ := json.Marshal(c.failed)
+	c.st.Put(failedKey, b)
 	// The replaced core's evaluator goroutines are done; its memo's
 	// still-valid effective links and its route tables live on in the new one.
 	c.owan.Close()

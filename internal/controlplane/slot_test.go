@@ -27,7 +27,7 @@ func TestSubmitDuringSearch(t *testing.T) {
 	// ln(EpsilonFrac)/ln(alpha) ≈ 69 k iterations to cool to ε, and the
 	// iteration cap is out of reach, so the schedule alone ends it.
 	const alpha = 0.9999
-	schedule := int(math.Ceil(math.Log(core.DefaultEpsilonFrac) / math.Log(alpha)))
+	schedule := int(math.Ceil(math.Log(core.EpsilonFrac) / math.Log(alpha)))
 	ctrl, err := NewServer(context.Background(), nil,
 		WithCoreConfig(core.Config{
 			Net: topology.Internet2(8), Policy: transfer.SJF, Seed: 1,
@@ -271,7 +271,9 @@ func liveRecords(c *Controller) []store.KV {
 // TestRecoveryEquivalence: Tick writes only the records its slot changed.
 // Every live transfer's full record must still equal what the store holds,
 // so a store that was rewritten in full every slot and the changed-only one
-// recover to the same controller.
+// recover to the same controller. A fiber cut made mid-run is recovered
+// too: the successor plans on the reduced plant, and reporting the same
+// cut to it again is a no-op.
 func TestRecoveryEquivalence(t *testing.T) {
 	cfg := core.Config{Net: topology.Internet2(8), Policy: transfer.SJF, Seed: 1, MaxIterations: 20}
 	changed, full := store.New(), store.New()
@@ -291,7 +293,13 @@ func TestRecoveryEquivalence(t *testing.T) {
 		full.PutBatch(append(kvs, liveRecords(ctrl)...))
 	}
 	unserved := 0
+	cut := cfg.Net.Fibers[3].ID
 	for slot := 0; slot < 30; slot++ {
+		if slot == 10 {
+			if err := ctrl.FailFiber(cut); err != nil {
+				t.Fatal(err)
+			}
+		}
 		// Contending demand on one pair, so that some transfers go unserved,
 		// plus short ones that finish.
 		for k := 0; k < 6; k++ {
@@ -343,6 +351,19 @@ func TestRecoveryEquivalence(t *testing.T) {
 		return c
 	}
 	a, b := recoverFrom(changed), recoverFrom(full)
+	if len(ctrl.Net.Fibers) != len(cfg.Net.Fibers)-1 {
+		t.Fatalf("running controller has %d fibers after one cut of %d", len(ctrl.Net.Fibers), len(cfg.Net.Fibers))
+	}
+	for _, c := range []*Controller{a, b} {
+		if !reflect.DeepEqual(c.Net.Fibers, ctrl.Net.Fibers) {
+			t.Errorf("recovered controller has %d fibers, the one that wrote the store %d: the cut of fiber %d was lost",
+				len(c.Net.Fibers), len(ctrl.Net.Fibers), cut)
+		}
+		net := c.Net
+		if err := c.FailFiber(cut); err != nil || c.Net != net {
+			t.Errorf("repeating the recovered cut of fiber %d: err %v, network replaced %v", cut, err, c.Net != net)
+		}
+	}
 	if a.completed == 0 || len(a.transfers) == 0 {
 		t.Fatalf("recovered %d live and %d completed transfers: want some of each", len(a.transfers), a.completed)
 	}

@@ -9,27 +9,24 @@ import (
 
 // DefaultConfig returns a fully populated Config with the paper's default
 // knobs for a network. Entry points start from this instead of hand-rolling
-// defaults; zero-valued fields in a hand-built Config still resolve to the
-// same values via withDefaults, so the two paths cannot drift.
+// defaults. Zero-valued fields in a hand-built Config resolve to the same
+// values via withDefaults, except StarveSlots: DefaultConfig sets
+// DefaultStarveSlots, while a hand-built zero leaves starvation promotion
+// off.
 func DefaultConfig(net *topology.Network) Config {
 	return Config{
 		Net:           net,
 		Policy:        transfer.SJF,
 		StarveSlots:   DefaultStarveSlots,
 		Alpha:         DefaultAlpha,
-		EpsilonFrac:   DefaultEpsilonFrac,
 		MaxIterations: DefaultMaxIter,
-		InitTempFrac:  DefaultInitTemp,
 		NeighborMoves: 1,
 		MaxChurn:      DefaultMaxChurn,
 		// Workers and BatchSize stay 0 ("resolve at New"): BatchSize
 		// follows Workers by contract, and pinning either here would
 		// change the search trajectory for callers that only set Workers.
-		Replicas:         1,
-		ExchangeInterval: DefaultExchangeInterval,
-		WarmTempFloor:    DefaultWarmTempFloor,
-		ConvergeWindows:  DefaultConvergeWindows,
-		Seed:             1,
+		Replicas: 1,
+		Seed:     1,
 	}
 }
 
@@ -44,12 +41,6 @@ func (c Config) Validate() error {
 	}
 	if c.Alpha != 0 && (c.Alpha <= 0 || c.Alpha >= 1) {
 		return fmt.Errorf("core: config: Alpha must be in (0,1), got %v", c.Alpha)
-	}
-	if c.EpsilonFrac != 0 && (c.EpsilonFrac <= 0 || c.EpsilonFrac >= 1) {
-		return fmt.Errorf("core: config: EpsilonFrac must be in (0,1), got %v", c.EpsilonFrac)
-	}
-	if c.InitTempFrac < 0 {
-		return fmt.Errorf("core: config: InitTempFrac must be non-negative, got %v", c.InitTempFrac)
 	}
 	if c.StarveSlots < 0 {
 		return fmt.Errorf("core: config: StarveSlots must be non-negative, got %d", c.StarveSlots)
@@ -69,15 +60,8 @@ func (c Config) Validate() error {
 	if c.Replicas < 0 {
 		return fmt.Errorf("core: config: Replicas must be non-negative (0 = single chain), got %d", c.Replicas)
 	}
-	if c.ExchangeInterval < 0 {
-		return fmt.Errorf("core: config: ExchangeInterval must be non-negative, got %d", c.ExchangeInterval)
-	}
-	if c.WarmTempFloor < 0 || c.WarmTempFloor > 1 {
-		return fmt.Errorf("core: config: WarmTempFloor must be in [0,1], got %v", c.WarmTempFloor)
-	}
-	// MaxChurn and ConvergeWindows may be negative by contract: negative
-	// disables the churn bound / the early-exit convergence check (each zero
-	// value means "default", since defaults never weaken the paper's
+	// MaxChurn may be negative by contract: negative disables the churn
+	// bound (zero means "default", since defaults never weaken the paper's
 	// schedule).
 	return nil
 }

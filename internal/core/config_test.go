@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -13,15 +14,13 @@ func TestDefaultConfigValidatesAndMatchesWithDefaults(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("DefaultConfig invalid: %v", err)
 	}
-	// DefaultConfig must agree with the zero-value resolution path, so
+	// DefaultConfig must agree field for field with the zero-value
+	// resolution path, except StarveSlots, whose zero disables promotion, so
 	// the explicit and implicit default routes cannot drift.
-	implicit := (Config{Net: net, Seed: 1}).withDefaults()
-	if cfg.Alpha != implicit.Alpha || cfg.EpsilonFrac != implicit.EpsilonFrac ||
-		cfg.MaxIterations != implicit.MaxIterations || cfg.InitTempFrac != implicit.InitTempFrac ||
-		cfg.NeighborMoves != implicit.NeighborMoves || cfg.MaxChurn != implicit.MaxChurn ||
-		cfg.Replicas != implicit.Replicas || cfg.ExchangeInterval != implicit.ExchangeInterval ||
-		cfg.WarmTempFloor != implicit.WarmTempFloor || cfg.ConvergeWindows != implicit.ConvergeWindows {
-		t.Errorf("DefaultConfig drifted from withDefaults:\n explicit %+v\n implicit %+v", cfg, implicit)
+	explicit := cfg.withDefaults()
+	implicit := Config{Net: net, Seed: 1, StarveSlots: DefaultStarveSlots}.withDefaults()
+	if !reflect.DeepEqual(explicit, implicit) {
+		t.Errorf("DefaultConfig drifted from withDefaults:\n explicit %+v\n implicit %+v", explicit, implicit)
 	}
 }
 
@@ -36,17 +35,12 @@ func TestValidateRejectsNonsense(t *testing.T) {
 		{"alpha=1", func(c *Config) { c.Alpha = 1 }, "Alpha"},
 		{"alpha negative", func(c *Config) { c.Alpha = -0.5 }, "Alpha"},
 		{"alpha above 1", func(c *Config) { c.Alpha = 1.5 }, "Alpha"},
-		{"epsilon=2", func(c *Config) { c.EpsilonFrac = 2 }, "EpsilonFrac"},
-		{"negative init temp", func(c *Config) { c.InitTempFrac = -1 }, "InitTempFrac"},
 		{"negative starve", func(c *Config) { c.StarveSlots = -1 }, "StarveSlots"},
 		{"negative iterations", func(c *Config) { c.MaxIterations = -1 }, "MaxIterations"},
 		{"negative moves", func(c *Config) { c.NeighborMoves = -1 }, "NeighborMoves"},
 		{"negative workers", func(c *Config) { c.Workers = -1 }, "Workers"},
 		{"negative batch", func(c *Config) { c.BatchSize = -1 }, "BatchSize"},
 		{"negative replicas", func(c *Config) { c.Replicas = -1 }, "Replicas"},
-		{"negative exchange interval", func(c *Config) { c.ExchangeInterval = -2 }, "ExchangeInterval"},
-		{"warm floor negative", func(c *Config) { c.WarmTempFloor = -0.1 }, "WarmTempFloor"},
-		{"warm floor above 1", func(c *Config) { c.WarmTempFloor = 1.5 }, "WarmTempFloor"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -71,13 +65,5 @@ func TestValidateAllowsZeroDefaultsAndNegativeChurn(t *testing.T) {
 	cfg.MaxChurn = -1 // contract: negative disables the churn bound
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("negative MaxChurn rejected: %v", err)
-	}
-	cfg.ConvergeWindows = -1 // contract: negative disables early exit
-	if err := cfg.Validate(); err != nil {
-		t.Errorf("negative ConvergeWindows rejected: %v", err)
-	}
-	cfg.WarmTempFloor = 1 // boundary: floor 1 makes warm start inert, still legal
-	if err := cfg.Validate(); err != nil {
-		t.Errorf("WarmTempFloor=1 rejected: %v", err)
 	}
 }

@@ -30,21 +30,15 @@ type Config struct {
 	// completion time, EDF for deadlines).
 	Policy transfer.Policy
 	// StarveSlots is t̂: a transfer unserved for this many slots is
-	// promoted to the head of the order (0 disables).
+	// promoted to the head of the order. Unlike the other fields, 0 is not
+	// "use the default" but disables promotion; DefaultConfig sets
+	// DefaultStarveSlots.
 	StarveSlots int
 	// Alpha is the cooling rate (the paper uses a schedule equivalent to a
 	// few hundred iterations; 0.99 with EpsilonFrac 1e-3 gives ~690).
 	Alpha float64
-	// EpsilonFrac stops the search when the temperature falls below
-	// EpsilonFrac × the initial temperature.
-	EpsilonFrac float64
 	// MaxIterations caps annealing iterations regardless of temperature.
 	MaxIterations int
-	// InitTempFrac scales the initial temperature relative to the current
-	// throughput. Algorithm 1 uses the raw throughput (frac 1), but energy
-	// deltas of a 2-circuit move are a few percent of total throughput, so
-	// a fraction keeps more of the cooling schedule at useful temperatures.
-	InitTempFrac float64
 	// NeighborMoves is how many 2-circuit swaps one neighbor applies
 	// (ablation knob; 1 is the paper's minimal 4-link move).
 	NeighborMoves int
@@ -93,32 +87,17 @@ type Config struct {
 	// Workers/GOMAXPROCS. DeltaEval applies at R = 1 only; with Replicas > 1
 	// candidates are evaluated materialized.
 	Replicas int
-	// ExchangeInterval is how many candidate batches each rung runs between
-	// exchange attempts; the same interval paces the early-exit convergence
-	// check (warm-started slots and R > 1 only). 0 selects
-	// DefaultExchangeInterval.
-	ExchangeInterval int
 	// WarmStart seeds each slot's cooling schedule from the previous slot's
 	// accepted energy and final temperature instead of restarting the full
-	// InitTempFrac schedule: the starting temperature is scaled by the
-	// relative drift between this slot's initial energy and the previous
-	// slot's accepted energy (floored at WarmTempFloor × the cold T0, capped
-	// at the cold T0), and the stop temperature ε stays anchored to the cold
+	// cold schedule: the starting temperature is scaled by the relative
+	// drift between this slot's initial energy and the previous slot's
+	// accepted energy (floored at warmTempFloor × the cold T0, capped at the
+	// cold T0), and the stop temperature ε stays anchored to the cold
 	// schedule, so a low-drift slot runs a genuinely shorter schedule. A
 	// warm-started search also early-exits when the (coldest) chain's best
-	// energy stops improving. The first slot of a controller is always cold.
+	// energy stops improving for convergeWindows exchange windows. The first
+	// slot of a controller is always cold.
 	WarmStart bool
-	// WarmTempFloor floors the warm-started initial temperature as a
-	// fraction of the cold initial temperature, so a zero-drift slot still
-	// explores a little. 0 selects DefaultWarmTempFloor; must be ≤ 1
-	// (1 makes warm start inert).
-	WarmTempFloor float64
-	// ConvergeWindows is the early-exit patience for warm-started slots and
-	// R > 1 searches: after this many consecutive exchange windows whose
-	// best-energy improvement stays within EpsilonFrac (relative), the
-	// search stops and reports SearchStats.EarlyExit. 0 selects
-	// DefaultConvergeWindows; negative disables early exit.
-	ConvergeWindows int
 	// Seed makes the probabilistic search reproducible.
 	Seed int64
 }
@@ -126,19 +105,35 @@ type Config struct {
 // Defaults from the paper.
 const (
 	DefaultAlpha       = 0.99
-	DefaultEpsilonFrac = 1e-3
 	DefaultMaxIter     = 2000
 	DefaultStarveSlots = 3
-	DefaultInitTemp    = 0.02
 	DefaultMaxChurn    = 16
-	// DefaultExchangeInterval is how many batches each tempering replica
-	// runs between exchange attempts (and between early-exit checks).
-	DefaultExchangeInterval = 4
-	// DefaultWarmTempFloor floors the warm-started initial temperature at
-	// this fraction of the cold one.
-	DefaultWarmTempFloor = 0.05
-	// DefaultConvergeWindows is the early-exit patience in exchange windows.
-	DefaultConvergeWindows = 3
+)
+
+// The fixed constants of the cooling schedule.
+const (
+	// EpsilonFrac stops the search when the temperature falls below
+	// EpsilonFrac × the cold initial temperature; the early exit also reads
+	// it as the relative best-energy gain that counts as progress.
+	EpsilonFrac = 1e-3
+	// initTempFrac scales the cold initial temperature relative to the
+	// current throughput. Algorithm 1 uses the raw throughput (frac 1), but
+	// energy deltas of a 2-circuit move are a few percent of total
+	// throughput, so a fraction keeps more of the cooling schedule at useful
+	// temperatures.
+	initTempFrac = 0.02
+	// exchangeInterval is how many candidate batches each rung runs between
+	// exchange attempts; the same interval paces the early-exit check.
+	exchangeInterval = 4
+	// warmTempFloor floors the warm-started initial temperature at this
+	// fraction of the cold one, so a zero-drift slot still explores a
+	// little.
+	warmTempFloor = 0.05
+	// convergeWindows is the early-exit patience of warm-started slots and
+	// R > 1 searches: after this many consecutive exchange windows whose
+	// best-energy gain stays within EpsilonFrac (relative), the search stops
+	// and reports SearchStats.EarlyExit.
+	convergeWindows = 3
 	// temperLadderStep is the geometric spacing of the tempering ladder:
 	// rung r runs at T × temperLadderStep^r. Wide enough that the hottest of
 	// a handful of rungs explores freely, close enough that neighbor-rung
@@ -150,14 +145,8 @@ func (c Config) withDefaults() Config {
 	if c.Alpha == 0 {
 		c.Alpha = DefaultAlpha
 	}
-	if c.EpsilonFrac == 0 {
-		c.EpsilonFrac = DefaultEpsilonFrac
-	}
 	if c.MaxIterations == 0 {
 		c.MaxIterations = DefaultMaxIter
-	}
-	if c.InitTempFrac == 0 {
-		c.InitTempFrac = DefaultInitTemp
 	}
 	if c.NeighborMoves == 0 {
 		c.NeighborMoves = 1
@@ -173,15 +162,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Replicas < 1 {
 		c.Replicas = 1
-	}
-	if c.ExchangeInterval < 1 {
-		c.ExchangeInterval = DefaultExchangeInterval
-	}
-	if c.WarmTempFloor == 0 {
-		c.WarmTempFloor = DefaultWarmTempFloor
-	}
-	if c.ConvergeWindows == 0 {
-		c.ConvergeWindows = DefaultConvergeWindows
 	}
 	return c
 }
@@ -231,7 +211,7 @@ type SearchStats struct {
 	Exchanges        int
 	// InitialTemp is the temperature the (coldest) cooling schedule actually
 	// started from; WarmStarted reports whether it was seeded from the
-	// previous slot instead of the cold InitTempFrac schedule.
+	// previous slot instead of the cold schedule.
 	InitialTemp float64
 	WarmStarted bool
 	// EarlyExit reports that the search stopped because the best energy
@@ -593,7 +573,7 @@ func (o *Owan) ComputeNetworkState(current *topology.LinkSet, active []*transfer
 	eCur := ev.initial(sCur)
 	stats := SearchStats{InitialEnergy: eCur, Replicas: o.cfg.Replicas}
 
-	coldT0 := eCur * o.cfg.InitTempFrac
+	coldT0 := eCur * initTempFrac
 	if coldT0 <= 0 {
 		// No throughput achievable from the current state (e.g. no demands
 		// yet): fall back to a nominal temperature so the loop still
@@ -603,7 +583,7 @@ func (o *Owan) ComputeNetworkState(current *topology.LinkSet, active []*transfer
 	// The stop temperature stays anchored to the cold schedule even when
 	// warm-starting: a warm schedule begins lower and therefore runs
 	// genuinely fewer cooling steps to the same ε.
-	epsilon := o.cfg.EpsilonFrac * coldT0
+	epsilon := EpsilonFrac * coldT0
 	T, warmStarted := o.warmStartTemp(eCur, coldT0)
 	stats.InitialTemp = T
 	stats.WarmStarted = warmStarted
@@ -643,7 +623,7 @@ func (o *Owan) ComputeNetworkState(current *topology.LinkSet, active []*transfer
 // start off, or nothing recorded yet) start at coldT0. A warm slot scales
 // coldT0 by the relative drift between this slot's initial energy and the
 // previous slot's accepted energy — similar demands need little reheating,
-// a demand shock re-runs most of the schedule — floored at WarmTempFloor
+// a demand shock re-runs most of the schedule — floored at warmTempFloor
 // (so zero-drift slots still explore), never below the temperature the
 // previous schedule ended at, and capped at coldT0.
 func (o *Owan) warmStartTemp(eCur, coldT0 float64) (float64, bool) {
@@ -651,7 +631,7 @@ func (o *Owan) warmStartTemp(eCur, coldT0 float64) (float64, bool) {
 		return coldT0, false
 	}
 	drift := math.Abs(eCur-o.warmE) / math.Max(math.Abs(o.warmE), 1e-9)
-	frac := math.Min(1, math.Max(o.cfg.WarmTempFloor, drift))
+	frac := math.Min(1, math.Max(warmTempFloor, drift))
 	T := math.Max(coldT0*frac, o.warmT)
 	if T > coldT0 {
 		T = coldT0
@@ -675,9 +655,9 @@ func (o *Owan) warmStartTemp(eCur, coldT0 float64) (float64, bool) {
 //     ends. The schedule alone bounds the search; Figure 10d budgets it by
 //     setting MaxIterations = B and Alpha = EpsilonFrac^(1/B), so every
 //     budget is one complete anneal from T0 down to ε;
-//   - every ExchangeInterval rounds the exchange sweep runs and, on slots
+//   - every exchangeInterval rounds the exchange sweep runs and, on slots
 //     that warm-started or run more than one rung, the early exit stops the
-//     search once the best energy stalls for ConvergeWindows windows.
+//     search once the best energy stalls for convergeWindows windows.
 //
 // With DeltaEval at R = 1 candidates are move lists evaluated on the delta
 // path and materialized only when they become the best or the current state
@@ -712,7 +692,7 @@ func (o *Owan) anneal(ev *evaluator, current, sInit *topology.LinkSet, eInit, T,
 	}
 	// A cold single chain (every first slot, and every slot with WarmStart
 	// off) never early-exits: it runs the paper's schedule to ε.
-	earlyExit := o.cfg.ConvergeWindows > 0 && (stats.WarmStarted || R > 1)
+	earlyExit := stats.WarmStarted || R > 1
 	rounds, streak := 0, 0
 	windowBest := eBest
 	stop := false
@@ -823,12 +803,12 @@ func (o *Owan) anneal(ev *evaluator, current, sInit *topology.LinkSet, eInit, T,
 		}
 
 		rounds++
-		if rounds%o.cfg.ExchangeInterval == 0 {
-			exchange(rungs, exRng, (rounds/o.cfg.ExchangeInterval)%2, stats)
+		if rounds%exchangeInterval == 0 {
+			exchange(rungs, exRng, (rounds/exchangeInterval)%2, stats)
 			if earlyExit {
-				if eBest-windowBest <= o.cfg.EpsilonFrac*math.Max(math.Abs(eBest), 1e-9) {
+				if eBest-windowBest <= EpsilonFrac*math.Max(math.Abs(eBest), 1e-9) {
 					streak++
-					if streak >= o.cfg.ConvergeWindows {
+					if streak >= convergeWindows {
 						stats.EarlyExit = true
 						stop = true
 					}

@@ -11,7 +11,7 @@ import (
 // annealing loop in owan.go: the rungs, their RNG streams and the exchange
 // sweep. R chains run side by side at a geometric temperature ladder — rung 0
 // is the coldest, at the normal schedule temperature, rung r at
-// temperLadderStep^r times that — and every ExchangeInterval rounds neighbor
+// temperLadderStep^r times that — and every exchangeInterval rounds neighbor
 // rungs propose to swap their current states under the Metropolis criterion
 // on (ΔE, Δβ). Hot rungs cross energy barriers the cold rung cannot;
 // exchanges funnel their discoveries down. At R = 1 there is one rung and no

@@ -76,14 +76,18 @@ func TestTemperedGoldenDeterminism(t *testing.T) {
 // single-chain search reports the zero values for all tempering fields.
 func TestTemperedCounters(t *testing.T) {
 	net, ts := searchFixture()
-	st := runSearch(net, ts, Config{Seed: 7, MaxIterations: 120, BatchSize: 4, Replicas: 3, ConvergeWindows: -1})
+	// Early exit needs convergeWindows exchange windows of exchangeInterval
+	// rounds of 4 candidates each (3 × 4 × 4 = 48 iterations per rung), so a
+	// 40-iteration cap cannot trigger it.
+	const iters = 40
+	st := runSearch(net, ts, Config{Seed: 7, MaxIterations: iters, BatchSize: 4, Replicas: 3})
 	if st.Stats.Replicas != 3 {
 		t.Errorf("Replicas = %d, want 3", st.Stats.Replicas)
 	}
-	// Per-rung iterations are capped at MaxIterations; with early exit
-	// disabled and no generation failure every rung runs the full cap.
-	if st.Stats.Iterations != 3*120 {
-		t.Errorf("Iterations = %d, want %d (summed over 3 rungs)", st.Stats.Iterations, 3*120)
+	// Per-rung iterations are capped at MaxIterations; with no early exit
+	// and no generation failure every rung runs the full cap.
+	if st.Stats.Iterations != 3*iters {
+		t.Errorf("Iterations = %d, want %d (summed over 3 rungs)", st.Stats.Iterations, 3*iters)
 	}
 	if st.Stats.Exchanges > st.Stats.ExchangeAttempts {
 		t.Errorf("Exchanges %d > ExchangeAttempts %d", st.Stats.Exchanges, st.Stats.ExchangeAttempts)
@@ -92,7 +96,7 @@ func TestTemperedCounters(t *testing.T) {
 		t.Error("no exchange attempts in a 3-replica search")
 	}
 	if st.Stats.EarlyExit {
-		t.Error("EarlyExit reported with ConvergeWindows disabled")
+		t.Errorf("EarlyExit reported within %d iterations, fewer than convergeWindows windows", iters)
 	}
 	if st.Stats.InitialTemp <= 0 {
 		t.Errorf("InitialTemp = %v, want > 0", st.Stats.InitialTemp)
@@ -170,7 +174,7 @@ func TestWarmStartNeverDegradesRepeatedSlot(t *testing.T) {
 			t.Errorf("seed %d: warm start degraded accepted energy: %v < %v",
 				seed, warm.Stats.BestEnergy, cold.Stats.BestEnergy)
 		}
-		coldT0 := warm.Stats.InitialEnergy * DefaultInitTemp
+		coldT0 := warm.Stats.InitialEnergy * initTempFrac
 		if warm.Stats.InitialTemp >= coldT0 {
 			t.Errorf("seed %d: warm slot started at %v, not below the cold T0 %v",
 				seed, warm.Stats.InitialTemp, coldT0)
@@ -213,7 +217,7 @@ func TestWarmStartTracksColdUnderDrift(t *testing.T) {
 }
 
 // TestWarmStartTempBounds unit-tests the temperature seeding rule directly:
-// floored at WarmTempFloor x coldT0, scaled by relative drift, never above
+// floored at warmTempFloor x coldT0, scaled by relative drift, never above
 // coldT0, never below the previous final temperature, and inert without a
 // recorded previous slot.
 func TestWarmStartTempBounds(t *testing.T) {
@@ -223,8 +227,8 @@ func TestWarmStartTempBounds(t *testing.T) {
 		t.Errorf("no recorded slot: got (%v, %v), want cold start at %v", T, warm, coldT0)
 	}
 	o.warmE, o.warmT, o.warmValid = 100, 1e-3, true
-	if T, warm := o.warmStartTemp(100, coldT0); !warm || T != coldT0*DefaultWarmTempFloor {
-		t.Errorf("zero drift: got (%v, %v), want floor %v", T, warm, coldT0*DefaultWarmTempFloor)
+	if T, warm := o.warmStartTemp(100, coldT0); !warm || T != coldT0*warmTempFloor {
+		t.Errorf("zero drift: got (%v, %v), want floor %v", T, warm, coldT0*warmTempFloor)
 	}
 	if T, _ := o.warmStartTemp(80, coldT0); math.Abs(T-coldT0*0.2) > 1e-12 {
 		t.Errorf("20%% drift: got %v, want %v", T, coldT0*0.2)

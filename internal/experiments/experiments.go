@@ -55,31 +55,10 @@ type Scale struct {
 	OwanIterations int
 	// Seeds is the number of workload seeds averaged per data point.
 	Seeds int
-	// OwanWorkers is the parallelism degree of the annealing energy
-	// evaluation (0 or 1 = serial — see core.Config.Workers). Results are
-	// invariant to it only when OwanBatch pins the batch size: BatchSize
-	// defaults to Workers, and the batch size IS part of the search
-	// semantics.
-	OwanWorkers int
-	// OwanBatch pins the annealing candidate batch per temperature step
-	// (0 = core's default, which tracks OwanWorkers). Pin it when
-	// comparing worker counts: for a fixed (seed, batch) the trajectory
-	// is bit-identical at any OwanWorkers.
-	OwanBatch int
-	// OwanDeltaEval enables incremental candidate evaluation in the
-	// annealing search (see core.Config.DeltaEval). The trajectory is
-	// bit-identical either way; only wall-clock changes.
-	OwanDeltaEval bool
-	// OwanReplicas sets the parallel-tempering replica count (0 or 1 =
-	// single chain — see core.Config.Replicas). Part of the search
-	// semantics: the trajectory is a pure function of (seed, batch,
-	// replicas).
-	OwanReplicas int
-	// OwanWarmStart seeds each slot's cooling schedule from the previous
-	// slot's accepted energy and final temperature (see
-	// core.Config.WarmStart); warm-started slots may early-exit once the
-	// best energy converges.
-	OwanWarmStart bool
+	// Search overrides the annealing search's knobs (for example the
+	// function core.SearchFlags returns); nil keeps the defaults. It is
+	// applied after the scale's own settings.
+	Search func(*core.Config)
 	// FigWorkers bounds the number of simulation runs a figure generator
 	// executes concurrently (0 or 1 = serial). Figure output is
 	// bit-identical for any value: runs are independent simulations and
@@ -110,6 +89,13 @@ func QuickScale() Scale {
 		Utilization:       0.6,
 		OwanIterations:    200,
 		Seeds:             1,
+	}
+}
+
+// search applies the scale's Search override, if any, to c.
+func (sc Scale) search(c *core.Config) {
+	if sc.Search != nil {
+		sc.Search(c)
 	}
 }
 
@@ -188,13 +174,9 @@ func Scheduler(name string, net *topology.Network, sc Scale, deadlines bool, see
 	owanCfg.MaxIterations = sc.OwanIterations
 	if budget > 0 {
 		owanCfg.MaxIterations = budget
-		owanCfg.Alpha = math.Pow(owanCfg.EpsilonFrac, 1/float64(budget))
+		owanCfg.Alpha = math.Pow(core.EpsilonFrac, 1/float64(budget))
 	}
-	owanCfg.Workers = sc.OwanWorkers
-	owanCfg.BatchSize = sc.OwanBatch
-	owanCfg.DeltaEval = sc.OwanDeltaEval
-	owanCfg.Replicas = sc.OwanReplicas
-	owanCfg.WarmStart = sc.OwanWarmStart
+	sc.search(&owanCfg)
 	owanCfg.Seed = seed
 	if err := owanCfg.Validate(); err != nil {
 		return nil, err

@@ -498,13 +498,16 @@ func fig10d(sc Scale, budgets []int) (*figdata.Figure, error) {
 func FigTempering(sc Scale) (*figdata.Figure, error) {
 	f := figdata.NewFigure("tempering", "Warm-start + replica exchange vs plain annealing", "cumulative evaluations", "Gbps")
 	const slots = 6
+	var knobs core.Config
+	sc.search(&knobs)
+	ladder := temperingReplicas(knobs.Workers)
 	variants := []struct {
 		name     string
 		replicas int
 		warm     bool
 	}{
 		{"plain", 1, false},
-		{"tempered", temperingReplicas(sc), true},
+		{"tempered", ladder, true},
 	}
 	for _, tc := range []struct {
 		name  string
@@ -538,10 +541,9 @@ func FigTempering(sc Scale) (*figdata.Figure, error) {
 				// candidate-evaluation count the whole ladder does, so the
 				// curves compare solution quality per unit work instead of
 				// penalizing the ladder for running R chains per slot.
-				cfg.MaxIterations = sc.OwanIterations * temperingReplicas(sc)
+				cfg.MaxIterations = sc.OwanIterations * ladder
 			}
-			cfg.Workers = sc.OwanWorkers
-			cfg.BatchSize = sc.OwanBatch
+			sc.search(&cfg)
 			cfg.Replicas = v.replicas
 			cfg.WarmStart = v.warm
 			cfg.Seed = 7
@@ -568,15 +570,8 @@ func FigTempering(sc Scale) (*figdata.Figure, error) {
 // temperingReplicas sizes the tempered variant's ladder to the evaluation
 // parallelism: one rung per worker up to 4, at least 2 (a single-rung
 // "ladder" would measure nothing).
-func temperingReplicas(sc Scale) int {
-	r := sc.OwanWorkers
-	if r > 4 {
-		r = 4
-	}
-	if r < 2 {
-		r = 2
-	}
-	return r
+func temperingReplicas(workers int) int {
+	return min(max(workers, 2), 4)
 }
 
 // Validation reproduces the §5.1 check: flow-based simulation versus the
