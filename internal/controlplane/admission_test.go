@@ -123,16 +123,32 @@ func TestBackpressureQueueFull(t *testing.T) {
 func TestClientHonorsRetryAfter(t *testing.T) {
 	ctrl, addr, gate := gatedServer(t, 1)
 	// Fill the pipeline: one job stalls in the worker, one fills the queue.
+	// Step by step, or the client's submit may overtake the fill and never
+	// be shed: the reader answers a ping only after it has handed the
+	// submit before it to admission.
 	fill, w := rawHello(t, addr, ProtoVersion)
 	if w.Type != MsgWelcome {
 		t.Fatalf("handshake reply %+v", w)
 	}
-	for seq := uint64(2); seq <= 3; seq++ {
-		if err := WriteMsg(fill, &Message{Type: MsgSubmit, Seq: seq,
-			Request: &WireRequest{Src: 1, Dst: 2, SizeGbits: 10}}); err != nil {
-			t.Fatal(err)
+	fillStep := func(seq uint64) {
+		for _, m := range []*Message{
+			{Type: MsgSubmit, Seq: seq, Request: &WireRequest{Src: 1, Dst: 2, SizeGbits: 10}},
+			{Type: MsgPing, Seq: seq},
+		} {
+			if err := WriteMsg(fill, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fill.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if m, err := ReadMsg(fill); err != nil || m.Type != MsgPong {
+			t.Fatalf("fill submit %d: reply %+v, %v", seq, m, err)
 		}
 	}
+	fillStep(2)
+	for len(ctrl.shards[0].jobs) > 0 { // the worker takes job 2 and stalls
+		time.Sleep(time.Millisecond)
+	}
+	fillStep(3)
 
 	cl, err := Dial(context.Background(), addr, WithSite(3), WithJitterSeed(7))
 	if err != nil {

@@ -911,7 +911,7 @@ func (c *Controller) FailFiber(fiberID int) error {
 	c.failed = append(c.failed, fiberID)
 	// Persist the cut before acking it, so a successor recovering from the
 	// store does not plan over the cut fiber.
-	b, _ := json.Marshal(c.failed)
+	b, _ := json.Marshal(c.failed) // a []int always marshals
 	c.st.Put(failedKey, b)
 	// The replaced core's evaluator goroutines are done; its memo's
 	// still-valid effective links and its route tables live on in the new one.

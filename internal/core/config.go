@@ -10,9 +10,9 @@ import (
 // DefaultConfig returns a fully populated Config with the paper's default
 // knobs for a network. Entry points start from this instead of hand-rolling
 // defaults. Zero-valued fields in a hand-built Config resolve to the same
-// values via withDefaults, except StarveSlots: DefaultConfig sets
-// DefaultStarveSlots, while a hand-built zero leaves starvation promotion
-// off.
+// values via withDefaults, except Seed, which DefaultConfig sets to 1, and
+// StarveSlots: DefaultConfig sets DefaultStarveSlots, while a hand-built
+// zero leaves starvation promotion off.
 func DefaultConfig(net *topology.Network) Config {
 	return Config{
 		Net:           net,

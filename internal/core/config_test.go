@@ -15,8 +15,8 @@ func TestDefaultConfigValidatesAndMatchesWithDefaults(t *testing.T) {
 		t.Fatalf("DefaultConfig invalid: %v", err)
 	}
 	// DefaultConfig must agree field for field with the zero-value
-	// resolution path, except StarveSlots, whose zero disables promotion, so
-	// the explicit and implicit default routes cannot drift.
+	// resolution path, except Seed and StarveSlots (whose zero disables
+	// promotion), so the explicit and implicit default routes cannot drift.
 	explicit := cfg.withDefaults()
 	implicit := Config{Net: net, Seed: 1, StarveSlots: DefaultStarveSlots}.withDefaults()
 	if !reflect.DeepEqual(explicit, implicit) {

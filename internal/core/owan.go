@@ -30,9 +30,8 @@ type Config struct {
 	// completion time, EDF for deadlines).
 	Policy transfer.Policy
 	// StarveSlots is t̂: a transfer unserved for this many slots is
-	// promoted to the head of the order. Unlike the other fields, 0 is not
-	// "use the default" but disables promotion; DefaultConfig sets
-	// DefaultStarveSlots.
+	// promoted to the head of the order. 0 disables promotion rather than
+	// selecting a default; DefaultConfig sets DefaultStarveSlots.
 	StarveSlots int
 	// Alpha is the cooling rate (the paper uses a schedule equivalent to a
 	// few hundred iterations; 0.99 with EpsilonFrac 1e-3 gives ~690).

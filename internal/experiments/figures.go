@@ -537,10 +537,11 @@ func FigTempering(sc Scale) (*figdata.Figure, error) {
 			cfg := core.DefaultConfig(net)
 			cfg.MaxIterations = sc.OwanIterations
 			if v.replicas == 1 {
-				// Equal total search budget: the single chain gets the same
-				// candidate-evaluation count the whole ladder does, so the
-				// curves compare solution quality per unit work instead of
-				// penalizing the ladder for running R chains per slot.
+				// Equal total iteration budget: the single chain gets the
+				// iterations of the whole ladder, so the ladder is not
+				// penalized for running R chains per slot. Evaluations
+				// still differ (memo hits and out-of-region candidates
+				// cost none), which is why the x-axis counts them.
 				cfg.MaxIterations = sc.OwanIterations * ladder
 			}
 			sc.search(&cfg)
