@@ -99,11 +99,14 @@ routes:
 # fuzzes one target per run). topology.DecodeKey: whatever it accepts must
 # re-encode to exactly its input, with strictly sorted in-range links.
 # controlplane.ReadMsg: no frame may panic it, and re-framing what it accepts
-# is a fixed point. The committed corpora (testdata/fuzz in each package)
+# is a fixed point. The controller's transfer record: no bytes may panic its
+# decoders, and decoding, re-marshalling and decoding again is a fixed point,
+# LastServed included. The committed corpora (testdata/fuzz in each package)
 # replay in plain go test.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeKey -fuzztime 10s ./internal/topology/
 	$(GO) test -run '^$$' -fuzz FuzzReadMsg -fuzztime 10s ./internal/controlplane/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeTransferRecord -fuzztime 10s ./internal/controlplane/
 
 # temper replays the committed 300-seed golden digests: the annealing loop
 # in compat mode (Replicas=1, WarmStart=false) must reproduce the
@@ -131,10 +134,14 @@ faults:
 # and joins the next slot; Tick, wire submits, status reads and fiber cuts
 # run against each other and end in Close with no goroutine left; a store
 # holding only the records each slot changed recovers like one rewritten in
-# full every slot, and a successor recovers the fiber cuts made before it.
+# full every slot, and a successor recovers the fiber cuts made before it;
+# a successor resumes the committed topology, its update planner's starting
+# state and every live transfer's starvation clock; and the controller runs
+# the simulator's slot — demand, topology, rates, progress, update plans,
+# completions — slot for slot through fiber cuts and idle slots.
 ctl:
 	$(GO) test -race -count=3 \
-		-run 'TestSubmitDuringSearch|TestSlotOpsConcurrent|TestRecoveryEquivalence' \
+		-run 'TestSubmitDuringSearch|TestSlotOpsConcurrent|TestRecoveryEquivalence|TestSuccessorResumesSlotState|TestControllerMatchesSim' \
 		./internal/controlplane/
 
 # loadgen-smoke drives a fixed-seed 1k-client fleet through the admission

@@ -70,7 +70,7 @@ func main() {
 	fmt.Println("--- two normal slots ---")
 	ctrl.Tick()
 	ctrl.Tick()
-	if p := ctrl.LastUpdatePlan(); p.Err == "" {
+	if p := ctrl.LastUpdatePlan(); p.Planned && !p.Err {
 		fmt.Printf("consistent update: %d ops in %d rounds (%.1f s rollout, %d detours)\n",
 			p.Ops, p.Rounds, p.Seconds, p.Detours)
 	}

@@ -9,6 +9,7 @@ import (
 	"owan/internal/core"
 	"owan/internal/topology"
 	"owan/internal/transfer"
+	"owan/internal/update"
 )
 
 // settledGoroutines polls until the goroutine count stops exceeding want (an
@@ -36,10 +37,16 @@ func TestFailFiberOwnsItsCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl.Tick() // the first search starts the pool
+	// One transfer that stays live through every cut, so that every Tick
+	// searches: an idle slot runs no search.
+	if _, err := ctrl.Submit(WireRequest{Src: 0, Dst: 1, SizeGbits: 1e12}); err != nil {
+		t.Fatal(err)
+	}
+	idle := runtime.NumGoroutine() // the admission workers, no pool yet
+	ctrl.Tick()                    // the first search starts the pool
 	running := runtime.NumGoroutine()
-	if running <= before {
-		t.Fatalf("no evaluator pool to leak: %d goroutines before the server, %d with it ticking", before, running)
+	if running <= idle {
+		t.Fatalf("no evaluator pool to leak: %d goroutines with the server idle, %d with it ticking", idle, running)
 	}
 	for i := 0; i < 20; i++ {
 		id := net.Fibers[i*3].ID
@@ -50,6 +57,9 @@ func TestFailFiberOwnsItsCore(t *testing.T) {
 			t.Fatalf("repeated FailFiber(%d) should be idempotent: %v", id, err)
 		}
 		ctrl.Tick()
+	}
+	if ctrl.Completed() != 0 || ctrl.LastUpdatePlan() == (update.SlotStat{}) {
+		t.Fatal("the transfer did not stay live through the cuts")
 	}
 	if got := len(ctrl.Net.Fibers); got != len(net.Fibers)-20 {
 		t.Errorf("controller network has %d fibers after 20 cuts of %d", got, len(net.Fibers))

@@ -2,8 +2,15 @@ package controlplane
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
+
+	"owan/internal/core"
+	"owan/internal/topology"
+	"owan/internal/transfer"
 )
 
 // wireSamples holds one message of every MsgType, populated the way the
@@ -66,6 +73,81 @@ func FuzzReadMsg(f *testing.F) {
 		}
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
 			t.Fatalf("re-framing is not a fixed point:\n first  %q\n second %q", first.Bytes()[8:], second.Bytes()[8:])
+		}
+	})
+}
+
+// transferRecords returns the records persistLocked wrote for a live, a
+// finished, an owned and a tokened transfer, in key order, one slot in.
+func transferRecords(f *testing.F) [][]byte {
+	ctrl, err := NewServer(context.Background(), nil,
+		WithCoreConfig(core.Config{Net: topology.Internet2(8), Policy: transfer.SJF, Seed: 1, MaxIterations: 20}),
+		WithSlotSeconds(10))
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer ctrl.Close()
+	for _, sub := range []struct {
+		r     WireRequest
+		site  int
+		token string
+	}{
+		{WireRequest{Src: 0, Dst: 8, SizeGbits: 1e6, DeadlineSlots: 3}, -1, ""},
+		{WireRequest{Src: 1, Dst: 2, SizeGbits: 1}, -1, ""},
+		{WireRequest{Src: 2, Dst: 5, SizeGbits: 1e6}, 4, ""},
+		{WireRequest{Src: 3, Dst: 6, SizeGbits: 1e6}, 5, "c5-1"},
+	} {
+		if _, err := ctrl.submit(sub.r, sub.site, sub.token); err != nil {
+			f.Fatal(err)
+		}
+	}
+	ctrl.Tick()
+	recs := ctrl.Store().SnapshotPrefix("transfer/")
+	keys := make([]string, 0, len(recs))
+	for k := range recs {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	out := make([][]byte, len(keys))
+	for i, k := range keys {
+		out[i] = recs[k]
+	}
+	return out
+}
+
+// FuzzDecodeTransferRecord feeds arbitrary bytes to the transfer-record
+// decoders, the store form a successor recovers from (recover) and the one
+// audit tools read (DecodeTransferRecord). No input may panic, the two must
+// accept the same inputs, and decoding is a fixed point: a record decoded,
+// marshalled again and decoded again is the record decoded the first time,
+// LastServed included. The committed corpus
+// (testdata/fuzz/FuzzDecodeTransferRecord) holds the seeds' records.
+func FuzzDecodeTransferRecord(f *testing.F) {
+	for _, b := range transferRecords(f) {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		rec, err := DecodeTransferRecord(b)
+		var p persistedTransfer
+		if perr := json.Unmarshal(b, &p); (perr == nil) != (err == nil) {
+			t.Fatalf("%q: DecodeTransferRecord says %v, the store decoder %v", b, err, perr)
+		}
+		if err != nil {
+			return
+		}
+		again, err := json.Marshal(p)
+		if err != nil {
+			t.Fatalf("decoded record %+v does not marshal: %v", p, err)
+		}
+		var q persistedTransfer
+		if err := json.Unmarshal(again, &q); err != nil {
+			t.Fatalf("re-marshalled %q does not decode: %v", again, err)
+		}
+		if q != p {
+			t.Fatalf("decoding is not a fixed point:\n first  %+v\n second %+v", p, q)
+		}
+		if rec2, err := DecodeTransferRecord(again); err != nil || rec2 != rec {
+			t.Fatalf("re-marshalled %q decodes to %+v (%v), the original to %+v", again, rec2, err, rec)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -58,15 +59,14 @@ type Controller struct {
 	// slotMu serializes the slot-level operations — Tick, FailFiber, Close —
 	// with each other and never with admission. It alone guards the state
 	// only they touch: the optimizer core, the current topology, the failed
-	// fibers and the update planner's previous state. Net is written under
-	// slotMu and mu together, so holding either is enough to read it. Lock
-	// order: slotMu before mu.
-	slotMu     sync.Mutex
-	owan       *core.Owan
-	topo       *topology.LinkSet
-	failed     []int // cut fiber ids in cut order, as persisted under failedKey
-	prevUpdate *update.State
-	updScratch *update.Scratch
+	// fibers and the update planner. Net is written under slotMu and mu
+	// together, so holding either is enough to read it. Lock order: slotMu
+	// before mu.
+	slotMu  sync.Mutex
+	owan    *core.Owan
+	topo    *topology.LinkSet
+	failed  []int // cut fiber ids in cut order, as persisted under failedKey
+	planner *update.Planner
 
 	// mu guards everything admission, status and the connection handlers
 	// share with a slot's snapshot and commit phases. It is never held
@@ -92,7 +92,7 @@ type Controller struct {
 	completed int
 	circuits  int // circuits in the topology of the last committed slot
 	st        *store.Store
-	lastPlan  UpdatePlanStats // the most recent consistent rollout (§3.3)
+	lastPlan  update.SlotStat // the last slot's consistent rollout (§3.3)
 
 	shards []*admitShard
 
@@ -228,10 +228,11 @@ func newController(ctx context.Context, st *store.Store, o serverOptions) (*Cont
 	if c.retryAfter > time.Second {
 		c.retryAfter = time.Second
 	}
-	c.circuits = c.topo.TotalCircuits()
 	if err := c.recover(); err != nil {
 		return nil, err
 	}
+	c.circuits = c.topo.TotalCircuits()
+	c.planner = update.NewPlanner(c.Net, c.topo)
 	c.admitSlot = c.slot
 	c.shards = make([]*admitShard, o.shards)
 	for i := range c.shards {
@@ -261,99 +262,28 @@ func (c *Controller) shardFor(site int) int {
 	return site % len(c.shards)
 }
 
-// UpdatePlanStats summarizes the consistent update computed for a slot
-// transition.
-type UpdatePlanStats struct {
-	Rounds  int
-	Ops     int
-	Seconds float64
-	Detours int
-	// Err is set when no consistent plan existed (the controller then
-	// falls back to a one-shot update, as real deployments must).
-	Err string
-}
-
-// LastUpdatePlan returns stats for the most recent slot transition.
-func (c *Controller) LastUpdatePlan() UpdatePlanStats {
+// LastUpdatePlan returns the consistent rollout (§3.3) the last slot
+// planned, from the previous slot's topology — the initial one for a
+// controller's first slot — to the one it committed. An idle slot plans
+// nothing and reports the zero stat.
+func (c *Controller) LastUpdatePlan() update.SlotStat {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.lastPlan
 }
 
-// toUpdateState converts a computed network state into the update module's
-// representation.
-func (c *Controller) toUpdateState(st *core.NetworkState) *update.State {
-	circuits := map[[2]int]int{}
-	fibers := map[[2]int][]int{}
-	for _, l := range st.Effective.Links() {
-		k := [2]int{l.U, l.V}
-		circuits[k] = l.Count
-		fibers[k] = c.owan.FiberPathIDs(l.U, l.V)
-	}
-	// Flatten the allocation in sorted id order: map iteration would make
-	// the route order — and with it the planner's victim choices and
-	// summation order — vary run to run.
-	ids := make([]int, 0, len(st.Alloc))
-	for id := range st.Alloc {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	var routes []update.Route
-	for _, id := range ids {
-		for _, pr := range st.Alloc[id] {
-			routes = append(routes, update.Route{TransferID: id, Path: pr.Path, Rate: pr.Rate})
-		}
-	}
-	return &update.State{Circuits: circuits, CircuitFibers: fibers, Routes: routes}
-}
-
-// planUpdate builds the consistent rollout from the previous slot's state
-// to next and returns its stats; ok is false when there is no previous state
-// to roll out from (the first slot, or the first after a fiber cut). Slot-level
-// state only: the caller holds slotMu.
-func (c *Controller) planUpdate(next *update.State) (stats UpdatePlanStats, ok bool) {
-	prev := c.prevUpdate
-	c.prevUpdate = next
-	if prev == nil {
-		return UpdatePlanStats{}, false
-	}
-	used := map[int]int{}
-	for k, n := range prev.Circuits {
-		for _, fid := range prev.CircuitFibers[k] {
-			used[fid] += n
-		}
-	}
-	free := map[int]int{}
-	for _, fb := range c.Net.Fibers {
-		if f := fb.Wavelengths - used[fb.ID]; f > 0 {
-			free[fb.ID] = f
-		}
-	}
-	if c.updScratch == nil {
-		c.updScratch = update.NewScratch()
-	}
-	plan, err := c.updScratch.BuildPlan(update.Config{Theta: c.Net.ThetaGbps, FiberFree: free}, prev, next)
-	if err != nil {
-		return UpdatePlanStats{Err: err.Error()}, true
-	}
-	return UpdatePlanStats{
-		Rounds:  len(plan.Rounds),
-		Ops:     plan.NumOps(),
-		Seconds: plan.Seconds(),
-		Detours: plan.ForcedDetours,
-	}, true
-}
-
 // persistedTransfer is the store representation of a transfer. Site is
 // the submitting client's site (-1 for in-process submissions) so a
 // failover controller can re-adopt a reconnecting owner; Token is the
-// idempotency token so a resubmission after failover maps to the same id.
+// idempotency token so a resubmission after failover maps to the same id;
+// LastServed carries the starvation guard's clock across a takeover.
 type persistedTransfer struct {
-	Req       transfer.Request `json:"req"`
-	Remaining float64          `json:"remaining"`
-	Done      bool             `json:"done"`
-	Site      int              `json:"site"`
-	Token     string           `json:"token,omitempty"`
+	Req        transfer.Request `json:"req"`
+	Remaining  float64          `json:"remaining"`
+	LastServed int              `json:"last_served"`
+	Done       bool             `json:"done"`
+	Site       int              `json:"site"`
+	Token      string           `json:"token,omitempty"`
 }
 
 // TransferRecord is the decoded durable form of one transfer record, for
@@ -398,15 +328,15 @@ func (c *Controller) persistLocked(t *transfer.Transfer) persistedTransfer {
 		site = -1
 	}
 	return persistedTransfer{
-		Req: t.Request, Remaining: t.Remaining, Done: t.Done,
+		Req: t.Request, Remaining: t.Remaining, LastServed: t.LastServed, Done: t.Done,
 		Site: site, Token: c.tokenByID[t.ID],
 	}
 }
 
 // marshalRecords marshals captured records into a store batch, with room
-// for one more entry.
+// for the slot's two meta records.
 func marshalRecords(recs ...persistedTransfer) []store.KV {
-	kvs := make([]store.KV, 0, len(recs)+1)
+	kvs := make([]store.KV, 0, len(recs)+2)
 	for _, p := range recs {
 		b, err := json.Marshal(p)
 		if err != nil {
@@ -418,19 +348,27 @@ func marshalRecords(recs ...persistedTransfer) []store.KV {
 	return kvs
 }
 
-// failedKey is the store record holding the cut fiber ids in cut order.
-const failedKey = "meta/failed"
+// Store records of the slot-level state. slotKey holds the next slot,
+// topoKey the committed topology's key (topology.LinkSet.AppendKey; absent
+// until a slot first changes the initial topology) and failedKey the cut
+// fiber ids in cut order.
+const (
+	slotKey   = "meta/slot"
+	topoKey   = "meta/topo"
+	failedKey = "meta/failed"
+)
 
 // recover rebuilds in-memory state from the store (controller failover:
 // "we spawn a new instance, which starts to compute and reconfigure the
 // network state at the next time slot"). Fiber cuts are replayed in the
-// order they happened, so the successor plans on the same plant. The
-// next-id counter resumes past the largest recovered id, so ids stay unique
-// across takeovers; tokens and ownership come back with the transfers.
-// Finished transfers come back as a count and a token only, the state a
-// controller that had run those slots itself would hold.
+// order they happened, so the successor plans on the same plant, and the
+// slot resumes from the committed topology. The next-id counter resumes past
+// the largest recovered id, so ids stay unique across takeovers; tokens,
+// ownership and the starvation clock come back with the transfers. Finished
+// transfers come back as a count and a token only, the state a controller
+// that had run those slots itself would hold.
 func (c *Controller) recover() error {
-	if b, ok := c.st.Get("meta/slot"); ok {
+	if b, ok := c.st.Get(slotKey); ok {
 		if err := json.Unmarshal(b, &c.slot); err != nil {
 			return err
 		}
@@ -450,6 +388,16 @@ func (c *Controller) recover() error {
 		}
 		c.failed = cuts
 		c.Net = c.owan.Net()
+	}
+	if b, ok := c.st.Get(topoKey); ok {
+		n, links, ok := topology.DecodeKey(b, nil)
+		if !ok || n != c.Net.NumSites() {
+			return fmt.Errorf("controlplane: corrupt %s record for %d sites", topoKey, c.Net.NumSites())
+		}
+		c.topo = topology.NewLinkSet(n)
+		for _, l := range links {
+			c.topo.Add(l.U, l.V, l.Count)
+		}
 	}
 	for _, k := range c.st.Keys("transfer/") {
 		b, _ := c.st.Get(k)
@@ -472,6 +420,7 @@ func (c *Controller) recover() error {
 		}
 		t := transfer.NewTransfer(p.Req)
 		t.Remaining = p.Remaining
+		t.LastServed = p.LastServed
 		c.transfers[id] = t
 		if p.Site >= 0 {
 			c.owners[id] = p.Site
@@ -917,10 +866,8 @@ func (c *Controller) FailFiber(fiberID int) error {
 	// still-valid effective links and its route tables live on in the new one.
 	c.owan.Close()
 	c.owan = nw
-	// Fiber ids keep their meaning across a cut, but the circuits' fiber
-	// paths may have changed with it: drop the previous update state rather
-	// than diff against paths the reduced plant may no longer route.
-	c.prevUpdate = nil
+	// The planner lands on the network the core just repaired.
+	c.planner.OnFiberFailure(fiberID)
 	c.mu.Lock()
 	c.Net = nw.Net()
 	c.mu.Unlock()
@@ -929,15 +876,17 @@ func (c *Controller) FailFiber(fiberID int) error {
 
 // Tick advances one time slot: computes the network state for the live
 // transfers, pushes rate allocations to the submitting clients, and
-// advances fluid progress accounting. It returns the search stats.
+// advances fluid progress accounting. It returns the search stats, zero for
+// an idle slot.
 //
-// A slot runs in three phases, so that admission never waits out a search.
-// Snapshot, under mu: pick the transfers that have arrived by this slot and
-// move admitSlot on, so whatever is admitted from here arrives in the next
-// one. Search and plan, under slotMu alone: order the demand, anneal, plan
-// the consistent update — the transfers in the snapshot are only read, and
-// only a commit ever writes them. Commit, under mu: advance the transfers
-// that were given a rate, evict the finished, publish the slot. The work
+// A slot runs sim.Run's slot in three phases, so that admission never waits
+// out a search. Snapshot, under mu: settle the arrived transfers
+// (transfer.Settle), take the others in id order, and move admitSlot on, so
+// whatever is admitted from here arrives in the next slot. Search and plan,
+// under slotMu alone: anneal and plan the consistent update (update.Planner)
+// — only a commit ever writes the snapshot's transfers — or, with no
+// transfer to serve, neither. Commit, under mu: serve the transfers given a
+// rate (transfer.Serve), evict the finished, publish the slot. The work
 // under mu is O(live) pointer copies in the snapshot and O(served) in the
 // commit; records are marshalled and written after it is released, and only
 // for transfers whose state changed (an unserved transfer's record would be
@@ -952,6 +901,15 @@ func (c *Controller) FailFiber(fiberID int) error {
 // (slow, partitioned, or dead client) drops the connection and marks the
 // site for snapshot resync instead of stalling the rest of its shard.
 func (c *Controller) Tick() core.SearchStats {
+	if st, _ := c.tick(); st != nil {
+		return st.Stats
+	}
+	return core.SearchStats{}
+}
+
+// tick runs Tick's slot and returns its network state and its demand
+// snapshot in id order, both nil for an idle slot or a closed controller.
+func (c *Controller) tick() (*core.NetworkState, []*transfer.Transfer) {
 	c.slotMu.Lock()
 
 	// Snapshot.
@@ -959,78 +917,89 @@ func (c *Controller) Tick() core.SearchStats {
 	if c.closing {
 		c.mu.Unlock()
 		c.slotMu.Unlock()
-		return core.SearchStats{}
+		return nil, nil
 	}
 	slot := c.slot
+	var recs []persistedTransfer
 	active := make([]*transfer.Transfer, 0, len(c.transfers))
 	for _, t := range c.transfers {
-		if t.Arrival <= slot {
+		if t.Settle(slot, c.SlotSeconds) {
+			recs = append(recs, c.changedLocked(t))
+		} else if t.Arrival <= slot {
 			active = append(active, t)
 		}
 	}
 	c.admitSlot = slot + 1
 	c.mu.Unlock()
+	slices.SortFunc(active, func(a, b *transfer.Transfer) int { return cmp.Compare(a.ID, b.ID) })
 
 	// Search and plan.
-	transfer.Order(active, transfer.SJF, slot, 0) // deterministic order
-	st := c.owan.ComputeNetworkState(c.topo, active, slot, c.SlotSeconds)
-	c.topo = st.Topology
-	plan, planned := c.planUpdate(c.toUpdateState(st))
-	served := active[:0]
-	for _, t := range active {
-		if len(st.Alloc[t.ID]) > 0 {
-			served = append(served, t)
+	var (
+		st     *core.NetworkState
+		plan   update.SlotStat
+		served []*transfer.Transfer
+	)
+	if len(active) > 0 {
+		st = c.owan.ComputeNetworkState(c.topo, active, slot, c.SlotSeconds)
+		c.topo = st.Topology
+		plan = c.planner.Plan(st.Topology, active, st.Alloc)
+		for _, t := range active {
+			if len(st.Alloc[t.ID]) > 0 {
+				served = append(served, t)
+			}
 		}
 	}
-	circuits := st.Topology.TotalCircuits()
+	circuits := c.topo.TotalCircuits()
 
 	// Commit.
-	now := float64(slot) * c.SlotSeconds
 	perConn := map[*clientConn][]WireRate{}
-	recs := make([]persistedTransfer, 0, len(served))
 	c.mu.Lock()
 	for _, t := range served {
-		t.Alloc = st.Alloc[t.ID]
+		alloc := st.Alloc[t.ID]
 		if site, ok := c.owners[t.ID]; ok {
 			if cc := c.sites[site]; cc != nil {
-				for _, pr := range t.Alloc {
+				for _, pr := range alloc {
 					perConn[cc] = append(perConn[cc], WireRate{TransferID: t.ID, Path: pr.Path, RateGbps: pr.Rate})
 				}
 			}
 		}
-		sent := t.Advance(now, c.SlotSeconds, slot)
-		if t.Deadline != transfer.NoDeadline && slot <= t.Deadline {
-			t.DeliveredByDeadline += sent
-		}
-		t.Alloc = nil
-		if sent > 0 {
-			recs = append(recs, c.persistLocked(t))
-		}
-		if t.Done {
-			c.completed++
-			delete(c.transfers, t.ID)
-			delete(c.owners, t.ID)
-			delete(c.tokenByID, t.ID)
+		if t.Serve(alloc, slot, c.SlotSeconds, 0) > 0 {
+			recs = append(recs, c.changedLocked(t))
 		}
 	}
 	c.slot++
 	c.circuits = circuits
-	if planned {
-		c.lastPlan = plan
-	}
+	c.lastPlan = plan
 	c.mu.Unlock()
 
 	// The store write stays under slotMu so that two slots' records can
 	// never land out of order.
 	kvs := marshalRecords(recs...)
 	if b, err := json.Marshal(slot + 1); err == nil {
-		kvs = append(kvs, store.KV{Key: "meta/slot", Value: b})
+		kvs = append(kvs, store.KV{Key: slotKey, Value: b})
+	}
+	if st != nil && st.Stats.Churn > 0 {
+		kvs = append(kvs, store.KV{Key: topoKey, Value: st.Topology.AppendKey(nil)})
 	}
 	c.st.PutBatch(kvs)
 	c.slotMu.Unlock()
 
 	c.pushRates(perConn)
-	return st.Stats
+	return st, active
+}
+
+// changedLocked captures the record of a transfer the slot changed and, if
+// it finished, counts it and evicts it from the live state (its token stays,
+// so a replay still returns its id). The caller holds c.mu.
+func (c *Controller) changedLocked(t *transfer.Transfer) persistedTransfer {
+	rec := c.persistLocked(t)
+	if t.Done {
+		c.completed++
+		delete(c.transfers, t.ID)
+		delete(c.owners, t.ID)
+		delete(c.tokenByID, t.ID)
+	}
+	return rec
 }
 
 // pushRates fans the slot's allocations out per shard: connections hash

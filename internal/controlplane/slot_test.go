@@ -153,6 +153,11 @@ func TestSlotOpsConcurrent(t *testing.T) {
 		ctrl.Serve(lis)
 	}()
 
+	// One transfer that outlives the test, so that every Tick searches and
+	// plans: an idle slot runs neither.
+	if _, err := ctrl.Submit(WireRequest{Src: 0, Dst: 1, SizeGbits: 1e12}); err != nil {
+		t.Fatal(err)
+	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var ticks, acks atomic.Int64
@@ -223,10 +228,13 @@ func TestSlotOpsConcurrent(t *testing.T) {
 	if ctrl.owan.Net() != ctrl.Net || len(ctrl.Net.Fibers) != len(nw.Fibers)-cuts {
 		t.Errorf("controller network has %d fibers after %d cuts of %d", len(ctrl.Net.Fibers), cuts, len(nw.Fibers))
 	}
-	if ctrl.prevUpdate == nil {
-		t.Error("no slot ran after the last cut")
+	if ctrl.planner.Network() != ctrl.Net {
+		t.Error("the update planner is not on the controller's reduced network")
+	}
+	if !ctrl.LastUpdatePlan().Planned {
+		t.Error("the last slot, after the last cut, planned no update")
 	} else {
-		for pair, fibers := range ctrl.prevUpdate.CircuitFibers {
+		for pair, fibers := range ctrl.planner.Previous().CircuitFibers {
 			for _, fid := range fibers {
 				if cut[fid] {
 					t.Errorf("post-cut slot routed circuit %v over failed fiber %d", pair, fid)
@@ -293,6 +301,7 @@ func TestRecoveryEquivalence(t *testing.T) {
 		full.PutBatch(append(kvs, liveRecords(ctrl)...))
 	}
 	unserved := 0
+	initial := topology.InitialTopology(cfg.Net).Key()
 	cut := cfg.Net.Fibers[3].ID
 	for slot := 0; slot < 30; slot++ {
 		if slot == 10 {
@@ -318,7 +327,16 @@ func TestRecoveryEquivalence(t *testing.T) {
 		}
 		ctrl.mu.Unlock()
 		seq := changed.Seq()
+		topo := ctrl.topo.Key()
 		ctrl.Tick()
+		// The committed topology is one more record, written when it moved.
+		metas := 1
+		if ctrl.topo.Key() != topo {
+			metas++
+		}
+		if have, ok := changed.Get(topoKey); !ok && ctrl.topo.Key() != initial || ok && string(have) != ctrl.topo.Key() {
+			t.Fatalf("slot %d: store holds topology record %v (present %v), not the committed topology", slot, have, ok)
+		}
 		moved := 0
 		ctrl.mu.Lock()
 		for id, rem := range before {
@@ -328,8 +346,8 @@ func TestRecoveryEquivalence(t *testing.T) {
 		}
 		ctrl.mu.Unlock()
 		unserved += len(before) - moved
-		if got := int(changed.Seq() - seq); got != moved+1 {
-			t.Fatalf("slot %d: %d log entries for %d transfers whose state changed (of %d live), want %d", slot, got, moved, len(before), moved+1)
+		if got := int(changed.Seq() - seq); got != moved+metas {
+			t.Fatalf("slot %d: %d log entries for %d transfers whose state changed (of %d live), want %d", slot, got, moved, len(before), moved+metas)
 		}
 		for _, kv := range liveRecords(ctrl) {
 			if have, _ := changed.Get(kv.Key); !bytes.Equal(have, kv.Value) {
@@ -403,6 +421,81 @@ func TestRecoveryEquivalence(t *testing.T) {
 	} {
 		if !reflect.DeepEqual(f.a, f.b) {
 			t.Errorf("%s: recovered %v, running controller holds %v", f.name, f.a, f.b)
+		}
+	}
+}
+
+// TestSuccessorResumesSlotState: a successor taking over the store resumes
+// the slot where its predecessor left it, a fiber cut included, and not only
+// the transfers — the committed topology, which it anneals, measures churn
+// and plans its first update from, and every live transfer's starvation
+// clock (LastServed), so that its first slot promotes no transfer as
+// starved that its predecessor would not have.
+func TestSuccessorResumesSlotState(t *testing.T) {
+	cfg := core.Config{Net: topology.ISP(40, 10, 1), Policy: transfer.SJF, StarveSlots: core.DefaultStarveSlots, Seed: 1, MaxIterations: 20}
+	st := store.New()
+	ctrl, err := NewServer(context.Background(), st, WithCoreConfig(cfg), WithSlotSeconds(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for slot := 0; slot < 12; slot++ {
+		if slot == 5 {
+			if err := ctrl.FailFiber(cfg.Net.Fibers[4].ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Contending long transfers out of two sites, so that some are
+		// served now and then and some not at all.
+		for k := 0; k < 3; k++ {
+			if _, err := ctrl.Submit(WireRequest{Src: k % 2, Dst: 2 + (slot+k)%20, SizeGbits: 20000}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ctrl.Tick()
+	}
+	ctrl.Close()
+	succ, err := NewServer(context.Background(), st, WithCoreConfig(cfg), WithSlotSeconds(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer succ.Close()
+
+	if ctrl.topo.Key() == topology.InitialTopology(cfg.Net).Key() {
+		t.Fatal("twelve slots left the initial topology in place: nothing to resume")
+	}
+	if succ.topo.Key() != ctrl.topo.Key() {
+		t.Error("the successor resumes from another topology than the one its predecessor committed")
+	}
+	if got, want := succ.planner.Previous().Circuits, ctrl.planner.Previous().Circuits; !reflect.DeepEqual(got, want) {
+		t.Errorf("the successor's first update plans from circuits %v, its predecessor's next would from %v", got, want)
+	}
+	if len(succ.transfers) != len(ctrl.transfers) {
+		t.Fatalf("successor holds %d live transfers, its predecessor %d", len(succ.transfers), len(ctrl.transfers))
+	}
+	served, starved := 0, 0
+	for id, want := range ctrl.transfers {
+		got := succ.transfers[id]
+		if got == nil || got.LastServed != want.LastServed {
+			t.Fatalf("transfer %d: successor holds %+v, predecessor %+v", id, got, want)
+		}
+		if want.LastServed >= want.Arrival {
+			served++
+		}
+		if ctrl.slot-want.LastServed > cfg.StarveSlots {
+			starved++
+		}
+	}
+	if served == 0 || served == len(ctrl.transfers) || starved == len(ctrl.transfers) {
+		t.Fatalf("%d of %d live transfers served, %d starved: want some of each kind", served, len(ctrl.transfers), starved)
+	}
+
+	// A topology record that does not decode, or that is for another
+	// network, fails the takeover.
+	for _, bad := range [][]byte{{0xff}, topology.InitialTopology(topology.Internet2(8)).AppendKey(nil)} {
+		st.Put(topoKey, bad)
+		if c, err := NewServer(context.Background(), st, WithCoreConfig(cfg), WithSlotSeconds(10)); err == nil {
+			c.Close()
+			t.Errorf("a successor recovered from the topology record % x", bad)
 		}
 	}
 }

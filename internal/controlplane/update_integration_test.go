@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// TestTickProducesConsistentUpdatePlan checks that consecutive ticks yield
-// a scheduled cross-layer update (§3.3 integrated into the controller).
+// TestTickProducesConsistentUpdatePlan checks that every tick, the first
+// included, yields a scheduled cross-layer update (§3.3 integrated into the
+// controller).
 func TestTickProducesConsistentUpdatePlan(t *testing.T) {
 	ctrl, addr := newTestController(t, nil)
 	cl, err := Dial(context.Background(), addr, WithSite(0))
@@ -21,16 +22,18 @@ func TestTickProducesConsistentUpdatePlan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ctrl.Tick() // first tick: no previous state, no plan yet
-	if p := ctrl.LastUpdatePlan(); p.Rounds != 0 || p.Err != "" {
-		t.Errorf("first tick should not schedule an update: %+v", p)
+	// First tick: the rollout starts from the initial topology, which
+	// carries no routes, so the plan installs at least the first routes.
+	ctrl.Tick()
+	if p := ctrl.LastUpdatePlan(); !p.Planned || p.Err || p.Ops == 0 || p.Rounds <= 0 || p.Seconds <= 0 {
+		t.Errorf("first tick should schedule its update from the initial topology: %+v", p)
 	}
 	sawPlan := false
 	for i := 0; i < 5; i++ {
 		ctrl.Tick()
 		p := ctrl.LastUpdatePlan()
-		if p.Err != "" {
-			t.Fatalf("tick %d: update plan failed: %s", i, p.Err)
+		if p.Err {
+			t.Fatalf("tick %d: no consistent update plan: %+v", i, p)
 		}
 		if p.Ops > 0 {
 			sawPlan = true

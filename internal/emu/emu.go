@@ -65,11 +65,7 @@ func Run(cfg Config) (*sim.Result, error) {
 
 	for slot := 0; slot < sc.MaxSlots; slot++ {
 		for _, t := range ts {
-			if !t.Done && t.Arrival <= slot && t.Remaining <= 1e-5 {
-				t.Remaining = 0
-				t.Done = true
-				t.FinishTime = float64(slot) * sc.SlotSeconds
-			}
+			t.Settle(slot, sc.SlotSeconds)
 		}
 		active := transfer.Active(ts, slot)
 		if len(active) == 0 {

@@ -1,5 +1,7 @@
 package sim
 
+import "owan/internal/update"
+
 // FailureAware is implemented by schedulers that react to physical-layer
 // failures (§3.4: "the controller removes these links and switches from
 // the physical network, and recomputes the network state").
@@ -34,7 +36,7 @@ func (s *GreedyScheduler) OnFiberFailure(fiberID int) {
 // repaired once: optical.State.WithoutFiber keeps the reduced network with
 // its parent, so the planner lands on the copy, and the route tables, the
 // scheduler's core repaired.
-func injectFailures(cfg *Config, slot int, planner *updatePlanner) int {
+func injectFailures(cfg *Config, slot int, planner *update.Planner) int {
 	ids := cfg.FiberFailures[slot]
 	if len(ids) == 0 {
 		return 0
@@ -48,7 +50,7 @@ func injectFailures(cfg *Config, slot int, planner *updatePlanner) int {
 	}
 	if planner != nil {
 		for _, id := range ids {
-			planner.onFiberFailure(id)
+			planner.OnFiberFailure(id)
 		}
 	}
 	return delivered

@@ -8,6 +8,7 @@ import (
 	"owan/internal/core"
 	"owan/internal/topology"
 	"owan/internal/transfer"
+	"owan/internal/update"
 	"owan/internal/workload"
 )
 
@@ -108,14 +109,14 @@ func TestPlannerSharesSchedulerCut(t *testing.T) {
 	s := newSched(net)
 	defer s.Close()
 	cfg := Config{Scheduler: s, FiberFailures: cuts}
-	p := newUpdatePlanner(net, topology.InitialTopology(net))
+	p := update.NewPlanner(net, topology.InitialTopology(net))
 	for slot := 0; slot < 8; slot++ {
 		injectFailures(&cfg, slot, p)
-		if p.net != s.O.Net() || p.opt.Network() != s.O.Net() {
+		if p.Network() != s.O.Net() {
 			t.Fatalf("slot %d: the planner is not on the scheduler's network", slot)
 		}
 	}
-	if got := len(p.net.Fibers); got != len(net.Fibers)-3 {
+	if got := len(p.Network().Fibers); got != len(net.Fibers)-3 {
 		t.Fatalf("%d fibers left after three cuts of %d", got, len(net.Fibers))
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"owan/internal/te"
 	"owan/internal/topology"
 	"owan/internal/transfer"
+	"owan/internal/update"
 )
 
 // Static configuration errors (errors.Is-comparable).
@@ -53,10 +54,11 @@ type Config struct {
 	// slot, the listed fiber ids are reported to the scheduler (if it is
 	// FailureAware).
 	FiberFailures map[int][]int
-	// PlanUpdates runs the §3.3 consistent-update planner on every slot's
-	// reconfiguration with a persistent scratch, recording per-slot plan
-	// statistics in Result.Updates — the controller-side cost of each slot,
-	// planned end to end alongside the scheduling itself.
+	// PlanUpdates runs the §3.3 consistent-update planner (update.Planner,
+	// the one the live controller runs) on every slot's reconfiguration,
+	// recording per-slot plan statistics in Result.Updates — the
+	// controller-side cost of each slot, planned end to end alongside the
+	// scheduling itself.
 	PlanUpdates bool
 }
 
@@ -76,7 +78,7 @@ type Result struct {
 	MakespanSeconds float64
 	// Updates holds the per-slot consistent-update plan statistics when
 	// Config.PlanUpdates is set (one entry per simulated slot).
-	Updates []UpdateStat
+	Updates []update.SlotStat
 }
 
 // Completed returns the completed transfers.
@@ -120,32 +122,24 @@ func Run(cfg Config) (*Result, error) {
 		prevLinks, nextLinks []topology.Link
 		changed              [][2]int
 	)
-	var planner *updatePlanner
+	var planner *update.Planner
 	if cfg.PlanUpdates {
-		planner = newUpdatePlanner(cfg.Net, cfg.Initial)
+		planner = update.NewPlanner(cfg.Net, cfg.Initial)
 	}
-	// negligibleGbits treats sub-kilobyte residues as complete: allocators
-	// drop rates below their numerical floor, so without this cutoff a
-	// transfer could approach zero asymptotically and never finish.
-	const negligibleGbits = 1e-5
 	for slot := 0; slot < cfg.MaxSlots; slot++ {
 		injectFailures(&cfg, slot, planner)
 		for _, t := range ts {
-			if !t.Done && t.Arrival <= slot && t.Remaining <= negligibleGbits {
-				t.Remaining = 0
-				t.Done = true
-				t.FinishTime = float64(slot) * cfg.SlotSeconds
-			}
+			t.Settle(slot, cfg.SlotSeconds)
 		}
 		active := transfer.Active(ts, slot)
 		if len(active) == 0 {
-			if allArrived(ts, slot) && allDone(ts) {
+			if drained(ts, slot) {
 				break
 			}
 			res.SlotThroughput = append(res.SlotThroughput, 0)
 			res.Churn = append(res.Churn, 0)
 			if planner != nil {
-				res.Updates = append(res.Updates, UpdateStat{})
+				res.Updates = append(res.Updates, update.SlotStat{})
 			}
 			res.Slots++
 			continue
@@ -156,30 +150,21 @@ func Run(cfg Config) (*Result, error) {
 		}
 		churn := topo.Diff(newTopo)
 		if planner != nil {
-			res.Updates = append(res.Updates, planner.plan(newTopo, active, alloc))
+			res.Updates = append(res.Updates, planner.Plan(newTopo, active, alloc))
 		}
 		prevLinks = topo.AppendLinks(prevLinks[:0])
 		nextLinks = newTopo.AppendLinks(nextLinks[:0])
 		changed = changedPairs(changed[:0], prevLinks, nextLinks)
 
-		now := float64(slot) * cfg.SlotSeconds
 		sent := 0.0
 		for _, t := range active {
-			t.Alloc = alloc[t.ID]
-			dt := cfg.SlotSeconds
-			start := now
-			if churn > 0 && cfg.ReconfigSeconds > 0 && crossesChanged(t.Alloc, changed) {
+			outage := 0.0
+			if churn > 0 && cfg.ReconfigSeconds > 0 && crossesChanged(alloc[t.ID], changed) {
 				// Circuits in flux are dark: transmission begins only after
 				// the optical reconfiguration completes.
-				dt = math.Max(0, dt-cfg.ReconfigSeconds)
-				start += cfg.ReconfigSeconds
+				outage = cfg.ReconfigSeconds
 			}
-			sentT := t.Advance(start, dt, slot)
-			if t.Deadline != transfer.NoDeadline && slot <= t.Deadline {
-				t.DeliveredByDeadline += sentT
-			}
-			sent += sentT
-			t.Alloc = nil
+			sent += t.Serve(alloc[t.ID], slot, cfg.SlotSeconds, outage)
 		}
 		res.SlotThroughput = append(res.SlotThroughput, sent/cfg.SlotSeconds)
 		res.Churn = append(res.Churn, churn)
@@ -190,18 +175,10 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-func allArrived(ts []*transfer.Transfer, slot int) bool {
+// drained reports whether every transfer has arrived by slot and finished.
+func drained(ts []*transfer.Transfer, slot int) bool {
 	for _, t := range ts {
-		if t.Arrival > slot {
-			return false
-		}
-	}
-	return true
-}
-
-func allDone(ts []*transfer.Transfer) bool {
-	for _, t := range ts {
-		if !t.Done {
+		if t.Arrival > slot || !t.Done {
 			return false
 		}
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // TestPlanUpdatesProducesPerSlotStats: with PlanUpdates on, the simulator
-// plans every slot's transition end to end — one UpdateStat per simulated
+// plans every slot's transition end to end — one update.SlotStat per simulated
 // slot, with real plans on the slots where the scheduler was active.
 func TestPlanUpdatesProducesPerSlotStats(t *testing.T) {
 	net := topology.Internet2(8)

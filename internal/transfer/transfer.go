@@ -5,6 +5,7 @@ package transfer
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -56,7 +57,7 @@ type Transfer struct {
 	// rate; used by the starvation guard.
 	LastServed int
 	// DeliveredByDeadline accumulates the gigabits sent during slots up to
-	// and including the deadline slot; maintained by the simulator for the
+	// and including the deadline slot (see Serve), for the
 	// bytes-before-deadline metric.
 	DeliveredByDeadline float64
 }
@@ -96,6 +97,39 @@ func (t *Transfer) Advance(now, dt float64, slot int) float64 {
 		return sent
 	}
 	t.Remaining -= sent
+	return sent
+}
+
+// negligibleGbits is the residue below which an arrived transfer counts as
+// complete: allocators drop rates below their numerical floor, so without
+// this cutoff a transfer could approach zero asymptotically and never finish.
+const negligibleGbits = 1e-5
+
+// Settle completes an arrived transfer whose remaining volume is negligible
+// at the start of slot, finishing it at the slot's start, and reports
+// whether it did. Both slot loops settle every arrived transfer before
+// taking the slot's demand snapshot.
+func (t *Transfer) Settle(slot int, slotSeconds float64) bool {
+	if t.Done || t.Arrival > slot || t.Remaining > negligibleGbits {
+		return false
+	}
+	t.Remaining = 0
+	t.Done = true
+	t.FinishTime = float64(slot) * slotSeconds
+	return true
+}
+
+// Serve transmits one slot at the allocation alloc and returns the gigabits
+// sent. The first outage seconds of the slot are dark (circuits in flux
+// during an optical reconfiguration), so transmission starts after them.
+// What is sent by the deadline slot is credited to DeliveredByDeadline.
+func (t *Transfer) Serve(alloc []PathRate, slot int, slotSeconds, outage float64) float64 {
+	t.Alloc = alloc
+	sent := t.Advance(float64(slot)*slotSeconds+outage, math.Max(0, slotSeconds-outage), slot)
+	if t.Deadline != NoDeadline && slot <= t.Deadline {
+		t.DeliveredByDeadline += sent
+	}
+	t.Alloc = nil
 	return sent
 }
 

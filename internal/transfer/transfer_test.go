@@ -84,6 +84,47 @@ func TestMetDeadline(t *testing.T) {
 	}
 }
 
+// TestSettle: only an arrived, unfinished transfer with a negligible residue
+// settles, and it finishes at the start of the slot that settles it.
+func TestSettle(t *testing.T) {
+	tr := NewTransfer(Request{ID: 1, Src: 0, Dst: 1, SizeGbits: 10, Arrival: 2, Deadline: NoDeadline})
+	tr.Remaining = negligibleGbits
+	if tr.Settle(1, 300) {
+		t.Fatal("settled before its arrival")
+	}
+	if !tr.Settle(3, 300) || !tr.Done || tr.Remaining != 0 || tr.FinishTime != 900 {
+		t.Fatalf("settle at slot 3: %+v", tr)
+	}
+	if tr.Settle(4, 300) || tr.FinishTime != 900 {
+		t.Fatal("a finished transfer settled again")
+	}
+	big := NewTransfer(Request{ID: 2, Src: 0, Dst: 1, SizeGbits: 2 * negligibleGbits, Deadline: NoDeadline})
+	if big.Settle(0, 300) || big.Done {
+		t.Fatal("settled a residue above negligibleGbits")
+	}
+}
+
+// TestServe: the outage darkens the start of the slot, the allocation does
+// not outlive the call, and only what is sent by the deadline slot counts
+// toward it.
+func TestServe(t *testing.T) {
+	alloc := []PathRate{{Path: []int{0, 1}, Rate: 10}}
+	tr := NewTransfer(Request{ID: 1, Src: 0, Dst: 1, SizeGbits: 1000, Deadline: 1})
+	if sent := tr.Serve(alloc, 1, 10, 4); sent != 60 || tr.Alloc != nil || tr.LastServed != 1 || tr.DeliveredByDeadline != 60 {
+		t.Fatalf("slot 1 with a 4 s outage: sent %v, %+v", sent, tr)
+	}
+	if sent := tr.Serve(alloc, 2, 10, 0); sent != 100 || tr.DeliveredByDeadline != 60 {
+		t.Fatalf("slot 2, past the deadline: sent %v, %+v", sent, tr)
+	}
+	if sent := tr.Serve(alloc, 3, 10, 20); sent != 0 || tr.LastServed != 3 {
+		t.Fatalf("an outage longer than the slot sent %v: %+v", sent, tr)
+	}
+	short := NewTransfer(Request{ID: 2, Src: 0, Dst: 1, SizeGbits: 30, Deadline: NoDeadline})
+	if sent := short.Serve(alloc, 2, 10, 4); sent != 30 || !short.Done || short.FinishTime != 27 {
+		t.Fatalf("finishing after the outage: sent %v, %+v", sent, short)
+	}
+}
+
 func newT(id int, rem float64, deadline, arrival int) *Transfer {
 	tr := NewTransfer(Request{ID: id, Src: 0, Dst: 1, SizeGbits: rem, Arrival: arrival, Deadline: deadline})
 	return tr

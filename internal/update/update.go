@@ -12,7 +12,7 @@
 // Two planner engines share these semantics. The flat engine (engine.go)
 // works on edge-id-indexed slices with a reusable Scratch and re-examines a
 // pending op only when a link it waits on changes; it is the one behind
-// BuildPlan and the per-slot pipeline in internal/sim. The retained
+// BuildPlan and the per-slot Planner both slot loops run. The retained
 // map-based engine (reference_test.go) is the executable specification; the
 // two are pinned bit-identical — rounds, op order, detours, timelines — by
 // the 300-seed differential in differential_test.go (`make update`).
