@@ -18,7 +18,7 @@ vet:
 # of stretching the suite. The 300-seed differential suites that temper,
 # claims, routes and update replay with the cache defeated stay inside
 # go test ./... too; they are most of tier-1's remaining time (internal/core
-# about 17 s and internal/optical about 37 s on two cores).
+# about 18 s and internal/optical about 27 s of a 51 s run on two cores).
 test:
 	$(GO) test -timeout 5m ./...
 
@@ -95,18 +95,22 @@ routes:
 		-run 'TestBuilderFingerprints|TestPrimTreeDifferential|TestPlaceRegeneratorsDifferential|TestClosureMatchesBFS|TestKShortestDifferential|TestKShortestBoundedDifferential|TestKShortestAllocationFree|TestTreeArcMatchesShortestPath|TestRouteRepairDifferential|TestRouteTablesReachSweep|TestRouteTablesDieWithNetwork|TestFiberPathIDsStable|TestPlannerSharesSchedulerCut|TestStateWithoutFiber' \
 		./internal/topology/ ./internal/bitset/ ./internal/graph/ ./internal/optical/ ./internal/sim/
 
-# fuzz is a 10-second smoke of each decoder, one go test per target (go test
-# fuzzes one target per run). topology.DecodeKey: whatever it accepts must
-# re-encode to exactly its input, with strictly sorted in-range links.
-# controlplane.ReadMsg: no frame may panic it, and re-framing what it accepts
-# is a fixed point. The controller's transfer record: no bytes may panic its
-# decoders, and decoding, re-marshalling and decoding again is a fixed point,
-# LastServed included. The committed corpora (testdata/fuzz in each package)
-# replay in plain go test.
+# fuzz is a 10-second smoke of each decoder and of the controller's message
+# dispatch, one go test per target (go test fuzzes one target per run).
+# topology.DecodeKey: whatever it accepts must re-encode to exactly its input,
+# with strictly sorted in-range links. controlplane.ReadMsg: no frame may panic
+# it, and re-framing what it accepts is a fixed point. The controller's
+# transfer record: no bytes may panic its decoders, and decoding,
+# re-marshalling and decoding again is a fixed point, LastServed included. The
+# controller's handshake and dispatch loop: well-framed messages with any JSON
+# body may not panic it, each draws at most one reply for its Seq or closes the
+# connection, and a fresh connection still gets a status reply. The committed
+# corpora (testdata/fuzz in each package) replay in plain go test.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeKey -fuzztime 10s ./internal/topology/
 	$(GO) test -run '^$$' -fuzz FuzzReadMsg -fuzztime 10s ./internal/controlplane/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeTransferRecord -fuzztime 10s ./internal/controlplane/
+	$(GO) test -run '^$$' -fuzz FuzzDispatch -fuzztime 10s ./internal/controlplane/
 
 # temper replays the committed 300-seed golden digests: the annealing loop
 # in compat mode (Replicas=1, WarmStart=false) must reproduce the
@@ -157,7 +161,7 @@ loadgen-smoke:
 # check is the tier-1 gate: clean build, vet, full tests, race-detected
 # internal tests (including the delta differential harnesses), the
 # tempering golden differential, the claim, flat-planner and route-table
-# differentials, the key- and frame-decoder fuzz smokes, a one-shot benchmark
+# differentials, the decoder and dispatch fuzz smokes, a one-shot benchmark
 # smoke, the benchmark module's vet and tests, the seeded fault-injection
 # matrix, the controller's slot-discipline tests, and the admission
 # load-generator smoke.

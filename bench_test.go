@@ -156,7 +156,7 @@ func BenchmarkFig10aJointVsGreedy(b *testing.B) {
 func BenchmarkFig10bConsistentUpdate(b *testing.B) {
 	sc := benchScale()
 	for i := 0; i < b.N; i++ {
-		f, err := experiments.Fig10b(sc)
+		f, err := experiments.Fig10bAt(experiments.InterDC, sc)
 		if err != nil {
 			b.Fatal(err)
 		}

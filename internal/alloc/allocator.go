@@ -175,7 +175,7 @@ type Allocator struct {
 	stat engineStats
 
 	// Warm-load state for ThroughputPatched: the (U, V)-sorted enumeration
-	// of the base topology retained by SetBase, so a patched evaluation
+	// of the base topology retained by SetBaseLinks, so a patched evaluation
 	// merges a few changed pairs instead of re-enumerating and re-sorting
 	// the whole LinkSet.
 	baseLinks []topology.Link
@@ -297,17 +297,10 @@ func (a *Allocator) loadFromLinks(n int, theta float64) {
 	}
 }
 
-// SetBase retains the enumeration of a base topology for subsequent
-// ThroughputPatched calls. The LinkSet is only read during this call.
-func (a *Allocator) SetBase(ls *topology.LinkSet, theta float64) {
-	a.baseLinks = ls.AppendLinks(a.baseLinks[:0])
-	a.baseN = ls.N
-	a.baseTheta = theta
-}
-
-// SetBaseLinks is SetBase for callers that already hold the (U, V)-sorted
-// enumeration (the delta evaluator shares one snapshot enumeration across
-// workers; copying a flat slice avoids concurrent map walks).
+// SetBaseLinks retains the (U, V)-sorted enumeration of a base topology for
+// subsequent ThroughputPatched calls (the delta evaluator shares one
+// snapshot enumeration across workers; copying a flat slice avoids
+// concurrent map walks).
 func (a *Allocator) SetBaseLinks(n int, links []topology.Link, theta float64) {
 	a.baseLinks = append(a.baseLinks[:0], links...)
 	a.baseN = n
@@ -315,7 +308,7 @@ func (a *Allocator) SetBaseLinks(n int, links []topology.Link, theta float64) {
 }
 
 // ThroughputPatched evaluates the tiered greedy assignment on the base
-// topology registered by SetBase with a small patch applied: patch entries
+// topology registered by SetBaseLinks with a small patch applied: patch entries
 // are (U, V)-sorted and carry the NEW circuit count of their pair (0 removes
 // it). The result is bit-identical to Throughput on the patched LinkSet —
 // the merged enumeration is exactly what AppendLinks would produce (see

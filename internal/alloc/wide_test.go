@@ -121,3 +121,11 @@ func TestAllocatorWideZeroAlloc(t *testing.T) {
 		t.Fatalf("wide Throughput allocates %.1f per run, want 0", avg)
 	}
 }
+
+// SetBase retains the enumeration of a base topology for subsequent
+// ThroughputPatched calls. The LinkSet is only read during this call.
+func (a *Allocator) SetBase(ls *topology.LinkSet, theta float64) {
+	a.baseLinks = ls.AppendLinks(a.baseLinks[:0])
+	a.baseN = ls.N
+	a.baseTheta = theta
+}

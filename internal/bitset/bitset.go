@@ -60,32 +60,8 @@ func (s Set) Or(t Set) {
 	}
 }
 
-// And sets s to s ∩ t. The sets must have equal length.
-func (s Set) And(t Set) {
-	for i, w := range t {
-		s[i] &= w
-	}
-}
-
-// AndNot sets s to s \ t. The sets must have equal length.
-func (s Set) AndNot(t Set) {
-	for i, w := range t {
-		s[i] &^= w
-	}
-}
-
 // Copy overwrites s with t. The sets must have equal length.
 func (s Set) Copy(t Set) { copy(s, t) }
-
-// Any reports whether the set is nonempty.
-func (s Set) Any() bool {
-	for _, w := range s {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
 
 // Count returns the number of elements.
 func (s Set) Count() int {
@@ -107,17 +83,6 @@ func (s Set) ForEach(f func(i int)) {
 			f(base + bits.TrailingZeros64(w))
 		}
 	}
-}
-
-// AppendBits appends the elements of the set to dst in ascending order.
-func (s Set) AppendBits(dst []int) []int {
-	for wi, w := range s {
-		base := wi << 6
-		for ; w != 0; w &= w - 1 {
-			dst = append(dst, base+bits.TrailingZeros64(w))
-		}
-	}
-	return dst
 }
 
 // Closure sets out to src plus everything reachable from src over the
@@ -147,30 +112,5 @@ func Closure(out, done Set, rows []uint64, through Set, src int) {
 				grew = true
 			}
 		}
-	}
-}
-
-// Pool recycles scratch sets so transient mask computations allocate only
-// until the pool warms up. It is not safe for concurrent use: each goroutine
-// that needs pooled scratch owns its own Pool, exactly as the flat
-// allocators own their scratch buffers.
-type Pool struct {
-	free []Set
-}
-
-// Get returns a zeroed set over [0, n).
-func (p *Pool) Get(n int) Set {
-	if k := len(p.free); k > 0 {
-		s := p.free[k-1]
-		p.free = p.free[:k-1]
-		return Grow(s, n)
-	}
-	return New(n)
-}
-
-// Put returns a set to the pool for reuse.
-func (p *Pool) Put(s Set) {
-	if s != nil {
-		p.free = append(p.free, s)
 	}
 }

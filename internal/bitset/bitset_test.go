@@ -19,20 +19,6 @@ func (md *model) or(o *model) {
 	}
 }
 
-func (md *model) and(o *model) {
-	for i := range md.m {
-		if !o.m[i] {
-			delete(md.m, i)
-		}
-	}
-}
-
-func (md *model) andNot(o *model) {
-	for i := range o.m {
-		delete(md.m, i)
-	}
-}
-
 func (md *model) elems() []int {
 	out := []int{}
 	for i := 0; i < md.n; i++ {
@@ -44,7 +30,7 @@ func (md *model) elems() []int {
 }
 
 // checkAgainst asserts the Set and the model agree element for element, in
-// count, emptiness, and iteration order (ForEach/AppendBits must enumerate
+// count, membership, and iteration order (ForEach must enumerate
 // ascending).
 func checkAgainst(t *testing.T, s Set, md *model) {
 	t.Helper()
@@ -52,21 +38,9 @@ func checkAgainst(t *testing.T, s Set, md *model) {
 	if got := s.Count(); got != len(want) {
 		t.Fatalf("Count: got %d, want %d", got, len(want))
 	}
-	if got := s.Any(); got != (len(want) > 0) {
-		t.Fatalf("Any: got %v with %d elements", got, len(want))
-	}
 	for i := 0; i < md.n; i++ {
 		if s.Test(i) != md.m[i] {
 			t.Fatalf("Test(%d): got %v, want %v", i, s.Test(i), md.m[i])
-		}
-	}
-	got := s.AppendBits(nil)
-	if len(got) != len(want) {
-		t.Fatalf("AppendBits: got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("AppendBits order: got %v, want %v (ascending)", got, want)
 		}
 	}
 	j := 0
@@ -91,7 +65,7 @@ func TestSetMatchesModel(t *testing.T) {
 		o, od := New(n), newModel(n)
 		for step := 0; step < 2000; step++ {
 			i := rng.Intn(n)
-			switch rng.Intn(8) {
+			switch rng.Intn(6) {
 			case 0, 1:
 				s.Set(i)
 				md.m[i] = true
@@ -105,12 +79,6 @@ func TestSetMatchesModel(t *testing.T) {
 				s.Or(o)
 				md.or(od)
 			case 5:
-				s.And(o)
-				md.and(od)
-			case 6:
-				s.AndNot(o)
-				md.andNot(od)
-			case 7:
 				o.Clear(i)
 				delete(od.m, i)
 			}
@@ -132,15 +100,15 @@ func TestWordsAndGrow(t *testing.T) {
 	s := New(65)
 	s.Set(64)
 	s = Grow(s, 40) // shrink within capacity: must come back zeroed
-	if s.Any() {
+	if s.Count() != 0 {
 		t.Fatal("Grow returned a non-empty set")
 	}
 	if len(s) != Words(40) {
 		t.Fatalf("Grow length %d, want %d", len(s), Words(40))
 	}
 	g := Grow(s, 300)
-	if len(g) != Words(300) || g.Any() {
-		t.Fatalf("Grow(300): len %d any %v", len(g), g.Any())
+	if len(g) != Words(300) || g.Count() != 0 {
+		t.Fatalf("Grow(300): len %d count %d", len(g), g.Count())
 	}
 }
 
@@ -157,27 +125,6 @@ func TestCopy(t *testing.T) {
 	}
 	if a.Count() != b.Count() {
 		t.Fatalf("Copy count %d != %d", a.Count(), b.Count())
-	}
-}
-
-// TestPool: pooled sets come back zeroed and sized, whatever state they were
-// returned in.
-func TestPool(t *testing.T) {
-	var p Pool
-	s := p.Get(100)
-	s.Set(3)
-	s.Set(99)
-	p.Put(s)
-	s2 := p.Get(70)
-	if s2.Any() {
-		t.Fatal("pooled set not zeroed")
-	}
-	if len(s2) != Words(70) {
-		t.Fatalf("pooled set len %d, want %d", len(s2), Words(70))
-	}
-	s3 := p.Get(256) // pool empty again → fresh allocation
-	if len(s3) != Words(256) || s3.Any() {
-		t.Fatalf("fresh set len %d any %v", len(s3), s3.Any())
 	}
 }
 

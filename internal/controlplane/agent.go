@@ -68,9 +68,6 @@ func NewAgent(ctrlAddr string, site int, dataLis net.Listener, peers map[int]str
 	return a, nil
 }
 
-// DataAddr returns the agent's data-plane address.
-func (a *Agent) DataAddr() string { return a.lis.Addr().String() }
-
 // onRates applies the controller's allocation: the per-transfer rate is
 // the sum over its paths (the data plane rides the network layer; path
 // splitting happens inside the WAN).
@@ -150,19 +147,6 @@ func (a *Agent) Transfer(dst int, gbits float64, deadlineSlots int) (int, error)
 		s.sent, s.err = dataplane.Send(a.ctx, conn, uint64(id), length, lim)
 	}()
 	return id, nil
-}
-
-// WaitTransfer blocks until the stream for id finishes and returns the
-// bytes sent.
-func (a *Agent) WaitTransfer(id int) (int64, error) {
-	a.mu.Lock()
-	s, ok := a.streams[id]
-	a.mu.Unlock()
-	if !ok {
-		return 0, fmt.Errorf("controlplane: unknown transfer %d", id)
-	}
-	<-s.done
-	return s.sent, s.err
 }
 
 // Receipt returns the received-bytes record for a transfer arriving at

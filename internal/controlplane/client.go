@@ -445,27 +445,12 @@ func (c *Client) noteDisconnect(err error) {
 	log.Printf("controlplane: connection to %s lost: %v (reconnecting)", c.addr, err)
 }
 
-// Disconnects reports how many times the connection has been lost.
-func (c *Client) Disconnects() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.disconnects
-}
-
 // Overloads reports how many times an RPC was shed by controller
 // backpressure (and retried after the retry-after hint).
 func (c *Client) Overloads() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.overloads
-}
-
-// LastSnapshot returns the most recent resync snapshot (nil before the
-// first v2 connect).
-func (c *Client) LastSnapshot() *WireSnapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastSnap
 }
 
 func (c *Client) nextSeq() uint64 {
@@ -595,21 +580,6 @@ func (c *Client) Submit(ctx context.Context, r WireRequest) (int, error) {
 		return 0, err
 	}
 	return m.ID, nil
-}
-
-// Resync asks the controller to replay this site's pending-transfer state
-// from its replicated store (protocol v2). The client also resyncs
-// automatically inside every reconnect handshake; this explicit form is
-// for callers that want a fresh snapshot on demand.
-func (c *Client) Resync(ctx context.Context) (*WireSnapshot, error) {
-	m, err := c.rpc(ctx, &Message{Type: MsgResync, Site: c.o.site}, MsgSnapshot)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	c.lastSnap = m.Snapshot
-	c.mu.Unlock()
-	return m.Snapshot, nil
 }
 
 // Status queries controller status.

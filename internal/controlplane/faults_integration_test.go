@@ -112,7 +112,7 @@ func runFaultScenario(t *testing.T, seed int64) {
 		dctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		cl, err := Dial(dctx, addr,
 			WithSite(i),
-			WithDialer(injs[i].Dialer()),
+			WithDialer(injs[i].DialerFrom(defaultOptions().dialer)),
 			WithHeartbeatInterval(40*time.Millisecond),
 			WithBackoff(5*time.Millisecond, 50*time.Millisecond),
 			WithJitterSeed(seed*10+int64(i)),

@@ -3,10 +3,16 @@ package controlplane
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"hash/crc32"
+	"net"
+	"os"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"owan/internal/core"
 	"owan/internal/topology"
@@ -148,6 +154,123 @@ func FuzzDecodeTransferRecord(f *testing.F) {
 		}
 		if rec2, err := DecodeTransferRecord(again); err != nil || rec2 != rec {
 			t.Fatalf("re-marshalled %q decodes to %+v (%v), the original to %+v", again, rec2, err, rec)
+		}
+	})
+}
+
+// frameBody frames body as WriteMsg would, with a valid length and checksum.
+func frameBody(body []byte) []byte {
+	frame := make([]byte, 8, 8+len(body))
+	binary.BigEndian.PutUint32(frame[:4], uint32(len(body)))
+	binary.BigEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(body))
+	return append(frame, body...)
+}
+
+// exchange sends body to the controller as one well-framed message, then a
+// ping whose Seq follows the message's, and reads until that ping's pong
+// arrives or the controller closes the connection; it reports the close.
+// The message may draw at most one reply echoing its Seq. After the
+// handshake a submit is acked by an admission worker, so after the pong
+// rather than before it.
+func exchange(t *testing.T, conn net.Conn, body []byte, handshaken bool) (closed bool) {
+	t.Helper()
+	frame := frameBody(body)
+	m, _ := ReadMsg(bytes.NewReader(frame)) // what the controller decodes; nil if it cannot
+	async := handshaken && m != nil && m.Type == MsgSubmit && m.Request != nil
+	var seq uint64
+	if m != nil {
+		seq = m.Seq
+	}
+	sentinel := seq + 1
+	// net.Pipe is unbuffered: write from a second goroutine so a reply the
+	// controller sends before reading the ping cannot deadlock the two.
+	go func() {
+		if _, err := conn.Write(frame); err == nil {
+			WriteMsg(conn, &Message{Type: MsgPing, Seq: sentinel})
+		}
+	}()
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	replies, pong := 0, false
+	for !pong || (async && replies == 0) {
+		r, err := ReadMsg(conn)
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("frame %q: neither a reply nor a close (pong %v, replies %d)", frame[8:], pong, replies)
+		}
+		if err != nil {
+			return true
+		}
+		switch {
+		case r.Type == MsgPong && r.Seq == sentinel && !pong:
+			pong = true
+		case m != nil && r.Seq == seq && r.Type != MsgRates:
+			if replies++; replies > 1 {
+				t.Fatalf("frame %q: second reply %+v for seq %d", frame[8:], r, seq)
+			}
+		case r.Type != MsgRates:
+			t.Fatalf("frame %q: reply %+v echoes no request", frame[8:], r)
+		}
+	}
+	return false
+}
+
+// FuzzDispatch sends well-framed messages — valid length and checksum,
+// arbitrary JSON body — through the controller's handshake and dispatch
+// loop over an in-memory pipe: hello is the connection's first frame and
+// body, if the handshake admits it, the second. No input may panic the
+// controller; each frame draws at most one reply for its Seq, or the
+// connection closes; and afterwards a fresh connection still gets a status
+// reply. The committed corpus (testdata/fuzz/FuzzDispatch) pairs a valid
+// hello with the payload of each frame in FuzzReadMsg's corpus, corrupted
+// ones included.
+func FuzzDispatch(f *testing.F) {
+	hello, err := json.Marshal(&Message{Type: MsgHello, Seq: 1, Version: ProtoVersion, Site: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, m := range wireSamples() {
+		body, err := json.Marshal(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(hello, body)
+		f.Add(body, hello)
+	}
+	f.Fuzz(func(t *testing.T, hello, body []byte) {
+		if len(hello) > maxFrame || len(body) > maxFrame {
+			return
+		}
+		ctrl, err := NewServer(context.Background(), nil,
+			WithCoreConfig(core.Config{Net: topology.Internet2(8), Policy: transfer.SJF, Seed: 1, MaxIterations: 20}),
+			WithSlotSeconds(10),
+			WithShards(3)) // not a power of two, so every site's shard index is computed
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ctrl.Close()
+		lis := newPipeListener()
+		go ctrl.Serve(lis)
+
+		conn := lis.dial(t)
+		if !exchange(t, conn, hello, false) {
+			exchange(t, conn, body, true)
+		}
+		conn.Close()
+
+		fresh := lis.dial(t)
+		fresh.SetDeadline(time.Now().Add(10 * time.Second))
+		for _, step := range []struct {
+			req  Message
+			want MsgType
+		}{
+			{Message{Type: MsgHello, Seq: 1, Version: ProtoVersion}, MsgWelcome},
+			{Message{Type: MsgStatus, Seq: 2}, MsgStatusReply},
+		} {
+			if err := WriteMsg(fresh, &step.req); err != nil {
+				t.Fatalf("fresh connection: %v", err)
+			}
+			if r, err := ReadMsg(fresh); err != nil || r.Type != step.want || r.Seq != step.req.Seq {
+				t.Fatalf("fresh connection: %s drew %+v (%v), want %s", step.req.Type, r, err, step.want)
+			}
 		}
 	})
 }

@@ -123,9 +123,3 @@ func WithDialer(f func(ctx context.Context, addr string) (net.Conn, error)) Opti
 		}
 	}
 }
-
-// WithJitterSeed seeds the backoff jitter source so tests can make retry
-// timing reproducible.
-func WithJitterSeed(seed int64) Option {
-	return func(o *options) { o.jitterSeed = seed }
-}

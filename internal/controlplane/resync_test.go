@@ -183,7 +183,7 @@ func TestResyncAfterPartitionE2E(t *testing.T) {
 			disconnected := make(chan struct{}, 4)
 			clA, err := Dial(context.Background(), addr,
 				WithSite(1),
-				WithDialer(inj.Dialer()),
+				WithDialer(inj.DialerFrom(defaultOptions().dialer)),
 				WithHeartbeatInterval(25*time.Millisecond),
 				WithBackoff(10*time.Millisecond, 50*time.Millisecond),
 				WithJitterSeed(seed),

@@ -256,10 +256,12 @@ func newController(ctx context.Context, st *store.Store, o serverOptions) (*Cont
 
 // shardFor maps an owning site onto its admission/push shard.
 func (c *Controller) shardFor(site int) int {
-	if site < 0 {
-		site = -site
+	// Reduce before taking the magnitude: -math.MinInt is still negative.
+	s := site % len(c.shards)
+	if s < 0 {
+		s = -s
 	}
-	return site % len(c.shards)
+	return s
 }
 
 // LastUpdatePlan returns the consistent rollout (§3.3) the last slot
@@ -822,19 +824,6 @@ func (c *Controller) snapshotSite(site int) *WireSnapshot {
 	return snap
 }
 
-// ResyncPending returns the sites whose last rate push was dropped and
-// that have not resynced since (sorted; for tests and operators).
-func (c *Controller) ResyncPending() []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]int, 0, len(c.resyncNeeded))
-	for s := range c.resyncNeeded {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // FailFiber removes a fiber from the physical network and rebuilds the
 // optimizer so subsequent slots avoid it. The current topology is kept;
 // circuits that can no longer be provisioned simply lose capacity in the
@@ -1051,15 +1040,6 @@ func (c *Controller) pushRates(perConn map[*clientConn][]WireRate) {
 		}
 		c.mu.Unlock()
 	}
-}
-
-// NextID returns the id the next submitted transfer will receive. After
-// failover it has resumed past every recovered transfer, so ids stay
-// unique across controller generations.
-func (c *Controller) NextID() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.nextID
 }
 
 // Slot returns the next slot index.

@@ -118,21 +118,6 @@ func WithWriteTimeout(d time.Duration) ServerOption {
 	return func(o *serverOptions) { o.writeTO = d }
 }
 
-// WithClock replaces the wall clock used for read/write deadlines (tests
-// pin it to force deterministic timeouts).
-func WithClock(c Clock) ServerOption {
-	return func(o *serverOptions) {
-		if c != nil {
-			o.clock = c
-		}
-	}
-}
-
-// withAdmitGate is the unexported test hook behind serverOptions.admitGate.
-func withAdmitGate(ch chan struct{}) ServerOption {
-	return func(o *serverOptions) { o.admitGate = ch }
-}
-
 // NewServer builds a controller against the replicated store (nil means a
 // fresh in-process store), recovering any outstanding transfers a failed
 // predecessor left behind. The context bounds the server's lifetime:

@@ -596,7 +596,7 @@ func (o *Owan) ComputeNetworkState(current *topology.LinkSet, active []*transfer
 		// Seed the memo with the returned topology's effective links: the
 		// next slot warm-starts from sBest, so its first (and most expensive)
 		// evaluation becomes a hit. plan.Effective is pinned identical to
-		// ProvisionEffective, so the entry equals what the cold path would
+		// ProvisionEffectiveEnum, so the entry equals what the cold path would
 		// have stored.
 		ev.initKey = sBest.AppendKey(ev.initKey[:0])
 		ev.ctx0.eff = eff.AppendLinks(ev.ctx0.eff[:0])

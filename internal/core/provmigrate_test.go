@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"owan/internal/optical"
@@ -56,8 +57,7 @@ func TestWithoutFiberCacheMigration(t *testing.T) {
 		// with the run's direct-only audit bit.
 		s := topology.InitialTopology(net)
 		for i := 0; i < 25 && s != nil; i++ {
-			eff := o.opt.ProvisionEffective(s)
-			links := eff.AppendLinks(nil)
+			links := slices.Clone(o.opt.ProvisionEffectiveEnum(s))
 			key := s.AppendKey(nil)
 			o.memo.putLinks(topology.KeyHash(key), key, links, o.opt.DirectOnly(), o.opt.SegmentOnly())
 			s = o.computeNeighbor(rng, s)
@@ -99,7 +99,7 @@ func TestWithoutFiberCacheMigration(t *testing.T) {
 				for _, l := range reqLinks {
 					req.Add(l.U, l.V, l.Count)
 				}
-				want := ref.ProvisionEffective(req).AppendLinks(nil)
+				want := ref.ProvisionEffectiveEnum(req)
 				name := fmt.Sprintf("seed %d sites %d fiber %d entry %d", seed, sites, fid, idx)
 				if len(want) != len(e.links) {
 					t.Fatalf("%s: migrated entry has %d links, cold provisioning %d",
@@ -176,8 +176,7 @@ func TestWithoutFiberAlternateCacheMigration(t *testing.T) {
 
 		s := topology.InitialTopology(net)
 		for i := 0; i < 25 && s != nil; i++ {
-			eff := o.opt.ProvisionEffective(s)
-			links := eff.AppendLinks(nil)
+			links := slices.Clone(o.opt.ProvisionEffectiveEnum(s))
 			key := s.AppendKey(nil)
 			o.memo.putLinks(topology.KeyHash(key), key, links, o.opt.DirectOnly(), o.opt.SegmentOnly())
 			s = o.computeNeighbor(rng, s)
@@ -219,7 +218,7 @@ func TestWithoutFiberAlternateCacheMigration(t *testing.T) {
 				for _, l := range reqLinks {
 					req.Add(l.U, l.V, l.Count)
 				}
-				want := ref.ProvisionEffective(req).AppendLinks(nil)
+				want := ref.ProvisionEffectiveEnum(req)
 				name := fmt.Sprintf("seed %d sites %d fiber %d entry %d", seed, sites, fid, idx)
 				if len(want) != len(e.links) {
 					t.Fatalf("%s: migrated entry has %d links, cold provisioning %d",

@@ -149,12 +149,6 @@ func Workload(kind TopoKind, net *topology.Network, sc Scale, load, deadlineFact
 	})
 }
 
-// ApproachNames lists every runnable approach.
-var ApproachNames = []string{
-	"owan", "maxflow", "maxminfract", "swan", "tempus", "amoeba",
-	"rate-only", "rate-routing", "greedy-separate",
-}
-
 // Scheduler builds a sim.Scheduler by name. Deadline-aware runs use EDF
 // inside Owan; others use SJF (the paper's default for completion time).
 // A positive budget B gives Owan's search a schedule of exactly B

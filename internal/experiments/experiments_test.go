@@ -30,9 +30,15 @@ func TestBuildTopologies(t *testing.T) {
 	}
 }
 
+// approachNames lists every runnable approach.
+var approachNames = []string{
+	"owan", "maxflow", "maxminfract", "swan", "tempus", "amoeba",
+	"rate-only", "rate-routing", "greedy-separate",
+}
+
 func TestRunEveryApproach(t *testing.T) {
 	sc := quick()
-	for _, ap := range ApproachNames {
+	for _, ap := range approachNames {
 		sigma := 0.0
 		if ap == "tempus" || ap == "amoeba" {
 			sigma = 10
@@ -142,7 +148,7 @@ func TestFig10bShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	f, err := Fig10b(quick())
+	f, err := Fig10bAt(InterDC, quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,10 +173,11 @@ func TestFig10bShape(t *testing.T) {
 
 func TestCollectDeadlineMetrics(t *testing.T) {
 	sc := quick()
-	st, err := collect(Internet2, "owan", 1, 10, sc)
+	out, err := collectCells(Internet2, []cellSpec{{"owan", 1, 10}}, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := out[0]
 	if st.deadline.TransfersMetPct < 0 || st.deadline.TransfersMetPct > 100 {
 		t.Errorf("met pct out of range: %v", st.deadline.TransfersMetPct)
 	}

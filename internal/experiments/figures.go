@@ -134,15 +134,6 @@ func collectCells(topo TopoKind, cells []cellSpec, sc Scale) ([]*runStats, error
 	return out, nil
 }
 
-// collect runs one approach over the configured seeds and averages.
-func collect(topo TopoKind, approach string, load, sigma float64, sc Scale) (*runStats, error) {
-	out, err := collectCells(topo, []cellSpec{{approach, load, sigma}}, sc)
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
 // Fig7 reproduces Figure 7 for one topology: (a) factor of improvement on
 // average and 95th-percentile completion time versus load, (b) per-size-bin
 // improvement at load 1, and (c) the completion-time CDF at load 1.
@@ -295,16 +286,12 @@ func Fig10a(sc Scale) (*figdata.Figure, error) {
 	return f, nil
 }
 
-// Fig10b reproduces Figure 10(b): throughput during a topology update with
+// Fig10bAt reproduces Figure 10(b): throughput during a topology update with
 // the consistent cross-layer schedule versus a one-shot update. The states
-// come from two consecutive Owan slots on the inter-DC topology.
-func Fig10b(sc Scale) (*figdata.Figure, error) {
-	return Fig10bAt(InterDC, sc)
-}
-
-// Fig10bAt is Fig10b parameterized by topology, so the update scheduler can
-// be exercised at stress scales (e.g. ISP200) with the same harness. The
-// inter-DC run keeps the paper figure's id; other topologies get a suffix.
+// come from two consecutive Owan slots on topo; the paper's figure uses the
+// inter-DC topology, and other topologies (e.g. ISP200, a stress scale for
+// the update scheduler) run the same harness. The inter-DC run keeps the
+// paper figure's id; other topologies get a suffix.
 func Fig10bAt(topo TopoKind, sc Scale) (*figdata.Figure, error) {
 	net, err := BuildTopology(topo, sc, 3)
 	if err != nil {

@@ -139,22 +139,6 @@ func (i *Injector) count(f func(*Stats)) {
 	i.mu.Unlock()
 }
 
-// Wrap returns a listener whose accepted connections carry the fault
-// schedule (server-side injection).
-func (i *Injector) Wrap(lis net.Listener) net.Listener {
-	return &listener{Listener: lis, inj: i}
-}
-
-// Dialer returns a dial function (compatible with the control-plane
-// client's WithDialer option) whose connections carry the fault schedule.
-// Dials fail while partitioned.
-func (i *Injector) Dialer() func(ctx context.Context, addr string) (net.Conn, error) {
-	return i.DialerFrom(func(ctx context.Context, addr string) (net.Conn, error) {
-		var d net.Dialer
-		return d.DialContext(ctx, "tcp", addr)
-	})
-}
-
 // DialerFrom wraps an arbitrary base dialer with the fault schedule, so
 // faults can be injected on transports other than TCP — the load
 // generator runs tens of thousands of clients over in-memory pipes and
@@ -172,19 +156,6 @@ func (i *Injector) DialerFrom(base func(ctx context.Context, addr string) (net.C
 		}
 		return i.WrapConn(c), nil
 	}
-}
-
-type listener struct {
-	net.Listener
-	inj *Injector
-}
-
-func (l *listener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return l.inj.WrapConn(c), nil
 }
 
 // Conn is a net.Conn with scheduled faults.

@@ -177,21 +177,23 @@ func TestDropBlackholesBytes(t *testing.T) {
 	}
 }
 
+// TestWrapListenerInjectsServerSide: a server-side connection wrapped with
+// WrapConn carries the fault schedule too, so its writes can be blackholed.
 func TestWrapListenerInjectsServerSide(t *testing.T) {
 	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	inj := New(Config{Seed: 5, DropProb: 1})
-	lis := inj.Wrap(inner)
-	defer lis.Close()
+	defer inner.Close()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		c, err := lis.Accept()
+		raw, err := inner.Accept()
 		if err != nil {
 			return
 		}
+		c := inj.WrapConn(raw)
 		c.Write([]byte("dropped")) // server-side write is blackholed
 		c.Close()
 	}()

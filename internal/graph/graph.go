@@ -47,18 +47,6 @@ func (g *Graph) AddUndirected(u, v int, w float64, id int) {
 	g.AddEdge(v, u, w, id)
 }
 
-// Out returns the out-arcs of v. The returned slice must not be mutated.
-func (g *Graph) Out(v int) []Edge { return g.adj[v] }
-
-// EdgeCount returns the total number of directed arcs.
-func (g *Graph) EdgeCount() int {
-	c := 0
-	for _, a := range g.adj {
-		c += len(a)
-	}
-	return c
-}
-
 // Path is a sequence of edges from a source to a destination.
 type Path struct {
 	Edges  []Edge
@@ -79,9 +67,6 @@ func (p *Path) Vertices() []int {
 	}
 	return vs
 }
-
-// Len returns the hop count.
-func (p *Path) Len() int { return len(p.Edges) }
 
 // item is a binary-heap entry for Dijkstra.
 type item struct {

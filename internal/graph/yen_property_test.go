@@ -20,7 +20,7 @@ func enumeratePaths(g *Graph, src, dst int) []float64 {
 			return
 		}
 		visited[v] = true
-		for _, e := range g.Out(v) {
+		for _, e := range g.adj[v] {
 			if !visited[e.To] {
 				dfs(e.To, w+e.Weight)
 			}

@@ -60,12 +60,6 @@ func NewProblem(n int) *Problem {
 	return &Problem{nvars: n, objective: make([]float64, n)}
 }
 
-// NumVars returns the number of decision variables.
-func (p *Problem) NumVars() int { return p.nvars }
-
-// NumConstraints returns the number of constraint rows.
-func (p *Problem) NumConstraints() int { return len(p.constraints) }
-
 // SetObjective sets the coefficient of variable v in the (maximized)
 // objective.
 func (p *Problem) SetObjective(v int, c float64) {

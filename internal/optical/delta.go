@@ -96,22 +96,14 @@ type Snapshot struct {
 	wRegen     []float64
 	nextID     int
 
-	eff      *topology.LinkSet
 	effLinks []topology.Link // (U, V)-sorted, Count == built
 
-	clean    bool // every link built == want
 	tight    bool // scarcity margin violated (or an alternate route was needed)
 	resShort bool // some shortfall was resource-driven, not static
 }
 
 // N returns the number of network-layer sites of the snapshot's topology.
 func (sn *Snapshot) N() int { return sn.n }
-
-// Clean reports whether the base provisioning built every requested circuit.
-func (sn *Snapshot) Clean() bool { return sn.clean }
-
-// Tight reports whether the scarcity guard tripped (see tightWaveMargin).
-func (sn *Snapshot) Tight() bool { return sn.tight }
 
 // TrustedBase reports whether deltas against this snapshot are eligible for
 // trust at all. A base qualifies when no resource is near exhaustion (not
@@ -122,9 +114,6 @@ func (sn *Snapshot) Tight() bool { return sn.tight }
 // and therefore cannot diverge; a resource-driven shortfall, by contrast,
 // means some pool or fiber is exhausted and order starts to matter.
 func (sn *Snapshot) TrustedBase() bool { return !sn.resShort && !sn.tight }
-
-// Eff returns the effective base topology. Read-only for consumers.
-func (sn *Snapshot) Eff() *topology.LinkSet { return sn.eff }
 
 // EffLinks returns the (U, V)-sorted effective links. Read-only; valid until
 // the next Build on this Snapshot.
@@ -152,7 +141,7 @@ func (sn *Snapshot) findLink(u, v int) *snapLink {
 }
 
 // BuildSnapshot provisions the topology from scratch — making exactly the
-// same decisions as ProvisionTopology/ProvisionEffective — and freezes the
+// same decisions as ProvisionTopology/ProvisionEffectiveEnum — and freezes the
 // result into snap, reusing snap's buffers. The receiver State is left
 // holding precisely the snapshot occupancy, i.e. already "loaded".
 func (s *State) BuildSnapshot(snap *Snapshot, ls *topology.LinkSet) {
@@ -166,14 +155,8 @@ func (s *State) BuildSnapshot(snap *Snapshot, ls *topology.LinkSet) {
 	snap.segs = snap.segs[:0]
 	snap.regs = snap.regs[:0]
 	snap.effLinks = snap.effLinks[:0]
-	snap.clean = true
 	snap.tight = false
 	snap.resShort = false
-	if snap.eff == nil || snap.eff.N != ls.N {
-		snap.eff = topology.NewLinkSet(ls.N)
-	} else {
-		snap.eff.Clear()
-	}
 
 	for _, l := range sc.links {
 		sl := snapLink{u: l.U, v: l.V, want: l.Count, circOff: int32(len(snap.circs))}
@@ -184,7 +167,6 @@ func (s *State) BuildSnapshot(snap *Snapshot, ls *topology.LinkSet) {
 			sl.built++
 		}
 		if sl.built < sl.want {
-			snap.clean = false
 			// A statically infeasible pair (no regenerator-site hop sequence
 			// within reach exists at all) builds zero circuits in every order;
 			// only a shortfall on a statically feasible pair — or a partial
@@ -194,7 +176,6 @@ func (s *State) BuildSnapshot(snap *Snapshot, ls *topology.LinkSet) {
 			}
 		}
 		if sl.built > 0 {
-			snap.eff.Add(l.U, l.V, sl.built)
 			snap.effLinks = append(snap.effLinks, topology.Link{U: l.U, V: l.V, Count: sl.built})
 		}
 		snap.links = append(snap.links, sl)

@@ -2,6 +2,7 @@ package optical
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"owan/internal/topology"
@@ -116,9 +117,8 @@ func TestSnapshotMatchesProvisionEffective(t *testing.T) {
 		waves, regen, _ := occupancyDump(s)
 
 		s2 := NewState(net)
-		eff := s2.ProvisionEffective(ls)
-		if !snap.Eff().Equal(eff) {
-			t.Fatalf("%s: snapshot effective differs from ProvisionEffective", net.Name)
+		if eff := s2.ProvisionEffectiveEnum(ls); !slices.Equal(snap.EffLinks(), eff) {
+			t.Fatalf("%s: snapshot effective links %v differ from ProvisionEffectiveEnum's %v", net.Name, snap.EffLinks(), eff)
 		}
 		w2, r2, _ := occupancyDump(s2)
 		for i := range waves {
@@ -129,17 +129,6 @@ func TestSnapshotMatchesProvisionEffective(t *testing.T) {
 		for i := range regen {
 			if regen[i] != r2[i] {
 				t.Fatalf("%s: regen pools differ from cold provisioning at site %d", net.Name, i)
-			}
-		}
-		// EffLinks mirrors Eff in sorted order.
-		var buf []topology.Link
-		buf = snap.Eff().AppendLinks(buf)
-		if len(buf) != len(snap.EffLinks()) {
-			t.Fatalf("%s: EffLinks length mismatch", net.Name)
-		}
-		for i := range buf {
-			if buf[i] != snap.EffLinks()[i] {
-				t.Fatalf("%s: EffLinks[%d] = %v, want %v", net.Name, i, snap.EffLinks()[i], buf[i])
 			}
 		}
 	}
@@ -239,8 +228,7 @@ func TestProvisionDeltaTrustedMatchesCold(t *testing.T) {
 			if ok2 {
 				trusted++
 				got := topology.MergePatch(nil, snap.EffLinks(), patch)
-				var want []topology.Link
-				want = cold.ProvisionEffective(cand).AppendLinks(want)
+				want := cold.ProvisionEffectiveEnum(cand)
 				if len(got) != len(want) {
 					t.Fatalf("net %s seed %d: trusted delta link count %d != cold %d", net.Name, seed, len(got), len(want))
 				}

@@ -32,15 +32,6 @@ func (tp *TopologyPlan) Effective(n int) *topology.LinkSet {
 	return ls
 }
 
-// TotalBuilt returns the number of circuits provisioned across all links.
-func (tp *TopologyPlan) TotalBuilt() int {
-	t := 0
-	for _, lc := range tp.Links {
-		t += lc.Built
-	}
-	return t
-}
-
 // ProvisionTopology provisions circuits for every link of the desired
 // network-layer topology on a fresh optical state. Links are processed in
 // deterministic (U, V)-sorted order — exactly the order LinkSet.Links
@@ -69,7 +60,7 @@ func (s *State) ProvisionTopology(ls *topology.LinkSet) *TopologyPlan {
 	return plan
 }
 
-// ProvisionEffective realizes the desired topology exactly like
+// ProvisionEffectiveEnum realizes the desired topology exactly like
 // ProvisionTopology but materializes no Circuit records and no plan: it
 // returns only the effective link capacities, which is all the annealing
 // energy function consumes. The provisioning decisions — and therefore the
@@ -77,41 +68,11 @@ func (s *State) ProvisionTopology(ls *topology.LinkSet) *TopologyPlan {
 // decisions depend only on the mutable occupancy (wavelength bitsets and
 // regenerator pools), never on the recorded circuits.
 //
-// The returned LinkSet is owned by the State's scratch area and is valid
-// only until the next ProvisionEffective call on this State; callers that
-// need to keep it must Clone it.
-func (s *State) ProvisionEffective(ls *topology.LinkSet) *topology.LinkSet {
-	s.Reset()
-	sc := s.scratchBuf()
-	sc.links = ls.AppendLinks(sc.links[:0])
-	if sc.eff == nil || sc.eff.N != ls.N {
-		sc.eff = topology.NewLinkSet(ls.N)
-	} else {
-		sc.eff.Clear()
-	}
-	for _, l := range sc.links {
-		built := 0
-		for k := 0; k < l.Count; k++ {
-			if _, err := s.provision(l.U, l.V, false); err != nil {
-				break
-			}
-			built++
-		}
-		if built > 0 {
-			sc.eff.Add(l.U, l.V, built)
-		}
-	}
-	return sc.eff
-}
-
-// ProvisionEffectiveEnum realizes ls exactly like ProvisionEffective but
-// hands back the effective (U, V)-sorted link enumeration instead of a
-// LinkSet: the serial energy path consumes the result only through the
-// allocator's ThroughputLinks, so building a Count map and patching a sorted
-// view per effective link (LinkSet.Add) just to enumerate it straight back
-// out was pure overhead — about 26µs per evaluation on the 200-site ISP.
-// The returned slice lives in the State's scratch area and is valid until
-// the next ProvisionEffective/ProvisionEffectiveEnum call on this State.
+// The capacities come back as the effective (U, V)-sorted link enumeration,
+// not a LinkSet: the serial energy path consumes them only through the
+// allocator's ThroughputLinks. The returned slice lives in the State's
+// scratch area and is valid until the next ProvisionEffectiveEnum call on
+// this State.
 func (s *State) ProvisionEffectiveEnum(ls *topology.LinkSet) []topology.Link {
 	sc := s.scratchBuf()
 	sc.links = ls.AppendLinks(sc.links[:0])
@@ -119,11 +80,10 @@ func (s *State) ProvisionEffectiveEnum(ls *topology.LinkSet) []topology.Link {
 	return sc.effLinks
 }
 
-// ProvisionEffectiveLinks is ProvisionEffective for callers that already
+// ProvisionEffectiveLinks is ProvisionEffectiveEnum for callers that already
 // hold the (U, V)-sorted enumeration of the requested topology: it provisions
-// the same circuit sequence and appends the effective enumeration to effOut —
-// exactly what AppendLinks of ProvisionEffective's result would yield — with
-// no LinkSet walked on the way in or materialized on the way out. This is the
+// the same circuit sequence and appends the same effective enumeration to
+// effOut, with no LinkSet walked on the way in. This is the
 // cold-fallback path of the annealing delta evaluator, which evaluates
 // candidates as merged enumerations without ever building them as LinkSets.
 func (s *State) ProvisionEffectiveLinks(links []topology.Link, effOut []topology.Link) []topology.Link {

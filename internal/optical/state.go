@@ -46,9 +46,8 @@ type waveSet []uint64
 
 func newWaveSet(n int) waveSet { return make(waveSet, (n+63)/64) }
 
-func (w waveSet) has(i int) bool { return w[i/64]&(1<<(i%64)) != 0 }
-func (w waveSet) set(i int)      { w[i/64] |= 1 << (i % 64) }
-func (w waveSet) clear(i int)    { w[i/64] &^= 1 << (i % 64) }
+func (w waveSet) set(i int)   { w[i/64] |= 1 << (i % 64) }
+func (w waveSet) clear(i int) { w[i/64] &^= 1 << (i % 64) }
 
 // popcount returns the number of set bits.
 func (w waveSet) popcount() int {
@@ -57,26 +56,6 @@ func (w waveSet) popcount() int {
 		c += bits.OnesCount64(x)
 	}
 	return c
-}
-
-// firstCommonFree returns the lowest wavelength index free in every given
-// fiber set, or -1. It is the bit-by-bit reference the wavelength-
-// availability index (State.fiberFree) is differentially tested against;
-// the hot paths answer from the free-word summaries instead.
-func firstCommonFree(sets []waveSet, phi int) int {
-	for i := 0; i < phi; i++ {
-		free := true
-		for _, s := range sets {
-			if s.has(i) {
-				free = false
-				break
-			}
-		}
-		if free {
-			return i
-		}
-	}
-	return -1
 }
 
 // Segment is one regeneration-free span of a circuit: a fiber path and the
@@ -216,8 +195,7 @@ type provScratch struct {
 	hops      []int           // hopsOf result buffer
 	tg        *graph.Graph    // regenerator transit graph, Reset per route
 	sp        graph.Scratch   // Dijkstra/Yen scratch for tg
-	links     []topology.Link // AppendLinks buffer (ProvisionEffective)
-	eff       *topology.LinkSet
+	links     []topology.Link // AppendLinks buffer (ProvisionEffectiveEnum)
 	effLinks  []topology.Link // effective enumeration (ProvisionEffectiveEnum)
 	// Per-ordered-pair segment-feasibility cache over the precomputed
 	// primary/alternate fiber routes: segStamp[u*ns+v] holds the waveEpoch
@@ -469,25 +447,8 @@ func (s *State) DirectOnly() bool { return s.directOnly }
 // aware SameSegmentRouting holds for every link.
 func (s *State) SegmentOnly() bool { return s.segmentOnly }
 
-// RegenFree returns the number of spare regenerators at site v.
-func (s *State) RegenFree(v int) int { return s.regenFree[v] }
-
-// WavelengthsUsed returns the number of wavelengths in use on fiber f.
-func (s *State) WavelengthsUsed(f int) int {
-	if f < 0 || f >= len(s.fiberUse) {
-		return 0
-	}
-	return s.fiberUse[f].popcount()
-}
-
 // Circuits returns the number of live circuits.
 func (s *State) Circuits() int { return len(s.circuits) }
-
-// Circuit returns a live circuit by id.
-func (s *State) Circuit(id int) (*Circuit, bool) {
-	c, ok := s.circuits[id]
-	return c, ok
-}
 
 // SetUnitRegenWeights toggles the regenerator-balancing ablation: when
 // true, regenerator-graph nodes weigh 1 instead of the inverse of their
@@ -681,7 +642,7 @@ func (s *State) Provision(src, dst int) (*Circuit, error) {
 // provision implements Provision. With record == false it applies exactly
 // the same state mutations (wavelength claims, regenerator consumption, id
 // sequencing) but materializes no Circuit — the allocation-free mode behind
-// ProvisionEffective, where the annealing energy function only needs the
+// ProvisionEffectiveEnum, where the annealing energy function only needs the
 // effective capacities.
 func (s *State) provision(src, dst int, record bool) (*Circuit, error) {
 	if src == dst {
@@ -722,25 +683,6 @@ func (s *State) provision(src, dst int, record bool) (*Circuit, error) {
 		s.circuits[c.ID] = c
 	}
 	return c, nil
-}
-
-// Release tears down a circuit, returning its wavelengths and regenerators
-// to the pools.
-func (s *State) Release(id int) error {
-	c, ok := s.circuits[id]
-	if !ok {
-		return fmt.Errorf("optical: unknown circuit %d", id)
-	}
-	for _, seg := range c.Segments {
-		for _, fid := range seg.FiberIDs {
-			s.freeWave(fid, seg.Wavelength)
-		}
-	}
-	for _, r := range c.RegenSites {
-		s.setRegen(r, s.regenFree[r]+1)
-	}
-	delete(s.circuits, id)
-	return nil
 }
 
 // findRegenRoute picks the sequence of sites (src, regenerators..., dst)

@@ -82,14 +82,6 @@ func (s *Store) SnapshotPrefix(prefix string) map[string][]byte {
 	return out
 }
 
-// Delete removes a key (a no-op if absent, still logged for replicas).
-func (s *Store) Delete(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.data, key)
-	s.log = append(s.log, Entry{Seq: uint64(len(s.log) + 1), Key: key, Value: nil})
-}
-
 // Get returns a copy of the value and whether it exists.
 func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.RLock()

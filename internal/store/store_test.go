@@ -157,3 +157,11 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Errorf("seq = %d, want 800", s.Seq())
 	}
 }
+
+// Delete removes a key (a no-op if absent, still logged for replicas).
+func (s *Store) Delete(key string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.data, key)
+	s.log = append(s.log, Entry{Seq: uint64(len(s.log) + 1), Key: key, Value: nil})
+}

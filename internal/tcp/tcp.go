@@ -144,18 +144,3 @@ func OutageRecovery(capacitySegments float64, flows, warmupRounds, outageRounds,
 	}
 	return out, nil
 }
-
-// RecoveryRounds returns how many rounds after the outage the goodput
-// needs to regain the given fraction of its pre-outage level.
-func RecoveryRounds(samples []Sample, outageRounds int, fraction float64) int {
-	if len(samples) == 0 {
-		return -1
-	}
-	target := samples[0].Goodput * fraction
-	for i := outageRounds + 1; i < len(samples); i++ {
-		if samples[i].Goodput >= target {
-			return samples[i].Round - samples[outageRounds].Round
-		}
-	}
-	return -1
-}

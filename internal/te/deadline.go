@@ -108,10 +108,6 @@ type Amoeba struct {
 // Name implements Approach.
 func (*Amoeba) Name() string { return "amoeba" }
 
-// Rejected reports whether a transfer failed admission (its deadline was
-// deemed unmeetable on arrival).
-func (a *Amoeba) Rejected(id int) bool { return a.rejected[id] }
-
 func (a *Amoeba) init() {
 	if a.ledger == nil {
 		a.ledger = map[int]map[[2]int]float64{}

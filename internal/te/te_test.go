@@ -288,3 +288,7 @@ func TestCandidatePathsDeduplicated(t *testing.T) {
 		}
 	}
 }
+
+// Rejected reports whether a transfer failed admission (its deadline was
+// deemed unmeetable on arrival).
+func (a *Amoeba) Rejected(id int) bool { return a.rejected[id] }

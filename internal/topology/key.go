@@ -61,12 +61,6 @@ func KeyHash(key []byte) uint64 {
 	return h
 }
 
-// Hash returns a 64-bit FNV-1a hash of Key(). Unlike Key it can collide, so
-// it suits fingerprinting and sharding; exact lookups should compare Key.
-func (ls *LinkSet) Hash() uint64 {
-	return KeyHash(ls.AppendKey(nil))
-}
-
 // MergePatch merges a sorted patch into a sorted base link list, appending
 // the result to dst and returning the extended slice. Both inputs are
 // (U, V)-sorted aggregated links; a patch entry carries the NEW count for its

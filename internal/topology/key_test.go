@@ -28,9 +28,6 @@ func TestKeyMatchesEqual(t *testing.T) {
 		if a.Key() != b.Key() {
 			t.Fatalf("clone key differs: %v", a.Links())
 		}
-		if a.Hash() != b.Hash() {
-			t.Fatalf("clone hash differs: %v", a.Links())
-		}
 		c := randomLinkSet(rng, a.N, rng.Intn(20))
 		if a.Equal(c) != (a.Key() == c.Key()) {
 			t.Fatalf("Key disagrees with Equal:\n a=%v\n c=%v", a.Links(), c.Links())
@@ -101,9 +98,6 @@ func TestAppendKeyFromLinksMatchesKey(t *testing.T) {
 		buf = AppendKeyFromLinks(buf[:0], ls.N, links)
 		if string(buf) != ls.Key() {
 			t.Fatalf("AppendKeyFromLinks diverges from Key for %v", links)
-		}
-		if KeyHash(buf) != ls.Hash() {
-			t.Fatalf("KeyHash diverges from Hash for %v", links)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"encoding/json"
 	"math/rand"
 	"sort"
 	"testing"
@@ -163,15 +162,16 @@ func TestViewMatchesScratchSort(t *testing.T) {
 						}
 					}
 				}(old, frozen, seed)
-			case r < 0.92: // JSON round-trip replaces the map wholesale and
-				// must invalidate the view
-				data, err := json.Marshal(ls)
-				if err != nil {
-					t.Fatalf("seed %d op %d: marshal: %v", seed, op, err)
+			case r < 0.92: // CopyFrom replaces the map wholesale and must
+				// carry the source's view state with it
+				src := NewLinkSet(n)
+				for _, l := range scratchSorted(ls) {
+					src.Add(l.U, l.V, l.Count)
 				}
-				if err := json.Unmarshal(data, ls); err != nil {
-					t.Fatalf("seed %d op %d: unmarshal: %v", seed, op, err)
+				if rng.Intn(2) == 0 {
+					src.Links()
 				}
+				ls.CopyFrom(src)
 			default:
 				ls.Links() // build or exercise the view mid-walk
 			}

@@ -98,43 +98,3 @@ func ReadNetwork(r io.Reader) (*Network, error) {
 	}
 	return n, nil
 }
-
-// wireLinkSet is the JSON form of a LinkSet.
-type wireLinkSet struct {
-	N     int        `json:"n"`
-	Links []wireLink `json:"links"`
-}
-
-type wireLink struct {
-	U     int `json:"u"`
-	V     int `json:"v"`
-	Count int `json:"count"`
-}
-
-// MarshalJSON implements json.Marshaler for LinkSet with deterministic
-// link ordering.
-func (ls *LinkSet) MarshalJSON() ([]byte, error) {
-	w := wireLinkSet{N: ls.N}
-	for _, l := range ls.Links() {
-		w.Links = append(w.Links, wireLink{U: l.U, V: l.V, Count: l.Count})
-	}
-	return json.Marshal(w)
-}
-
-// UnmarshalJSON implements json.Unmarshaler for LinkSet.
-func (ls *LinkSet) UnmarshalJSON(b []byte) error {
-	var w wireLinkSet
-	if err := json.Unmarshal(b, &w); err != nil {
-		return err
-	}
-	ls.N = w.N
-	ls.Count = make(map[[2]int]int, len(w.Links))
-	ls.view, ls.viewOK = ls.view[:0], false // the map was replaced wholesale
-	for _, l := range w.Links {
-		if l.U < 0 || l.U >= w.N || l.V < 0 || l.V >= w.N || l.U == l.V || l.Count <= 0 {
-			return fmt.Errorf("topology: bad link %+v", l)
-		}
-		ls.Add(l.U, l.V, l.Count)
-	}
-	return nil
-}

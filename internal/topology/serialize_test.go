@@ -2,7 +2,6 @@ package topology
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -46,36 +45,5 @@ func TestReadNetworkValidates(t *testing.T) {
 	}
 	if _, err := ReadNetwork(strings.NewReader("{nope")); err == nil {
 		t.Error("malformed JSON accepted")
-	}
-}
-
-func TestLinkSetJSONRoundTrip(t *testing.T) {
-	ls := NewLinkSet(5)
-	ls.Add(0, 1, 2)
-	ls.Add(3, 4, 1)
-	ls.Add(1, 2, 3)
-	b, err := json.Marshal(ls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back := new(LinkSet)
-	if err := json.Unmarshal(b, back); err != nil {
-		t.Fatal(err)
-	}
-	if !ls.Equal(back) {
-		t.Errorf("round trip mismatch: %v vs %v", ls.Links(), back.Links())
-	}
-}
-
-func TestLinkSetJSONRejectsBad(t *testing.T) {
-	for _, bad := range []string{
-		`{"n":3,"links":[{"u":0,"v":0,"count":1}]}`,  // self link
-		`{"n":3,"links":[{"u":0,"v":5,"count":1}]}`,  // out of range
-		`{"n":3,"links":[{"u":0,"v":1,"count":-2}]}`, // negative count
-	} {
-		ls := new(LinkSet)
-		if err := json.Unmarshal([]byte(bad), ls); err == nil {
-			t.Errorf("accepted %s", bad)
-		}
 	}
 }

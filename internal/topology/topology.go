@@ -10,7 +10,6 @@ package topology
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -392,14 +391,6 @@ func (ls *LinkSet) PortViolations(net *Network) int {
 	return v
 }
 
-// CircuitLengthKm returns the shortest fiber-path length between two sites,
-// or +Inf if disconnected. It is the minimum unregenerated span a circuit
-// between them would need.
-func (n *Network) CircuitLengthKm(u, v int) float64 {
-	d := n.FiberGraph().ShortestDistances(u)
-	return d[v]
-}
-
 // PlaceRegenerators greedily selects regenerator concentration sites and
 // assigns pools of the given size so that between any two sites there is a
 // path in the "reach graph" (sites within optical reach of each other via
@@ -483,13 +474,4 @@ func (n *Network) reachRows() []uint64 {
 		}
 	}
 	return rows
-}
-
-// MaxFiberKm returns the longest single fiber span.
-func (n *Network) MaxFiberKm() float64 {
-	m := 0.0
-	for _, f := range n.Fibers {
-		m = math.Max(m, f.LengthKm)
-	}
-	return m
 }

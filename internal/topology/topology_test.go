@@ -88,11 +88,11 @@ func TestRegeneratorPlacementCoversReach(t *testing.T) {
 func TestCircuitLength(t *testing.T) {
 	n := Internet2(15)
 	// WASH-NEWY direct fiber is 330 km.
-	if got := n.CircuitLengthKm(7, 8); got != 330 {
+	if got := n.FiberGraph().ShortestDistances(7)[8]; got != 330 {
 		t.Errorf("WASH-NEWY = %v, want 330", got)
 	}
 	// SEAT->NEWY must be over 2000 km (cross country).
-	if got := n.CircuitLengthKm(0, 8); got < 2000 {
+	if got := n.FiberGraph().ShortestDistances(0)[8]; got < 2000 {
 		t.Errorf("SEAT-NEWY = %v, want > 2000", got)
 	}
 }

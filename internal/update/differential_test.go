@@ -36,7 +36,7 @@ func TestFlatPlannerDifferential(t *testing.T) {
 					// Both engines refused; they must also have walked the
 					// same partial schedule — same rounds, same forced
 					// detours — before giving up.
-					partial := scr.lastPartial()
+					partial := &scr.plan // the partial rounds built before ErrDeadlock
 					if partial.ForcedDetours != want.ForcedDetours {
 						t.Fatalf("sites=%d seed=%d scen=%d: partial detours: flat=%d reference=%d", sz.sites, s, scen, partial.ForcedDetours, want.ForcedDetours)
 					}

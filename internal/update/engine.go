@@ -381,8 +381,8 @@ func (s *Scratch) BuildPlan(cfg Config, oldState, newState *State) (*Plan, error
 			// at the very end.
 			vi, ok := s.pickVictim(newState)
 			if !ok {
-				// Record the partial plan (lastPartial) so the differential
-				// can pin the detour path even on infeasible targets.
+				// Record the partial plan (s.plan) so the differential can
+				// pin the detour path even on infeasible targets.
 				s.finish(detours)
 				return nil, ErrDeadlock
 			}
@@ -435,12 +435,6 @@ func (s *Scratch) finish(detours int) *Plan {
 	s.plan = Plan{Rounds: s.rounds, ForcedDetours: detours}
 	return &s.plan
 }
-
-// lastPartial returns the plan the most recent BuildPlan call produced,
-// including the partial rounds built before an ErrDeadlock return. Test
-// hook: the differential uses it to compare the forced-detour path against
-// the reference even when the target state is infeasible.
-func (s *Scratch) lastPartial() *Plan { return &s.plan }
 
 func (s *Scratch) appendPathPairs(path []int) {
 	for i := 0; i+1 < len(path); i++ {

@@ -48,9 +48,18 @@ func newCaseGen(sites int) *caseGen {
 	g.failNet = &fn
 	g.failOpt = optical.NewState(g.failNet)
 	g.base = topology.InitialTopology(g.net)
-	g.effA = g.opt.ProvisionEffective(g.base).Clone()
+	g.effA = effective(g.opt, g.base)
 	g.oldCircuits, g.oldFibers = snapshotCircuits(g.opt, g.effA)
 	return g
+}
+
+// effective realizes ls on opt and returns its effective capacities.
+func effective(opt *optical.State, ls *topology.LinkSet) *topology.LinkSet {
+	eff := topology.NewLinkSet(ls.N)
+	for _, l := range opt.ProvisionEffectiveEnum(ls) {
+		eff.Add(l.U, l.V, l.Count)
+	}
+	return eff
 }
 
 func snapshotCircuits(opt *optical.State, eff *topology.LinkSet) (map[[2]int]int, map[[2]int][]int) {
@@ -125,9 +134,7 @@ func (g *caseGen) gen(seed int64, scen int) (Config, *State, *State) {
 	if scen == scenFailure {
 		optB, netB = g.failOpt, g.failNet
 	}
-	// ProvisionEffective returns optical scratch: snapshot it before any
-	// further optical call.
-	effB := optB.ProvisionEffective(curB)
+	effB := effective(optB, curB)
 	newCircuits, newFibers := snapshotCircuits(optB, effB)
 
 	db := make([]alloc.Demand, 0, len(demands)+4)

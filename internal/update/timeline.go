@@ -152,13 +152,6 @@ func MinThroughput(samples []Sample) float64 {
 	return m
 }
 
-// StateFromAlloc is a convenience for building update states from a
-// topology snapshot (circuits per link with their fiber routes) and an
-// allocation (transfer id -> path rates).
-func StateFromAlloc(circuits map[[2]int]int, fibers map[[2]int][]int, routes []Route) *State {
-	return &State{Circuits: circuits, CircuitFibers: fibers, Routes: routes}
-}
-
 // OneShotTCPTimeline refines OneShotTimeline with transport behaviour:
 // the routes crossing reconfigured links are TCP flows that time out
 // during the dark window and then recover through slow start, so total

@@ -197,12 +197,3 @@ func exhausted(used, budget []float64, probe float64) bool {
 	}
 	return true
 }
-
-// TotalGbits sums the request sizes.
-func TotalGbits(reqs []transfer.Request) float64 {
-	t := 0.0
-	for _, r := range reqs {
-		t += r.SizeGbits
-	}
-	return t
-}

@@ -180,3 +180,12 @@ func TestGenerateRejectsBadConfig(t *testing.T) {
 		}
 	}
 }
+
+// TotalGbits sums the request sizes.
+func TotalGbits(reqs []transfer.Request) float64 {
+	t := 0.0
+	for _, r := range reqs {
+		t += r.SizeGbits
+	}
+	return t
+}
