@@ -18,7 +18,7 @@ vet:
 # of stretching the suite. The 300-seed differential suites that temper,
 # claims, routes and update replay with the cache defeated stay inside
 # go test ./... too; they are most of tier-1's remaining time (internal/core
-# about 18 s and internal/optical about 27 s of a 51 s run on two cores).
+# about 9 s and internal/optical about 25 s of a 40 s run on two cores).
 test:
 	$(GO) test -timeout 5m ./...
 
@@ -55,13 +55,17 @@ bench-module:
 # widths growing and shrinking on one allocator, and claim-tree reuse with
 # its fast-path, repair, extension and cold-build paths each exercised — the
 # wavelength-availability index against the from-scratch occupancy scan, the
-# alternate-tier migration of the topology memo's effective links against
-# cold provisioning, and the 300-seed search with the memo and persistent
-# evaluator against the no-memo reference, slot by slot through a fiber cut.
+# LinkSet's sorted view, view-merge Diff, view Equal and cached circuit total
+# against a scratch sort and the map walks they replaced, the memo's compact
+# links half (what provisioning lost) round-tripped against the effective
+# links it encodes, the alternate-tier migration of the topology memo's
+# effective links against cold provisioning, and the 300-seed search with
+# the memo and persistent evaluator against the no-memo reference, slot by
+# slot through a fiber cut.
 claims:
 	$(GO) test -count=1 \
-		-run 'TestAllocatorMatchesReferenceGreedy|TestAllocatorMatchesReferenceSequential|TestAllocatorWideMatchesReference|TestAllocatorQuadMatchesReference|TestThroughputPatchedMatchesReference|TestThroughputPatchedWide|TestThroughputPatchedQuad|TestAllocatorReuseAcrossTopologySizes|TestClaimRepairDifferential|TestClaimReuseMatchesReference|TestLambdaIndexMatchesOccupancy|TestWithoutFiberAlternateCacheMigration|TestPersistentEvaluatorMatchesFresh' \
-		./internal/alloc/ ./internal/optical/ ./internal/core/
+		-run 'TestAllocatorMatchesReferenceGreedy|TestAllocatorMatchesReferenceSequential|TestAllocatorWideMatchesReference|TestAllocatorQuadMatchesReference|TestThroughputPatchedMatchesReference|TestThroughputPatchedWide|TestThroughputPatchedQuad|TestAllocatorReuseAcrossTopologySizes|TestClaimRepairDifferential|TestClaimReuseMatchesReference|TestLambdaIndexMatchesOccupancy|TestViewMatchesScratchSort|TestMemoLinksRoundTrip|TestWithoutFiberAlternateCacheMigration|TestPersistentEvaluatorMatchesFresh' \
+		./internal/alloc/ ./internal/optical/ ./internal/topology/ ./internal/core/
 
 # update replays the flat update scheduler's pinning suite with the test
 # cache defeated: the 300-seed randomized differential (flat engine vs the

@@ -33,8 +33,9 @@ func key(u, v int) [2]int {
 }
 
 func newResidual(ls *topology.LinkSet, theta float64) *residualNet {
-	r := &residualNet{n: ls.N, cap: make(map[[2]int]float64, len(ls.Count)), adj: make([][]int, ls.N)}
-	for _, l := range ls.Links() {
+	links := ls.Links()
+	r := &residualNet{n: ls.N, cap: make(map[[2]int]float64, len(links)), adj: make([][]int, ls.N)}
+	for _, l := range links {
 		r.cap[key(l.U, l.V)] = float64(l.Count) * theta
 		r.adj[l.U] = append(r.adj[l.U], l.V)
 		r.adj[l.V] = append(r.adj[l.V], l.U)

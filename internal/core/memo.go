@@ -2,15 +2,18 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"slices"
 	"sync"
 
 	"owan/internal/topology"
 )
 
-// memoCap is the topology memo's capacity in entries. An entry holds at most
-// one effective-link enumeration (a few KB on ISP100) besides its key, so the
-// memo stays small; within one search it still holds every candidate a
-// paper-scale slot evaluates.
+// memoCap is the topology memo's capacity in entries. An entry holds its
+// canonical key (a few hundred bytes on ISP100) and at most a byte or two
+// per key link that provisioning could not fully build, so the memo stays
+// small; within one search it still holds every candidate a paper-scale
+// slot evaluates.
 const memoCap = 128
 
 // memo is the controller's topology memo: an LRU from canonical topology keys
@@ -21,7 +24,11 @@ const memoCap = 128
 //     topology and the provisioning run's audit tier. Provisioning always
 //     starts from an empty optical state, so the links depend on the topology
 //     alone and live across slots: the warm-started first evaluation of slot
-//     N+1 is slot N's output, a near-guaranteed hit.
+//     N+1 is slot N's output, a near-guaranteed hit. Provisioning builds at
+//     most the requested count of every link, in key order, so the effective
+//     links are a sub-multiset of the key's: an entry stores only what
+//     provisioning lost (see appendLost) and a hit rebuilds the links from
+//     the key. An entry whose topology was fully built stores nothing.
 //   - energy: the throughput of the topology under one search's demand set,
 //     stamped with that search. It is served only while the stamp is current,
 //     since the next slot's demands differ.
@@ -34,8 +41,8 @@ const memoCap = 128
 // verifies the full key bytes (the hash only selects the bucket), so a hash
 // collision can never serve another topology's value. The mutex lets
 // evaluator workers read and fill the links half concurrently; links are
-// copied out under the lock, so an eviction racing a hit never hands a caller
-// a recycled buffer.
+// rebuilt into the caller's buffer under the lock, so an eviction racing a
+// hit never hands a caller a recycled buffer.
 type memo struct {
 	mu         sync.Mutex
 	cap        int
@@ -46,6 +53,9 @@ type memo struct {
 	// search stamps the running search's energies. It starts at 1 and
 	// entries without an energy carry 0, so they never read as current.
 	search uint64
+	// Scratch for putLinks, under mu: the decoded key and the encoding.
+	keyLinks []topology.Link
+	lostBuf  []byte
 }
 
 type memoEntry struct {
@@ -57,7 +67,7 @@ type memoEntry struct {
 	// precomputed ALTERNATES (no regenerator graph). Only these two classes
 	// can be proven still valid after a fiber removal (see migrateFrom).
 	hasLinks    bool
-	links       []topology.Link
+	lost        []byte // appendLost's encoding against key
 	directOnly  bool
 	segmentOnly bool
 	// The energy half, current when search == memo.search.
@@ -207,8 +217,7 @@ func (c *memo) putEnergy(hash uint64, key []byte, energy float64) {
 }
 
 // links appends the topology's effective links to dst and reports whether
-// the memo held them. The returned slice is dst's backing array, owned by
-// the caller.
+// the memo held them. The returned slice is owned by the caller.
 func (c *memo) links(hash uint64, key []byte, dst []topology.Link) ([]topology.Link, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -216,19 +225,85 @@ func (c *memo) links(hash uint64, key []byte, dst []topology.Link) ([]topology.L
 	if idx < 0 || !c.entries[idx].hasLinks {
 		return dst, false
 	}
+	_, out, ok := topology.DecodeKey(c.entries[idx].key, dst)
+	if !ok {
+		return dst, false
+	}
 	c.moveToFront(idx)
-	return append(dst, c.entries[idx].links...), true
+	eff := applyLost(out[len(dst):], c.entries[idx].lost)
+	return out[:len(dst)+len(eff)], true
 }
 
 // putLinks records the topology's effective links and the provisioning
-// run's audit tier, copying links into the entry's retained buffer.
+// run's audit tier. links must be a sub-multiset of the key's links in key
+// order, as provisioning produces them; an enumeration that is not is left
+// unrecorded, since the entry could not represent it.
 func (c *memo) putLinks(hash uint64, key []byte, links []topology.Link, directOnly, segmentOnly bool) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, keyLinks, ok := topology.DecodeKey(key, c.keyLinks[:0])
+	c.keyLinks = keyLinks
+	if !ok {
+		return
+	}
+	if c.lostBuf, ok = appendLost(c.lostBuf[:0], keyLinks, links); ok {
+		c.put(hash, key, c.lostBuf, directOnly, segmentOnly)
+	}
+}
+
+// put records an entry's links half in its encoded form. Callers hold mu.
+func (c *memo) put(hash uint64, key, lost []byte, directOnly, segmentOnly bool) {
 	e := c.slot(hash, key)
 	e.hasLinks = true
-	e.links = append(e.links[:0], links...)
+	e.lost = append(e.lost[:0], lost...)
 	e.directOnly, e.segmentOnly = directOnly, segmentOnly
-	c.mu.Unlock()
+}
+
+// appendLost encodes the effective links eff against the requested links
+// keyLinks, both (U, V)-sorted, and appends the encoding to dst: for every
+// requested link built below its count, the number of fully built requested
+// links since the previous such link and the built count, as two uvarints.
+// ok is false when eff is not a sub-multiset of keyLinks.
+func appendLost(dst []byte, keyLinks, eff []topology.Link) (_ []byte, ok bool) {
+	j, gap := 0, uint64(0)
+	for _, l := range keyLinks {
+		built := 0
+		if j < len(eff) && eff[j].U == l.U && eff[j].V == l.V {
+			built = eff[j].Count
+			j++
+		}
+		switch {
+		case built > l.Count:
+			return dst, false
+		case built < l.Count:
+			dst = binary.AppendUvarint(dst, gap)
+			dst = binary.AppendUvarint(dst, uint64(built))
+			gap = 0
+		default:
+			gap++
+		}
+	}
+	return dst, j == len(eff)
+}
+
+// applyLost turns the requested links into the effective ones in place:
+// it sets the built count appendLost recorded for each link provisioning
+// lost circuits on and drops the links it built none of.
+func applyLost(links []topology.Link, lost []byte) []topology.Link {
+	if len(lost) == 0 {
+		return links
+	}
+	i := 0
+	for len(lost) > 0 {
+		gap, k := binary.Uvarint(lost)
+		lost = lost[k:]
+		built, k := binary.Uvarint(lost)
+		lost = lost[k:]
+		i += int(gap)
+		links[i].Count = int(built)
+		i++
+	}
+	return slices.DeleteFunc(links, func(l topology.Link) bool { return l.Count == 0 })
 }
 
 // migrateFrom copies the links halves of old's still-valid entries into c,
@@ -239,14 +314,17 @@ func (c *memo) putLinks(hash uint64, key []byte, links []topology.Link, directOn
 // routes identically on the new network at that tier: together those prove
 // the links are what provisioning the topology from scratch on the new
 // network would produce, so migration never serves a stale result. valid
-// receives the tier so it audits only the tables the run consulted.
+// receives the tier so it audits only the tables the run consulted. An
+// entry's encoding depends only on its key and links, so it moves as is.
 func (c *memo) migrateFrom(old *memo, valid func(key []byte, direct bool) bool) {
 	old.mu.Lock()
 	defer old.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for idx := old.tail; idx >= 0; idx = old.entries[idx].prev {
 		e := &old.entries[idx]
 		if e.hasLinks && (e.directOnly || e.segmentOnly) && valid(e.key, e.directOnly) {
-			c.putLinks(e.hash, e.key, e.links, e.directOnly, e.segmentOnly)
+			c.put(e.hash, e.key, e.lost, e.directOnly, e.segmentOnly)
 		}
 	}
 }

@@ -101,13 +101,17 @@ func TestWithoutFiberCacheMigration(t *testing.T) {
 				}
 				want := ref.ProvisionEffectiveEnum(req)
 				name := fmt.Sprintf("seed %d sites %d fiber %d entry %d", seed, sites, fid, idx)
-				if len(want) != len(e.links) {
+				got, ok := nw.memo.links(e.hash, e.key, nil)
+				if !ok {
+					t.Fatalf("%s: migrated entry serves no links", name)
+				}
+				if len(want) != len(got) {
 					t.Fatalf("%s: migrated entry has %d links, cold provisioning %d",
-						name, len(e.links), len(want))
+						name, len(got), len(want))
 				}
 				for i, l := range want {
-					if e.links[i] != l {
-						t.Fatalf("%s: link %d: migrated %+v, cold %+v", name, i, e.links[i], l)
+					if got[i] != l {
+						t.Fatalf("%s: link %d: migrated %+v, cold %+v", name, i, got[i], l)
 					}
 				}
 			}
@@ -220,13 +224,17 @@ func TestWithoutFiberAlternateCacheMigration(t *testing.T) {
 				}
 				want := ref.ProvisionEffectiveEnum(req)
 				name := fmt.Sprintf("seed %d sites %d fiber %d entry %d", seed, sites, fid, idx)
-				if len(want) != len(e.links) {
+				got, ok := nw.memo.links(e.hash, e.key, nil)
+				if !ok {
+					t.Fatalf("%s: migrated entry serves no links", name)
+				}
+				if len(want) != len(got) {
 					t.Fatalf("%s: migrated entry has %d links, cold provisioning %d",
-						name, len(e.links), len(want))
+						name, len(got), len(want))
 				}
 				for i, l := range want {
-					if e.links[i] != l {
-						t.Fatalf("%s: link %d: migrated %+v, cold %+v", name, i, e.links[i], l)
+					if got[i] != l {
+						t.Fatalf("%s: link %d: migrated %+v, cold %+v", name, i, got[i], l)
 					}
 				}
 			}

@@ -133,7 +133,9 @@ func Run(cfg Config) (*sim.Result, error) {
 						}
 					}
 				}
-				if !t.Done && t.Rate() == 0 && len(alloc[t.ID]) > 0 {
+				// An allocation counts as service for the starvation
+				// guard even in a step that sent no whole chunk.
+				if !t.Done && len(alloc[t.ID]) > 0 {
 					t.LastServed = slot
 				}
 			}

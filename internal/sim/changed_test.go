@@ -9,19 +9,15 @@ import (
 )
 
 // mapChangedLinks is the map-based reference the merge-diff replaced: the
-// set of canonical pairs whose circuit counts differ between two topologies.
+// set of canonical pairs whose circuit counts differ between two topologies,
+// read through each LinkSet's map index (Get).
 func mapChangedLinks(a, b *topology.LinkSet) map[[2]int]bool {
 	out := map[[2]int]bool{}
-	seen := map[[2]int]bool{}
-	for k, v := range a.Count {
-		seen[k] = true
-		if b.Count[k] != v {
-			out[k] = true
-		}
-	}
-	for k, v := range b.Count {
-		if !seen[k] && v != 0 {
-			out[k] = true
+	for _, ls := range []*topology.LinkSet{a, b} {
+		for _, l := range ls.Links() {
+			if a.Get(l.U, l.V) != b.Get(l.U, l.V) {
+				out[[2]int{l.U, l.V}] = true
+			}
 		}
 	}
 	return out

@@ -201,7 +201,7 @@ func makespan(ts []*transfer.Transfer) float64 {
 // changedPairs merge-diffs two (U, V)-sorted link enumerations and appends
 // every canonical pair whose circuit count differs (including pairs present
 // on only one side — LinkSet never stores zero counts) to dst, which stays
-// sorted. Equivalent to diffing the two Count maps, without building any map.
+// sorted. Equivalent to diffing the two count maps, without building any map.
 func changedPairs(dst [][2]int, a, b []topology.Link) [][2]int {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {

@@ -8,20 +8,17 @@ import (
 // Key returns a canonical byte string uniquely identifying the link multiset
 // (two LinkSets have equal keys iff Equal reports true). The encoding is the
 // site count followed by the sorted links as (u, v, count) uvarint triples,
-// mirroring the deterministic ordering of Links() and MarshalJSON. The key is
-// compact enough to serve as a map key for energy memoization in
-// internal/core.
+// mirroring the deterministic ordering of Links(). The key is compact enough
+// to serve as a map key for energy memoization in internal/core.
 func (ls *LinkSet) Key() string {
 	return string(ls.AppendKey(nil))
 }
 
 // AppendKey appends the canonical key bytes (see Key) to buf and returns the
-// extended slice. Passing buf[:0] of a retained buffer keeps the encoding
-// itself allocation-free; the link enumeration still allocates, so callers on
-// the energy hot path should enumerate with AppendLinks into their own
-// scratch and use AppendKeyFromLinks directly.
+// extended slice. It encodes straight from the sorted view, so passing
+// buf[:0] of a retained buffer makes it allocation-free.
 func (ls *LinkSet) AppendKey(buf []byte) []byte {
-	return AppendKeyFromLinks(buf, ls.N, ls.Links())
+	return AppendKeyFromLinks(buf, ls.N, ls.view)
 }
 
 // AppendKeyFromLinks appends the canonical key encoding of a topology with n
@@ -30,16 +27,11 @@ func (ls *LinkSet) AppendKey(buf []byte) []byte {
 // is what lets internal/core key patched candidate topologies without
 // materializing them.
 func AppendKeyFromLinks(buf []byte, n int, links []Link) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(x int) {
-		k := binary.PutUvarint(tmp[:], uint64(x))
-		buf = append(buf, tmp[:k]...)
-	}
-	put(n)
+	buf = binary.AppendUvarint(buf, uint64(n))
 	for _, l := range links {
-		put(l.U)
-		put(l.V)
-		put(l.Count)
+		buf = binary.AppendUvarint(buf, uint64(l.U))
+		buf = binary.AppendUvarint(buf, uint64(l.V))
+		buf = binary.AppendUvarint(buf, uint64(l.Count))
 	}
 	return buf
 }

@@ -3,6 +3,7 @@ package topology
 import (
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -92,8 +93,8 @@ func TestAppendLinksReusesBuffer(t *testing.T) {
 // plus a from-scratch sort — bypassing the incremental sorted view entirely.
 // It is the reference TestViewMatchesScratchSort compares against.
 func scratchSorted(ls *LinkSet) []Link {
-	out := make([]Link, 0, len(ls.Count))
-	for k, c := range ls.Count {
+	out := make([]Link, 0, len(ls.count))
+	for k, c := range ls.count {
 		out = append(out, Link{U: k[0], V: k[1], Count: c})
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -107,11 +108,13 @@ func scratchSorted(ls *LinkSet) []Link {
 
 // TestViewMatchesScratchSort is the property the incrementally patched view
 // rides on (see the LinkSet.view comment): after ANY sequence of mutations —
-// inserts, count updates, removals down to zero, Clear, Clone, JSON
-// round-trips that replace the map wholesale — the view-backed enumeration is
-// element-identical to a from-scratch sort of the Count map. The check runs
-// after every operation, so a patch that desynchronizes the view is caught at
-// the operation that broke it, not at the end of the walk.
+// inserts, count updates, removals down to zero, Clear, Clone, CopyFrom —
+// the view-backed enumeration is element-identical to a from-scratch sort of
+// the count map, and Diff, Equal and TotalCircuits, which read the view and
+// the cached total, agree with their map-walking references against an
+// earlier state of the walk. The check runs after every operation, so a
+// patch that desynchronizes the view is caught at the operation that broke
+// it, not at the end of the walk.
 func TestViewMatchesScratchSort(t *testing.T) {
 	seeds := 300
 	if testing.Short() {
@@ -121,9 +124,7 @@ func TestViewMatchesScratchSort(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(seed) + 7700))
 		n := 4 + rng.Intn(90)
 		ls := NewLinkSet(n)
-		if rng.Intn(2) == 0 {
-			ls.Links() // half the walks patch the view from the very start
-		}
+		prev := NewLinkSet(n) // an earlier state of the walk, to diff against
 		for op := 0; op < 80; op++ {
 			switch r := rng.Float64(); {
 			case r < 0.50: // insert or bump
@@ -163,17 +164,14 @@ func TestViewMatchesScratchSort(t *testing.T) {
 					}
 				}(old, frozen, seed)
 			case r < 0.92: // CopyFrom replaces the map wholesale and must
-				// carry the source's view state with it
+				// carry the source's view and total with it
 				src := NewLinkSet(n)
 				for _, l := range scratchSorted(ls) {
 					src.Add(l.U, l.V, l.Count)
 				}
-				if rng.Intn(2) == 0 {
-					src.Links()
-				}
 				ls.CopyFrom(src)
 			default:
-				ls.Links() // build or exercise the view mid-walk
+				prev = ls.Clone()
 			}
 			want := scratchSorted(ls)
 			got := ls.AppendLinks(nil)
@@ -187,6 +185,77 @@ func TestViewMatchesScratchSort(t *testing.T) {
 						seed, op, i, got[i], want[i])
 				}
 			}
+			if got, want := ls.TotalCircuits(), refTotalCircuits(ls); got != want {
+				t.Fatalf("seed %d op %d: TotalCircuits = %d, map walk %d", seed, op, got, want)
+			}
+			for _, pair := range [][2]*LinkSet{{ls, prev}, {prev, ls}, {ls, ls.Clone()}} {
+				a, b := pair[0], pair[1]
+				if got, want := a.Diff(b), refDiff(a, b); got != want {
+					t.Fatalf("seed %d op %d: Diff = %d, map walk %d", seed, op, got, want)
+				}
+				if got, want := a.Equal(b), refEqual(a, b); got != want {
+					t.Fatalf("seed %d op %d: Equal = %v, map walk %v", seed, op, got, want)
+				}
+			}
 		}
+	}
+}
+
+// TestConcurrentReaders: no read method writes, so goroutines may enumerate,
+// diff and index a LinkSet fresh from its Adds with no lock. Under -race
+// this fails if a first enumeration builds state lazily.
+func TestConcurrentReaders(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ls := randomLinkSet(rng, 40, 200)
+	other := randomLinkSet(rng, 40, 200)
+	want := scratchSorted(ls)
+	var wg sync.WaitGroup
+	errs := make(chan string, 2)
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				got := ls.AppendLinks(nil)
+				if len(got) != len(want) {
+					errs <- "AppendLinks lost links"
+					return
+				}
+				if ls.Diff(other) != refDiff(ls, other) || ls.Get(want[0].U, want[0].V) != want[0].Count {
+					errs <- "Diff or Get disagrees with the map"
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+}
+
+// TestReadsDoNotAllocate: churn, size and the canonical key into a
+// retained buffer cost no allocation — the annealing loop calls them on
+// every proposal.
+func TestReadsDoNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	a := randomLinkSet(rng, 40, 200)
+	b := a.Clone()
+	b.Add(0, 1, 1)
+	b.Add(2, 3, 2)
+	buf := a.AppendKey(nil)
+	sink := 0
+	for name, f := range map[string]func(){
+		"Diff":          func() { sink += a.Diff(b) },
+		"TotalCircuits": func() { sink += a.TotalCircuits() },
+		"AppendKey":     func() { buf = a.AppendKey(buf[:0]) },
+	} {
+		if avg := testing.AllocsPerRun(100, f); avg != 0 {
+			t.Errorf("%s allocates %.1f per call, want 0", name, avg)
+		}
+	}
+	if sink == 0 || len(buf) == 0 {
+		t.Fatal("reads computed nothing")
 	}
 }

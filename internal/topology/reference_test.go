@@ -215,3 +215,42 @@ func squareGrid(w int, km float64) *Network {
 	}
 	return n
 }
+
+// refDiff, refTotalCircuits and refEqual are Diff, TotalCircuits and Equal
+// as they stood before the sorted view became the LinkSet's enumeration:
+// walks of the count map. TestViewMatchesScratchSort checks the view-based
+// versions against them after every operation.
+func refDiff(ls, o *LinkSet) int {
+	d := 0
+	seen := map[[2]int]bool{}
+	for k, v := range ls.count {
+		seen[k] = true
+		d += abs(v - o.count[k])
+	}
+	for k, v := range o.count {
+		if !seen[k] {
+			d += v
+		}
+	}
+	return d
+}
+
+func refTotalCircuits(ls *LinkSet) int {
+	t := 0
+	for _, c := range ls.count {
+		t += c
+	}
+	return t
+}
+
+func refEqual(ls, o *LinkSet) bool {
+	if ls.N != o.N || len(ls.count) != len(o.count) {
+		return false
+	}
+	for k, v := range ls.count {
+		if o.count[k] != v {
+			return false
+		}
+	}
+	return true
+}

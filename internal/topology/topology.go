@@ -163,24 +163,26 @@ func (n *Network) TotalPorts() int {
 // router links, each carrying one circuit's worth of capacity (θ). The
 // simulated-annealing search in internal/core uses LinkSet as its state.
 type LinkSet struct {
-	N     int
-	Count map[[2]int]int
-	// view is the (U, V)-sorted enumeration of Count, maintained
-	// incrementally: built (with one sort) on the first AppendLinks and
-	// patched in place by Add, so steady-state enumeration — the annealing
-	// hot path keys and loads every candidate topology from it — is a plain
-	// copy with no map walk and no sort. The sorted order over distinct
-	// (U, V) keys is unique, so the view is byte-identical to a from-scratch
-	// sort at all times (pinned by TestViewMatchesScratchSort). viewOK is
-	// false until the view is built; mutations that bypass Add must
-	// invalidate it (see Clear and UnmarshalJSON).
-	view   []Link
-	viewOK bool
+	N int
+	// count indexes the multiset for Get and Add: canonical (u < v) pair ->
+	// circuit count, zero counts deleted.
+	count map[[2]int]int
+	// view is the (U, V)-sorted enumeration of count, always valid: empty
+	// from NewLinkSet, patched in place by Add, emptied by Clear and copied
+	// by Clone and CopyFrom. Every enumeration — AppendLinks, Diff, Equal,
+	// AppendKey, Degree — reads it with no map walk and no sort, and no read
+	// method writes, so concurrent readers need no lock. The sorted order
+	// over distinct (U, V) keys is unique, so the view is byte-identical to
+	// a from-scratch sort of the map at all times (pinned by
+	// TestViewMatchesScratchSort).
+	view []Link
+	// total is the sum of view's counts, maintained by Add.
+	total int
 }
 
 // NewLinkSet returns an empty link multiset over n routers.
 func NewLinkSet(n int) *LinkSet {
-	return &LinkSet{N: n, Count: make(map[[2]int]int)}
+	return &LinkSet{N: n, count: make(map[[2]int]int)}
 }
 
 func canon(u, v int) [2]int {
@@ -190,33 +192,33 @@ func canon(u, v int) [2]int {
 	return [2]int{u, v}
 }
 
+// cmpPair orders links by (U, V), the view's order.
+func cmpPair(a, b Link) int {
+	if a.U != b.U {
+		return a.U - b.U
+	}
+	return a.V - b.V
+}
+
 // Add inserts k parallel circuits between u and v.
 func (ls *LinkSet) Add(u, v, k int) {
 	if u == v {
 		panic("topology: self link")
 	}
 	key := canon(u, v)
-	c := ls.Count[key] + k
+	c := ls.count[key] + k
 	if c < 0 {
 		panic(fmt.Sprintf("topology: negative link count on %v", key))
 	}
 	if c == 0 {
-		delete(ls.Count, key)
+		delete(ls.count, key)
 	} else {
-		ls.Count[key] = c
+		ls.count[key] = c
 	}
-	if !ls.viewOK {
-		return
-	}
+	ls.total += k
 	// Patch the sorted view: binary-search the pair's slot, then update,
-	// delete, or insert. The view stays exactly the (U, V)-sorted
-	// enumeration of the map.
-	i, found := slices.BinarySearchFunc(ls.view, Link{U: key[0], V: key[1]}, func(a, b Link) int {
-		if a.U != b.U {
-			return a.U - b.U
-		}
-		return a.V - b.V
-	})
+	// delete, or insert.
+	i, found := slices.BinarySearchFunc(ls.view, Link{U: key[0], V: key[1]}, cmpPair)
 	switch {
 	case found && c == 0:
 		ls.view = append(ls.view[:i], ls.view[i+1:]...)
@@ -227,57 +229,49 @@ func (ls *LinkSet) Add(u, v, k int) {
 	}
 }
 
-// Clear removes every link, retaining the map and view buffers. Mutating
-// Count directly would desynchronize the sorted view; this is the supported
-// way to empty a reused LinkSet (optical's effective-topology scratch does).
+// Clear removes every link, retaining the map and view buffers: the way to
+// empty a reused LinkSet (optical's effective-topology scratch does).
 func (ls *LinkSet) Clear() {
-	clear(ls.Count)
+	clear(ls.count)
 	ls.view = ls.view[:0]
-	ls.viewOK = true
+	ls.total = 0
 }
 
 // Get returns the number of parallel circuits between u and v.
-func (ls *LinkSet) Get(u, v int) int { return ls.Count[canon(u, v)] }
+func (ls *LinkSet) Get(u, v int) int { return ls.count[canon(u, v)] }
 
 // Degree returns the total number of circuits incident to v (== router
 // ports in use at v).
 func (ls *LinkSet) Degree(v int) int {
 	d := 0
-	for key, c := range ls.Count {
-		if key[0] == v || key[1] == v {
-			d += c
+	for _, l := range ls.view {
+		if l.U == v || l.V == v {
+			d += l.Count
 		}
 	}
 	return d
 }
 
-// Clone returns a deep copy. A built sorted view is copied too: annealing
-// neighbors clone and then apply a few Adds, so the clone's enumerations
-// stay sort-free.
+// Clone returns a deep copy, sorted view included: annealing neighbors
+// clone and then apply a few Adds. The map is sized for the copy up front,
+// so it never grows on the way.
 func (ls *LinkSet) Clone() *LinkSet {
-	c := NewLinkSet(ls.N)
-	for k, v := range ls.Count {
-		c.Count[k] = v
-	}
-	if ls.viewOK {
-		c.view = append([]Link(nil), ls.view...)
-		c.viewOK = true
-	}
+	c := &LinkSet{count: make(map[[2]int]int, len(ls.count))}
+	c.CopyFrom(ls)
 	return c
 }
 
 // CopyFrom makes ls an exact copy of src, reusing ls's map and view
 // storage: the allocation-free Clone behind the core package's candidate
-// recycling pool. The sorted-view state carries over exactly, so a recycled
-// copy enumerates byte-identically to a fresh Clone.
+// recycling pool.
 func (ls *LinkSet) CopyFrom(src *LinkSet) {
 	ls.N = src.N
-	clear(ls.Count)
-	for k, v := range src.Count {
-		ls.Count[k] = v
+	clear(ls.count)
+	for k, v := range src.count {
+		ls.count[k] = v
 	}
 	ls.view = append(ls.view[:0], src.view...)
-	ls.viewOK = src.viewOK
+	ls.total = src.total
 }
 
 // Link is one aggregated network-layer adjacency with its circuit count.
@@ -296,48 +290,27 @@ type Link struct {
 // provisions). Callers on an allocation-sensitive path should use
 // AppendLinks with a reused buffer instead.
 func (ls *LinkSet) Links() []Link {
-	return ls.AppendLinks(make([]Link, 0, len(ls.Count)))
+	return ls.AppendLinks(make([]Link, 0, len(ls.view)))
 }
 
 // AppendLinks appends the aggregated links to buf in the same deterministic
-// (U, V)-sorted order as Links and returns the extended slice. Passing
-// buf[:0] of a retained buffer makes the enumeration allocation-free once
-// the buffer has grown to the topology's link count, which is what the flat
-// allocators in internal/alloc and internal/optical rely on in the
-// annealing energy hot path. The first call builds the sorted view (one map
-// walk and one sort); every later call — and every call on a Clone, however
-// many Adds happened in between — is a plain copy.
+// (U, V)-sorted order as Links and returns the extended slice: a plain copy
+// of the sorted view. Passing buf[:0] of a retained buffer makes the
+// enumeration allocation-free once the buffer has grown to the topology's
+// link count, which is what the flat allocators in internal/alloc and
+// internal/optical rely on in the annealing energy hot path.
 func (ls *LinkSet) AppendLinks(buf []Link) []Link {
-	if !ls.viewOK {
-		ls.view = ls.view[:0]
-		for k, c := range ls.Count {
-			ls.view = append(ls.view, Link{U: k[0], V: k[1], Count: c})
-		}
-		slices.SortFunc(ls.view, func(a, b Link) int {
-			if a.U != b.U {
-				return a.U - b.U
-			}
-			return a.V - b.V
-		})
-		ls.viewOK = true
-	}
 	return append(buf, ls.view...)
 }
 
 // TotalCircuits returns the number of circuits summed over all links.
-func (ls *LinkSet) TotalCircuits() int {
-	t := 0
-	for _, c := range ls.Count {
-		t += c
-	}
-	return t
-}
+func (ls *LinkSet) TotalCircuits() int { return ls.total }
 
 // Graph returns the network-layer graph with one edge per adjacency (not
 // per circuit) and unit weights; edge IDs index into Links().
 func (ls *LinkSet) Graph() *graph.Graph {
 	g := graph.New(ls.N)
-	for i, l := range ls.Links() {
+	for i, l := range ls.view {
 		g.AddUndirected(l.U, l.V, 1, i)
 	}
 	return g
@@ -345,30 +318,34 @@ func (ls *LinkSet) Graph() *graph.Graph {
 
 // Equal reports whether two link sets contain exactly the same multiset.
 func (ls *LinkSet) Equal(o *LinkSet) bool {
-	if ls.N != o.N || len(ls.Count) != len(o.Count) {
-		return false
-	}
-	for k, v := range ls.Count {
-		if o.Count[k] != v {
-			return false
-		}
-	}
-	return true
+	return ls.N == o.N && slices.Equal(ls.view, o.view)
 }
 
 // Diff returns the number of circuit additions plus removals needed to turn
-// ls into o. This is the "optical churn" a reconfiguration would incur.
+// ls into o. This is the "optical churn" a reconfiguration would incur. It
+// is one linear merge of the two sorted views and allocates nothing.
 func (ls *LinkSet) Diff(o *LinkSet) int {
-	d := 0
-	seen := map[[2]int]bool{}
-	for k, v := range ls.Count {
-		seen[k] = true
-		d += abs(v - o.Count[k])
-	}
-	for k, v := range o.Count {
-		if !seen[k] {
-			d += v
+	a, b := ls.view, o.view
+	d, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch c := cmpPair(a[i], b[j]); {
+		case c < 0:
+			d += a[i].Count
+			i++
+		case c > 0:
+			d += b[j].Count
+			j++
+		default:
+			d += abs(a[i].Count - b[j].Count)
+			i++
+			j++
 		}
+	}
+	for ; i < len(a); i++ {
+		d += a[i].Count
+	}
+	for ; j < len(b); j++ {
+		d += b[j].Count
 	}
 	return d
 }

@@ -111,7 +111,7 @@ func TestLinkSetBasics(t *testing.T) {
 	if ls.Get(0, 1) != 0 {
 		t.Errorf("after removal get = %d", ls.Get(0, 1))
 	}
-	if len(ls.Count) != 0 {
+	if len(ls.count) != 0 {
 		t.Error("zero-count key not deleted")
 	}
 }

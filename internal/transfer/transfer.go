@@ -48,7 +48,6 @@ type PathRate struct {
 type Transfer struct {
 	Request
 	Remaining float64 // Gbits still to send
-	Alloc     []PathRate
 	Done      bool
 	// FinishTime is the absolute completion time in seconds from the start
 	// of the run (valid when Done).
@@ -67,23 +66,18 @@ func NewTransfer(r Request) *Transfer {
 	return &Transfer{Request: r, Remaining: r.SizeGbits, LastServed: r.Arrival - 1}
 }
 
-// Rate returns the total allocated rate in Gbps.
-func (t *Transfer) Rate() float64 {
-	s := 0.0
-	for _, pr := range t.Alloc {
-		s += pr.Rate
-	}
-	return s
-}
-
-// Advance applies dt seconds of transmission at the current allocation and
-// returns the number of gigabits sent. If the transfer completes mid-slot,
-// FinishTime is interpolated within the slot (now is the slot start time).
-func (t *Transfer) Advance(now, dt float64, slot int) float64 {
+// Advance applies dt seconds of transmission at the allocation alloc, whose
+// total rate is the sum over its paths, and returns the number of gigabits
+// sent. If the transfer completes mid-slot, FinishTime is interpolated
+// within the slot (now is the slot start time).
+func (t *Transfer) Advance(alloc []PathRate, now, dt float64, slot int) float64 {
 	if t.Done {
 		return 0
 	}
-	r := t.Rate()
+	r := 0.0
+	for _, pr := range alloc {
+		r += pr.Rate
+	}
 	if r <= 0 {
 		return 0
 	}
@@ -124,12 +118,10 @@ func (t *Transfer) Settle(slot int, slotSeconds float64) bool {
 // during an optical reconfiguration), so transmission starts after them.
 // What is sent by the deadline slot is credited to DeliveredByDeadline.
 func (t *Transfer) Serve(alloc []PathRate, slot int, slotSeconds, outage float64) float64 {
-	t.Alloc = alloc
-	sent := t.Advance(float64(slot)*slotSeconds+outage, math.Max(0, slotSeconds-outage), slot)
+	sent := t.Advance(alloc, float64(slot)*slotSeconds+outage, math.Max(0, slotSeconds-outage), slot)
 	if t.Deadline != NoDeadline && slot <= t.Deadline {
 		t.DeliveredByDeadline += sent
 	}
-	t.Alloc = nil
 	return sent
 }
 

@@ -24,12 +24,12 @@ func TestValidate(t *testing.T) {
 
 func TestAdvanceCompletes(t *testing.T) {
 	tr := NewTransfer(Request{ID: 1, Src: 0, Dst: 1, SizeGbits: 100})
-	tr.Alloc = []PathRate{{Path: []int{0, 1}, Rate: 10}}
-	sent := tr.Advance(0, 5, 0)
+	alloc := []PathRate{{Path: []int{0, 1}, Rate: 10}}
+	sent := tr.Advance(alloc, 0, 5, 0)
 	if sent != 50 || tr.Remaining != 50 || tr.Done {
 		t.Errorf("after 5s: sent=%v remaining=%v done=%v", sent, tr.Remaining, tr.Done)
 	}
-	sent = tr.Advance(5, 10, 1)
+	sent = tr.Advance(alloc, 5, 10, 1)
 	if sent != 50 || !tr.Done {
 		t.Errorf("final: sent=%v done=%v", sent, tr.Done)
 	}
@@ -41,7 +41,7 @@ func TestAdvanceCompletes(t *testing.T) {
 
 func TestAdvanceZeroRate(t *testing.T) {
 	tr := NewTransfer(Request{ID: 1, Src: 0, Dst: 1, SizeGbits: 100})
-	if sent := tr.Advance(0, 10, 0); sent != 0 {
+	if sent := tr.Advance(nil, 0, 10, 0); sent != 0 {
 		t.Errorf("sent %v with no allocation", sent)
 	}
 	if tr.LastServed != -1 {
@@ -49,21 +49,22 @@ func TestAdvanceZeroRate(t *testing.T) {
 	}
 }
 
+// TestMultiPathRate: a transfer sends at the sum of its paths' rates.
 func TestMultiPathRate(t *testing.T) {
 	tr := NewTransfer(Request{ID: 1, Src: 0, Dst: 1, SizeGbits: 100})
-	tr.Alloc = []PathRate{
+	alloc := []PathRate{
 		{Path: []int{0, 1}, Rate: 10},
 		{Path: []int{0, 2, 1}, Rate: 5},
 	}
-	if tr.Rate() != 15 {
-		t.Errorf("rate = %v, want 15", tr.Rate())
+	if sent := tr.Advance(alloc, 0, 2, 0); sent != 30 {
+		t.Errorf("sent %v in 2 s, want 30 (rate 15)", sent)
 	}
 }
 
 func TestMetDeadline(t *testing.T) {
 	tr := NewTransfer(Request{ID: 1, Src: 0, Dst: 1, SizeGbits: 10, Deadline: 2})
-	tr.Alloc = []PathRate{{Path: []int{0, 1}, Rate: 10}}
-	tr.Advance(0, 1, 0)
+	alloc := []PathRate{{Path: []int{0, 1}, Rate: 10}}
+	tr.Advance(alloc, 0, 1, 0)
 	if !tr.Done {
 		t.Fatal("should complete in 1s")
 	}
@@ -71,14 +72,12 @@ func TestMetDeadline(t *testing.T) {
 		t.Error("finished at t=1 with deadline slot 2 (end 900s): should be met")
 	}
 	late := NewTransfer(Request{ID: 2, Src: 0, Dst: 1, SizeGbits: 10, Deadline: 0})
-	late.Alloc = []PathRate{{Path: []int{0, 1}, Rate: 10}}
-	late.Advance(500, 1, 1)
+	late.Advance(alloc, 500, 1, 1)
 	if late.MetDeadline(300) {
 		t.Error("finished at t=501 with deadline end 300: should be missed")
 	}
 	noDl := NewTransfer(Request{ID: 3, Src: 0, Dst: 1, SizeGbits: 10, Deadline: NoDeadline})
-	noDl.Alloc = []PathRate{{Path: []int{0, 1}, Rate: 10}}
-	noDl.Advance(0, 1, 0)
+	noDl.Advance(alloc, 0, 1, 0)
 	if noDl.MetDeadline(300) {
 		t.Error("transfer without deadline can never 'meet' one")
 	}
@@ -104,13 +103,12 @@ func TestSettle(t *testing.T) {
 	}
 }
 
-// TestServe: the outage darkens the start of the slot, the allocation does
-// not outlive the call, and only what is sent by the deadline slot counts
-// toward it.
+// TestServe: the outage darkens the start of the slot, and only what is
+// sent by the deadline slot counts toward it.
 func TestServe(t *testing.T) {
 	alloc := []PathRate{{Path: []int{0, 1}, Rate: 10}}
 	tr := NewTransfer(Request{ID: 1, Src: 0, Dst: 1, SizeGbits: 1000, Deadline: 1})
-	if sent := tr.Serve(alloc, 1, 10, 4); sent != 60 || tr.Alloc != nil || tr.LastServed != 1 || tr.DeliveredByDeadline != 60 {
+	if sent := tr.Serve(alloc, 1, 10, 4); sent != 60 || tr.LastServed != 1 || tr.DeliveredByDeadline != 60 {
 		t.Fatalf("slot 1 with a 4 s outage: sent %v, %+v", sent, tr)
 	}
 	if sent := tr.Serve(alloc, 2, 10, 0); sent != 100 || tr.DeliveredByDeadline != 60 {
