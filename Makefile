@@ -51,20 +51,22 @@ bench-module:
 # claims replays the incremental-engine differentials with the test cache
 # defeated: the allocator's engines against the map-based reference
 # allocator — small graphs and every word-boundary size (2-256 sites), one-,
-# two- and three/four-word rows, the patched warm path at each width, row
-# widths growing and shrinking on one allocator, and claim-tree reuse with
-# its fast-path, repair, extension and cold-build paths each exercised — the
+# two- and three/four-word rows, row widths growing and shrinking on one
+# allocator, and claim-tree reuse with its fast-path, repair, extension and
+# cold-build paths each exercised — the
 # wavelength-availability index against the from-scratch occupancy scan, the
 # LinkSet's sorted view, view-merge Diff, view Equal and cached circuit total
 # against a scratch sort and the map walks they replaced, the memo's compact
 # links half (what provisioning lost) round-tripped against the effective
 # links it encodes, the alternate-tier migration of the topology memo's
-# effective links against cold provisioning, and the 300-seed search with
+# effective links against cold provisioning, the 300-seed search with
 # the memo and persistent evaluator against the no-memo reference, slot by
-# slot through a fiber cut.
+# slot through a fiber cut, the move generator against the swapOnce
+# reference draw for draw, and the search, with candidates materialized
+# eagerly and lazily, against its committed fingerprint.
 claims:
 	$(GO) test -count=1 \
-		-run 'TestAllocatorMatchesReferenceGreedy|TestAllocatorMatchesReferenceSequential|TestAllocatorWideMatchesReference|TestAllocatorQuadMatchesReference|TestThroughputPatchedMatchesReference|TestThroughputPatchedWide|TestThroughputPatchedQuad|TestAllocatorReuseAcrossTopologySizes|TestClaimRepairDifferential|TestClaimReuseMatchesReference|TestLambdaIndexMatchesOccupancy|TestViewMatchesScratchSort|TestMemoLinksRoundTrip|TestWithoutFiberAlternateCacheMigration|TestPersistentEvaluatorMatchesFresh' \
+		-run 'TestAllocatorMatchesReferenceGreedy|TestAllocatorMatchesReferenceSequential|TestAllocatorWideMatchesReference|TestAllocatorQuadMatchesReference|TestAllocatorReuseAcrossTopologySizes|TestClaimRepairDifferential|TestClaimReuseMatchesReference|TestLambdaIndexMatchesOccupancy|TestViewMatchesScratchSort|TestMemoLinksRoundTrip|TestWithoutFiberAlternateCacheMigration|TestPersistentEvaluatorMatchesFresh|TestNeighborMovesMatchesComputeNeighbor|TestSearchFingerprint' \
 		./internal/alloc/ ./internal/optical/ ./internal/topology/ ./internal/core/
 
 # update replays the flat update scheduler's pinning suite with the test
@@ -163,7 +165,7 @@ loadgen-smoke:
 	$(GO) run ./cmd/owan-loadgen -clients 1000 -submits 20 -seed 1 -tick 100ms -check -max-p99 20s -quiet
 
 # check is the tier-1 gate: clean build, vet, full tests, race-detected
-# internal tests (including the delta differential harnesses), the
+# internal tests (including the 300-seed search differentials), the
 # tempering golden differential, the claim, flat-planner and route-table
 # differentials, the decoder and dispatch fuzz smokes, a one-shot benchmark
 # smoke, the benchmark module's vet and tests, the seeded fault-injection

@@ -378,7 +378,8 @@ func BenchmarkFailureRecovery(b *testing.B) {
 // the full 40-site ISP topology. All variants share (Seed, BatchSize) so
 // they walk the identical chain; only the evaluation machinery differs.
 // MaxChurn is disabled so every iteration pays a full energy evaluation
-// (churn-rejected moves are nearly free and would mask the speedup).
+// (churn-rejected moves are nearly free and would mask the speedup). delta
+// sets DeltaEval: candidates are materialized only when accepted or best.
 func benchAnneal(b *testing.B, workers int, delta bool) {
 	net := topology.ISP(40, 10, 1)
 	ts := ablationWorkload(b, net)
@@ -388,47 +389,38 @@ func benchAnneal(b *testing.B, workers int, delta bool) {
 		DeltaEval: delta,
 	}
 	b.ResetTimer()
-	iters, dHits, dFalls := 0, 0, 0
+	iters := 0
 	for i := 0; i < b.N; i++ {
 		o := core.New(cfg)
 		st := o.ComputeNetworkState(topology.InitialTopology(net), ts, 0, experiments.SlotSeconds)
 		iters += st.Stats.Iterations
-		dHits += st.Stats.DeltaHits
-		dFalls += st.Stats.DeltaFallbacks
 		o.Close()
 	}
 	b.ReportMetric(float64(iters)/b.Elapsed().Seconds(), "anneal-iters/s")
 	b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
-	if delta {
-		b.ReportMetric(float64(dFalls)/float64(b.N), "delta-fallbacks/op")
-		if n := dHits + dFalls; n > 0 {
-			b.ReportMetric(100*float64(dHits)/float64(n), "delta-hit-%")
-		}
-	}
 }
 
 func BenchmarkAnnealSerial(b *testing.B) { benchAnneal(b, 1, false) }
 
-// BenchmarkAnnealDelta is the serial incremental evaluator: same chain as
-// AnnealSerial, candidates evaluated via snapshot deltas.
+// BenchmarkAnnealDelta is AnnealSerial with DeltaEval on: same chain, with
+// candidates materialized only when accepted or best.
 func BenchmarkAnnealDelta(b *testing.B) { benchAnneal(b, 1, true) }
 
-// BenchmarkAnnealParallel is the production configuration and the PR's
-// headline number: worker-pool evaluation with DeltaEval on (lazy move-list
-// candidates, snapshot delta provisioning, patched warm allocation).
+// BenchmarkAnnealParallel is worker-pool evaluation with DeltaEval on:
+// move-list candidates materialized only when accepted or best, every
+// energy evaluated cold through the topology memo.
 func BenchmarkAnnealParallel(b *testing.B) { benchAnneal(b, runtime.GOMAXPROCS(0), true) }
 
-// BenchmarkAnnealParallelCold isolates the worker pool without the delta
-// path, i.e. the pre-delta parallel engine.
+// BenchmarkAnnealParallelCold is AnnealParallel with DeltaEval off: every
+// candidate materialized as it is drawn.
 func BenchmarkAnnealParallelCold(b *testing.B) { benchAnneal(b, runtime.GOMAXPROCS(0), false) }
 
 // BenchmarkAnnealISP100 runs the annealing search on a 100-site ISP — past
 // the single-word bitset limit — with one long-lived controller reused
 // across iterations, the way a scheduler drives consecutive slots. Warm
-// iterations exercise the persistent evaluator: the base snapshot is reused
-// when the slot starts from the same topology, and re-provisions of
-// previously seen candidate topologies are answered by the memo's
-// cross-slot effective links.
+// iterations exercise the persistent evaluator: re-provisions of previously
+// seen candidate topologies are answered by the memo's cross-slot effective
+// links.
 func BenchmarkAnnealISP100(b *testing.B) {
 	net := topology.ISP(100, 10, 1)
 	ts := ablationWorkload(b, net)

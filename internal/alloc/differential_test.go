@@ -266,113 +266,3 @@ func BenchmarkGreedyAlloc(b *testing.B) {
 		al.Throughput(ls, 10, ds)
 	}
 }
-
-// randomSwapPatch applies up to k random 2-circuit swaps (the annealing
-// neighbor move) to a clone of ls and returns the patched set plus the
-// (U, V)-sorted patch of NEW counts for every touched pair — exactly what
-// the core delta evaluator feeds ThroughputPatched.
-func randomSwapPatch(rng *rand.Rand, ls *topology.LinkSet, k int) (*topology.LinkSet, []topology.Link) {
-	patched := ls.Clone()
-	touched := map[[2]int]bool{}
-	links := ls.Links()
-	for swap := 0; swap < k; swap++ {
-		if len(links) < 2 {
-			break
-		}
-		a, b := links[rng.Intn(len(links))], links[rng.Intn(len(links))]
-		u, v, p, q := a.U, a.V, b.U, b.V
-		if rng.Intn(2) == 0 {
-			p, q = q, p // random orientation of the second circuit
-		}
-		if u == p || v == q || patched.Get(u, v) == 0 || patched.Get(p, q) == 0 {
-			continue
-		}
-		if min(p, q) == u && max(p, q) == v && patched.Get(u, v) < 2 {
-			continue // same link picked twice needs two circuits
-		}
-		patched.Add(u, v, -1)
-		patched.Add(p, q, -1)
-		patched.Add(u, p, 1)
-		patched.Add(v, q, 1)
-		for _, pr := range [][2]int{{u, v}, {p, q}, {u, p}, {v, q}} {
-			x, y := pr[0], pr[1]
-			if x > y {
-				x, y = y, x
-			}
-			touched[[2]int{x, y}] = true
-		}
-	}
-	var patch []topology.Link
-	for pr := range touched {
-		patch = append(patch, topology.Link{U: pr[0], V: pr[1], Count: patched.Get(pr[0], pr[1])})
-	}
-	for i := 1; i < len(patch); i++ {
-		for j := i; j > 0 && (patch[j].U < patch[j-1].U || (patch[j].U == patch[j-1].U && patch[j].V < patch[j-1].V)); j-- {
-			patch[j], patch[j-1] = patch[j-1], patch[j]
-		}
-	}
-	return patched, patch
-}
-
-// TestThroughputPatchedMatchesReference is the delta-path differential: a
-// base topology is registered once with SetBase, then random swap patches
-// are evaluated through the warm path and checked bit-identical against the
-// map-based reference on the fully materialized patched topology, on small
-// graphs and at every word-boundary size. One allocator serves all seeds so
-// stale warm-load state cannot hide.
-func TestThroughputPatchedMatchesReference(t *testing.T) {
-	al := NewAllocator()
-	check := func(seed int64, rng *rand.Rand, ls *topology.LinkSet, ds []Demand, theta float64) {
-		t.Helper()
-		al.SetBase(ls, theta)
-		for trial := 0; trial < 3; trial++ {
-			patched, patch := randomSwapPatch(rng, ls, 1+rng.Intn(3))
-			want := greedyReference(patched, theta, ds).Throughput
-			if got := al.ThroughputPatched(patch, ds); got != want {
-				t.Fatalf("seed %d trial %d: ThroughputPatched %v != reference %v (patch %v)",
-					seed, trial, got, want, patch)
-			}
-		}
-		// The warm path must not corrupt subsequent cold evaluations.
-		if got, want := al.Throughput(ls, theta, ds), greedyReference(ls, theta, ds).Throughput; got != want {
-			t.Fatalf("seed %d: cold Throughput after patched runs: %v != %v", seed, got, want)
-		}
-	}
-	for seed := int64(0); seed < 300; seed++ {
-		rng := rand.New(rand.NewSource(4000 + seed))
-		ls, ds, theta := randomCase(rng)
-		check(seed, rng, ls, ds, theta)
-	}
-	for _, n := range boundarySizes {
-		for seed := int64(1000*n + 500); seed < int64(1000*n+500)+boundarySeeds; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			ls, ds, theta := boundaryCase(rng, n)
-			check(seed, rng, ls, ds, theta)
-		}
-	}
-}
-
-// TestThroughputPatchedZeroAlloc: the patched evaluation is the inner loop
-// of delta annealing and must not allocate in steady state.
-func TestThroughputPatchedZeroAlloc(t *testing.T) {
-	net := topology.ISP(25, 8, 1)
-	ls := topology.InitialTopology(net)
-	rng := rand.New(rand.NewSource(5))
-	var ds []Demand
-	for i := 0; i < 80; i++ {
-		s, d := rng.Intn(25), rng.Intn(25)
-		if s == d {
-			continue
-		}
-		ds = append(ds, Demand{ID: i, Src: s, Dst: d, RateGbps: rng.Float64() * 30})
-	}
-	al := NewAllocator()
-	al.SetBase(ls, net.ThetaGbps)
-	_, patch := randomSwapPatch(rng, ls, 2)
-	al.ThroughputPatched(patch, ds) // warm the buffers
-	if avg := testing.AllocsPerRun(20, func() {
-		al.ThroughputPatched(patch, ds)
-	}); avg != 0 {
-		t.Errorf("ThroughputPatched allocates %v objects/op in steady state, want 0", avg)
-	}
-}

@@ -113,33 +113,6 @@ func TestAllocatorQuadMatchesReference(t *testing.T) {
 	quadStatChecks(t, al)
 }
 
-// TestThroughputPatchedQuad extends the warm-path differential into the
-// three- and four-word range: ThroughputPatched must equal the reference on
-// the patched topology, and a cold Throughput afterwards must still be exact.
-func TestThroughputPatchedQuad(t *testing.T) {
-	al := NewAllocator()
-	seeds := int64(120)
-	if testing.Short() {
-		seeds = 30
-	}
-	for seed := int64(0); seed < seeds; seed++ {
-		rng := rand.New(rand.NewSource(seed + 41000))
-		ls, ds, theta := randomQuadCase(rng)
-		al.SetBase(ls, theta)
-		for trial := 0; trial < 3; trial++ {
-			patched, patch := randomSwapPatch(rng, ls, 1+rng.Intn(3))
-			want := greedyReference(patched, theta, ds).Throughput
-			if got := al.ThroughputPatched(patch, ds); got != want {
-				t.Fatalf("seed %d trial %d: quad ThroughputPatched %v != reference %v",
-					seed, trial, got, want)
-			}
-		}
-		if got, want := al.Throughput(ls, theta, ds), greedyReference(ls, theta, ds).Throughput; got != want {
-			t.Fatalf("seed %d: cold Throughput after patches %v != reference %v", seed, got, want)
-		}
-	}
-}
-
 // TestFrontierSparseDenseCrossing pins the bSparse enumeration threshold in
 // resumeStamp (90–128 sites, so a frontier can outgrow bSparse). The graphs
 // are dense enough that mid-sweep frontiers exceed bSparse nodes: every BFS

@@ -63,34 +63,6 @@ func TestAllocatorWideMatchesReference(t *testing.T) {
 	}
 }
 
-// TestThroughputPatchedWide extends the warm-path differential past 64
-// sites: ThroughputPatched on two-word rows must equal the reference
-// on the patched topology, and a cold Throughput afterwards must still be
-// exact.
-func TestThroughputPatchedWide(t *testing.T) {
-	al := NewAllocator()
-	seeds := int64(120)
-	if testing.Short() {
-		seeds = 30
-	}
-	for seed := int64(0); seed < seeds; seed++ {
-		rng := rand.New(rand.NewSource(seed + 9000))
-		ls, ds, theta := randomWideCase(rng)
-		al.SetBase(ls, theta)
-		for trial := 0; trial < 3; trial++ {
-			patched, patch := randomSwapPatch(rng, ls, 1+rng.Intn(3))
-			want := greedyReference(patched, theta, ds).Throughput
-			if got := al.ThroughputPatched(patch, ds); got != want {
-				t.Fatalf("seed %d trial %d: wide ThroughputPatched %v != reference %v",
-					seed, trial, got, want)
-			}
-		}
-		if got, want := al.Throughput(ls, theta, ds), greedyReference(ls, theta, ds).Throughput; got != want {
-			t.Fatalf("seed %d: cold Throughput after patches %v != reference %v", seed, got, want)
-		}
-	}
-}
-
 // TestAllocatorWideZeroAlloc: two-word rows must stay allocation-free in
 // steady state, exactly like one-word rows.
 func TestAllocatorWideZeroAlloc(t *testing.T) {
@@ -120,12 +92,4 @@ func TestAllocatorWideZeroAlloc(t *testing.T) {
 	}); avg != 0 {
 		t.Fatalf("wide Throughput allocates %.1f per run, want 0", avg)
 	}
-}
-
-// SetBase retains the enumeration of a base topology for subsequent
-// ThroughputPatched calls. The LinkSet is only read during this call.
-func (a *Allocator) SetBase(ls *topology.LinkSet, theta float64) {
-	a.baseLinks = ls.AppendLinks(a.baseLinks[:0])
-	a.baseN = ls.N
-	a.baseTheta = theta
 }

@@ -203,9 +203,10 @@ func TestEnergyCacheSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestMemoEnergyOnlyEntries: an entry recorded by a trusted delta
-// evaluation holds an energy and no links, so it must never be served as
-// links or carried across a fiber cut, whatever the validity predicate says.
+// TestMemoEnergyOnlyEntries: an entry recorded by putEnergy alone (its links
+// evicted within the batch) holds an energy and no links, so it must never
+// be served as links or carried across a fiber cut, whatever the validity
+// predicate says.
 func TestMemoEnergyOnlyEntries(t *testing.T) {
 	deltaKey, cold := testKey(0), testKey(1)
 	old := newMemo(8)

@@ -1,24 +1,35 @@
 package core
 
 import (
+	"math/rand"
+
 	"owan/internal/topology"
 )
 
-// This file implements the lazy-candidate machinery behind Config.DeltaEval.
-// Without it the search materializes every neighbor as a full LinkSet clone
-// before evaluating it; at ISP scale that clone (plus the per-candidate
-// Links() enumeration and churn Diff) dominates the coordinator and caps the
-// speedup of both the worker pool and the optical/allocation delta paths. In
-// delta mode a candidate is just its move list — the base topology plus up
-// to NeighborMoves swapMoves — and is materialized only if it is accepted or
-// becomes the best state.
-//
-// Determinism: neighborMoves consumes the seeded RNG draw-for-draw exactly
-// like ComputeNeighbor/swapOnce (same sample walk over the same sorted
-// enumeration, same orientation draws, same validation order, same 32-try
-// budget), so for a given (Seed, BatchSize) the delta-mode trajectory is
-// bit-identical to the materialized one. The ≥300-seed differential harness
-// in delta_search_test.go asserts exactly that.
+// This file implements the search's one candidate form and its one
+// generator. A candidate is a move list: up to NeighborMoves swapMoves
+// applied to its rung's current state. neighborMoves draws it from the
+// rung's RNG over the state's sorted enumeration (Algorithm 2), and the
+// evaluator keys it by merging the moves into that enumeration, so neither
+// needs a LinkSet. Config.DeltaEval decides only when a candidate becomes a
+// LinkSet: off, every candidate is materialized as it is drawn and its churn
+// comes from Diff; on, only a candidate that is accepted or becomes the best
+// is, and churnAfter sums its churn over the touched pairs. The RNG draws
+// and the evaluated topologies are the same either way, so the two
+// trajectories coincide (delta_search_test.go holds them to each other and
+// fingerprint_test.go to the committed ones).
+
+// candidate is one neighbor of a rung's current state: the moves that derive
+// it, the state's (U, V)-sorted enumeration and site count, whether it lies
+// inside the churn trust region (and so is evaluated), and its LinkSet once
+// materialized.
+type candidate struct {
+	moves []swapMove
+	base  []topology.Link
+	n     int
+	eval  bool
+	s     *topology.LinkSet
+}
 
 // swapMove is one elementary 2-circuit swap: remove one circuit from (U, V)
 // and one from (P, Q), add one to (U, P) and one to (V, Q).
@@ -111,18 +122,21 @@ func patchMoves(dst []topology.Link, acc []pairDelta, base []topology.Link) []to
 	return dst
 }
 
-// swapOnceMove is swapOnce against a sorted enumeration instead of a
-// LinkSet. The RNG consumption is identical: Intn(total) plus an orientation
-// Intn(2) per sample, two samples per try, up to 32 tries.
-func (o *Owan) swapOnceMove(links []topology.Link, total int) (swapMove, bool) {
+// swapOnceMove draws one elementary 2-circuit swap of the topology whose
+// (U, V)-sorted enumeration is links and whose circuit count is total. Each
+// try samples two circuit instances weighted by multiplicity — Intn(total)
+// plus an orientation Intn(2) each — and keeps the swap if it moves capacity
+// from (u,v)+(p,q) to (u,p)+(v,q) without a self link or a missing circuit;
+// after 32 failed tries there is no move.
+func swapOnceMove(rng *rand.Rand, links []topology.Link, total int) (swapMove, bool) {
 	if len(links) == 0 || total < 2 {
 		return swapMove{}, false
 	}
 	sample := func() (int, int) {
-		k := o.rng.Intn(total)
+		k := rng.Intn(total)
 		for _, l := range links {
 			if k < l.Count {
-				if o.rng.Intn(2) == 0 {
+				if rng.Intn(2) == 0 {
 					return l.U, l.V
 				}
 				return l.V, l.U
@@ -143,6 +157,7 @@ func (o *Owan) swapOnceMove(links []topology.Link, total int) (swapMove, bool) {
 		if linksGet(links, u, v) == 0 || linksGet(links, p, q) == 0 {
 			continue
 		}
+		// If (u,v) == (p,q) as a link, it must hold at least 2 circuits.
 		if canonEq(u, v, p, q) && linksGet(links, u, v) < 2 {
 			continue
 		}
@@ -151,15 +166,14 @@ func (o *Owan) swapOnceMove(links []topology.Link, total int) (swapMove, bool) {
 	return swapMove{}, false
 }
 
-// neighborMoves is ComputeNeighbor without materialization: it appends the
-// moves of one neighbor of the base topology to buf. baseLinks must be the
-// base's sorted enumeration and total its circuit count (invariant under
-// swaps, so it never changes mid-candidate). For NeighborMoves > 1 the later
-// swaps sample from the merged enumeration of base plus the moves so far —
-// byte-identical to the Links() of the intermediate topology swapOnce sees.
-// ok is false only when the first swap finds no valid move, matching
-// ComputeNeighbor returning nil.
-func (o *Owan) neighborMoves(baseLinks []topology.Link, total int, buf []swapMove) ([]swapMove, bool) {
+// neighborMoves appends to buf the moves of one neighbor of the base
+// topology, drawn from rng. baseLinks must be the base's sorted enumeration
+// and total its circuit count (invariant under swaps, so it never changes
+// mid-candidate). For NeighborMoves > 1 the later swaps sample from the
+// merged enumeration of base plus the moves so far, i.e. from the
+// intermediate topology. ok is false only when the first swap finds no
+// valid move.
+func (o *Owan) neighborMoves(rng *rand.Rand, baseLinks []topology.Link, total int, buf []swapMove) ([]swapMove, bool) {
 	for m := 0; m < o.cfg.NeighborMoves; m++ {
 		links := baseLinks
 		if len(buf) > 0 {
@@ -168,23 +182,19 @@ func (o *Owan) neighborMoves(baseLinks []topology.Link, total int, buf []swapMov
 			o.nbMerged = topology.MergePatch(o.nbMerged[:0], baseLinks, o.nbPatch)
 			links = o.nbMerged
 		}
-		mv, ok := o.swapOnceMove(links, total)
+		mv, ok := swapOnceMove(rng, links, total)
 		if !ok {
-			if m > 0 {
-				return buf, true
-			}
-			return buf, false
+			return buf, m > 0
 		}
 		buf = append(buf, mv)
 	}
 	return buf, true
 }
 
-// materializeMoves clones the base and applies the moves in the same Add
-// order as swapOnce, so the result is exactly the LinkSet the classic path
-// would have produced for this candidate.
-func materializeMoves(base *topology.LinkSet, moves []swapMove) *topology.LinkSet {
-	s := base.Clone()
+// materializeMoves returns base with the moves applied, in a LinkSet from
+// the recycling pool.
+func (o *Owan) materializeMoves(base *topology.LinkSet, moves []swapMove) *topology.LinkSet {
+	s := o.takeLinkSet(base)
 	for _, mv := range moves {
 		s.Add(mv.U, mv.V, -1)
 		s.Add(mv.P, mv.Q, -1)

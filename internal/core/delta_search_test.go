@@ -9,13 +9,10 @@ import (
 	"owan/internal/transfer"
 )
 
-// deltaHarnessNets mixes comfortable networks (where the snapshot trust gate
-// passes and deltas evaluate warm) with the wavelength-starved Square (where
-// every delta falls back cold), the full ISP40 benchmark topology, and a
-// regenerator-starved ISP (two regenerators per concentration site, so the
-// per-delta regenScarce flag and the regen-aware fallbacks actually fire) —
-// the differential harness exercises both sides of every gate plus their
-// interleaving on shared worker state.
+// deltaHarnessNets mixes comfortable networks with the wavelength-starved
+// Square, the full ISP40 benchmark topology, and a regenerator-starved ISP
+// (two regenerators per concentration site), so the differential harness
+// covers provisioning with and without shortfalls, on shared worker state.
 func deltaHarnessNets() []*topology.Network {
 	regenStarved := topology.ISP(16, 8, 3)
 	regenStarved.PlaceRegenerators(2)
@@ -115,71 +112,152 @@ func TestGoldenDeterminismDelta(t *testing.T) {
 	}
 }
 
-// TestDeltaSearchCounters validates the delta bookkeeping: every delta-mode
-// energy evaluation is either a trusted hit or a counted fallback, and the
-// snapshot is rebuilt at most once per accepted base (plus the initial one).
+// TestDeltaSearchCounters validates the evaluator's bookkeeping in both
+// materialization modes: every energy computation is a memo miss, and every
+// cold evaluation — the misses plus the search's initial energy — either had
+// its effective links served by the memo or provisioned them.
 func TestDeltaSearchCounters(t *testing.T) {
 	net, ts := searchFixture()
-	for _, workers := range []int{1, 4} {
-		st := runSearch(net, ts, Config{
-			Seed: 5, MaxIterations: 150, Workers: workers, BatchSize: 4, DeltaEval: true,
-		})
-		name := fmt.Sprintf("w%d", workers)
-		sum := 0
-		for _, e := range st.Stats.WorkerEvals {
-			sum += e
-		}
-		if sum != st.Stats.CacheMisses {
-			t.Errorf("%s: worker evals sum %d != cache misses %d", name, sum, st.Stats.CacheMisses)
-		}
-		if n := st.Stats.DeltaHits + st.Stats.DeltaFallbacks; n != sum {
-			t.Errorf("%s: delta hits+fallbacks %d != evaluations %d", name, n, sum)
-		}
-		if st.Stats.SnapshotBuilds == 0 {
-			t.Errorf("%s: no snapshot builds recorded", name)
-		}
-		if st.Stats.SnapshotBuilds > st.Stats.Accepted+1 {
-			t.Errorf("%s: %d snapshot builds for %d acceptances — rebuilt without a base change",
-				name, st.Stats.SnapshotBuilds, st.Stats.Accepted)
-		}
-		if st.Stats.DeltaHits == 0 {
-			t.Errorf("%s: no trusted delta evaluations on a comfortable network", name)
+	for _, delta := range []bool{false, true} {
+		for _, workers := range []int{1, 4} {
+			st := runSearch(net, ts, Config{
+				Seed: 5, MaxIterations: 150, Workers: workers, BatchSize: 4, DeltaEval: delta,
+			})
+			name := fmt.Sprintf("delta=%v w%d", delta, workers)
+			sum := 0
+			for _, e := range st.Stats.WorkerEvals {
+				sum += e
+			}
+			if sum != st.Stats.CacheMisses || sum == 0 {
+				t.Errorf("%s: worker evals sum %d, cache misses %d", name, sum, st.Stats.CacheMisses)
+			}
+			if n := st.Stats.ProvisionHits + st.Stats.ProvisionMisses; n != sum+1 {
+				t.Errorf("%s: %d provision hits+misses for %d evaluations plus the initial one", name, n, sum)
+			}
 		}
 	}
 }
 
+// swapOnce is the generator's reference: the materializing swap the move
+// generator replaced, kept here to pin it draw for draw. It applies one
+// elementary 2-circuit swap of s drawn from rng to a clone, or returns nil
+// when 32 tries find none.
+func swapOnce(rng *rand.Rand, s *topology.LinkSet) *topology.LinkSet {
+	links := s.Links()
+	if len(links) == 0 || s.TotalCircuits() < 2 {
+		return nil
+	}
+	// Sample circuit instances weighted by multiplicity.
+	sample := func() (int, int) {
+		k := rng.Intn(s.TotalCircuits())
+		for _, l := range links {
+			if k < l.Count {
+				// Random orientation.
+				if rng.Intn(2) == 0 {
+					return l.U, l.V
+				}
+				return l.V, l.U
+			}
+			k -= l.Count
+		}
+		panic("unreachable")
+	}
+	for try := 0; try < 32; try++ {
+		u, v := sample()
+		p, q := sample()
+		// Moving capacity from (u,v)+(p,q) to (u,p)+(v,q).
+		if u == p || v == q {
+			continue
+		}
+		if u == v || p == q {
+			continue
+		}
+		if s.Get(u, v) == 0 || s.Get(p, q) == 0 {
+			continue
+		}
+		// If (u,v) == (p,q) as a link, it must hold at least 2 circuits.
+		if canonEq(u, v, p, q) && s.Get(u, v) < 2 {
+			continue
+		}
+		n := s.Clone()
+		n.Add(u, v, -1)
+		n.Add(p, q, -1)
+		n.Add(u, p, 1)
+		n.Add(v, q, 1)
+		return n
+	}
+	return nil
+}
+
+// refNeighbor chains moves swapOnce calls, each on the previous result, as
+// Algorithm 2's neighbor of NeighborMoves swaps: nil when the first finds no
+// swap, the last state reached when a later one does not.
+func refNeighbor(rng *rand.Rand, s *topology.LinkSet, moves int) *topology.LinkSet {
+	out := s
+	for m := 0; m < moves; m++ {
+		n := swapOnce(rng, out)
+		if n == nil {
+			if m > 0 {
+				return out
+			}
+			return nil
+		}
+		out = n
+	}
+	return out
+}
+
 // TestNeighborMovesMatchesComputeNeighbor pins the move generator to the
-// materializing generator draw-for-draw: two controllers sharing a seed must
-// produce identical candidate sequences, one as topologies and one as move
-// lists, across a random walk of accepted bases.
+// swapOnce reference draw for draw: on RNGs seeded alike — rung 0's
+// controller stream and the streams of rungs r ≥ 1 — neighborMoves plus
+// materializeMoves, and ComputeNeighbor, must produce the reference's
+// candidates and leave the RNGs in the same state, across a random walk of
+// bases, at one to three moves per neighbor.
 func TestNeighborMovesMatchesComputeNeighbor(t *testing.T) {
 	for _, moves := range []int{1, 2, 3} {
-		net := topology.Internet2(6)
-		a := New(Config{Net: net, Seed: 99, NeighborMoves: moves})
-		b := New(Config{Net: net, Seed: 99, NeighborMoves: moves})
-		cur := topology.InitialTopology(net)
-		var links []topology.Link
-		var buf []swapMove
-		for step := 0; step < 200; step++ {
-			want := a.ComputeNeighbor(cur)
-			links = cur.AppendLinks(links[:0])
-			var ok bool
-			buf, ok = b.neighborMoves(links, cur.TotalCircuits(), buf[:0])
-			if (want == nil) != !ok {
-				t.Fatalf("moves=%d step %d: generators disagree on feasibility", moves, step)
+		for r := 0; r < 3; r++ {
+			net := topology.Internet2(6)
+			seed := int64(99)
+			if r > 0 {
+				seed = mixSeed(99, 1, r)
 			}
-			if want == nil {
-				continue
+			ref := rand.New(rand.NewSource(seed))
+			o := New(Config{Net: net, Seed: seed, NeighborMoves: moves})
+			rng := o.rng // rung 0's stream; rungs r ≥ 1 own theirs
+			if r > 0 {
+				rng = rand.New(rand.NewSource(seed))
 			}
-			got := materializeMoves(cur, buf)
-			if !got.Equal(want) {
-				t.Fatalf("moves=%d step %d: candidates diverged\n want=%v\n got=%v",
-					moves, step, want.Links(), got.Links())
+			cur := topology.InitialTopology(net)
+			var links []topology.Link
+			var buf []swapMove
+			for step := 0; step < 200; step++ {
+				want := refNeighbor(ref, cur, moves)
+				var got *topology.LinkSet
+				if r == 0 && step%2 == 0 {
+					got = o.ComputeNeighbor(cur) // draws from o.rng
+				} else {
+					links = cur.AppendLinks(links[:0])
+					var ok bool
+					buf, ok = o.neighborMoves(rng, links, cur.TotalCircuits(), buf[:0])
+					if ok {
+						got = o.materializeMoves(cur, buf)
+					}
+				}
+				name := fmt.Sprintf("moves=%d rung %d step %d", moves, r, step)
+				if (want == nil) != (got == nil) {
+					t.Fatalf("%s: generators disagree on feasibility", name)
+				}
+				if want != nil && !got.Equal(want) {
+					t.Fatalf("%s: candidates diverged\n want=%v\n got=%v", name, want.Links(), got.Links())
+				}
+				// Walk to a new base occasionally so later steps sample from
+				// evolved topologies.
+				if want != nil && step%3 == 0 {
+					cur = want
+				}
 			}
-			// Walk both chains to a new base occasionally so later steps
-			// sample from evolved topologies.
-			if step%3 == 0 {
-				cur = want
+			if ref.Int63() != rng.Int63() {
+				t.Fatalf("moves=%d rung %d: the generators consumed their RNGs differently", moves, r)
 			}
 		}
 	}

@@ -10,7 +10,7 @@ import "flag"
 func SearchFlags(fs *flag.FlagSet) func(*Config) {
 	workers := fs.Int("workers", 0, "annealing energy-evaluation goroutines (0 = serial; results identical for a seed at any value once -batch is pinned)")
 	batch := fs.Int("batch", 0, "annealing candidate batch per temperature step (0 = workers; pin it when comparing -workers values — batch is part of the search semantics)")
-	delta := fs.Bool("delta", false, "incremental candidate evaluation (core.Config.DeltaEval); results identical for a seed either way")
+	delta := fs.Bool("delta", false, "materialize annealing candidates only when accepted or best, summing churn over their moves (core.Config.DeltaEval); results identical for a seed either way")
 	replicas := fs.Int("replicas", 0, "parallel-tempering replica count (0 or 1 = single chain; part of the search semantics)")
 	warm := fs.Bool("warmstart", false, "seed each slot's cooling schedule from the previous slot (shorter schedules on low-drift slots)")
 	return func(c *Config) {

@@ -70,7 +70,8 @@ func TestSwapInvariantsProperty(t *testing.T) {
 	}
 }
 
-// TestSwapOnceRejectsDegenerate drives swapOnce itself over random
+// TestSwapOnceRejectsDegenerate drives the one-swap generator — drawing the
+// move and materializing it, as ComputeNeighbor does — over random
 // multisets: whenever it returns a state, the multiset invariants hold and
 // no self links appear; degenerate inputs yield nil rather than panic.
 func TestSwapOnceRejectsDegenerate(t *testing.T) {
@@ -87,7 +88,7 @@ func TestSwapOnceRejectsDegenerate(t *testing.T) {
 			}
 		}
 		before := s.TotalCircuits()
-		out := o.swapOnce(o.rng, s)
+		out := o.ComputeNeighbor(s)
 		if out == nil {
 			continue
 		}

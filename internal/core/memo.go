@@ -33,8 +33,9 @@ const memoCap = 128
 //     stamped with that search. It is served only while the stamp is current,
 //     since the next slot's demands differ.
 //
-// An entry written by a trusted delta evaluation has an energy and no links;
-// it is never served as links and never migrated.
+// An entry may hold an energy and no links (putEnergy re-inserts a key whose
+// links were evicted within the batch); it is never served as links and
+// never migrated.
 //
 // The arena uses index-linked entries and retains every slot's key and link
 // buffers across evictions, so a warmed-up memo does not allocate. A hit

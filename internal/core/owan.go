@@ -14,6 +14,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"owan/internal/alloc"
@@ -61,18 +62,12 @@ type Config struct {
 	// keep the one-candidate-at-a-time chain. BatchSize is part of the
 	// search semantics: changing it changes the trajectory.
 	BatchSize int
-	// DeltaEval enables incremental candidate evaluation: per accepted base
-	// topology the optical layer is provisioned once and frozen as a
-	// snapshot, and each candidate (which differs by a few swapped circuits)
-	// is evaluated by releasing/provisioning only the changed links with an
-	// undo journal, feeding a patched warm path in the allocator. Candidates
-	// are generated as move lists and materialized only on acceptance. A
-	// delta whose trust gate fails (scarce wavelengths or regenerators,
-	// alternate routes, wavelength contention with a released fiber) falls
-	// back to the cold path and is counted in SearchStats.DeltaFallbacks.
-	// The trajectory is bit-identical to DeltaEval off: move generation
-	// consumes the RNG draw-for-draw like ComputeNeighbor, and trusted delta
-	// energies equal cold energies exactly (see internal/optical/delta.go).
+	// DeltaEval chooses when a candidate becomes a LinkSet. Every candidate
+	// is a move list drawn by one generator and scored by one evaluator
+	// (delta.go, parallel.go); off, each is materialized as it is drawn and
+	// its churn is a Diff; on, only one that is accepted or becomes the best
+	// is, and its churn is summed over the pairs its moves touch. The
+	// trajectory is bit-identical either way, at every Replicas.
 	DeltaEval bool
 	// Replicas is the parallel-tempering replica count R: the one annealing
 	// loop runs R chains (rungs) at a geometric temperature ladder (rung 0
@@ -83,8 +78,7 @@ type Config struct {
 	// 0 or 1 is a ladder of one rung: the paper's single chain, with no
 	// exchanges. Replicas is part of the search semantics: the result is a
 	// pure function of (Seed, BatchSize, Replicas), bit-identical at any
-	// Workers/GOMAXPROCS. DeltaEval applies at R = 1 only; with Replicas > 1
-	// candidates are evaluated materialized.
+	// Workers/GOMAXPROCS.
 	Replicas int
 	// WarmStart seeds each slot's cooling schedule from the previous slot's
 	// accepted energy and final temperature instead of restarting the full
@@ -183,17 +177,10 @@ type SearchStats struct {
 	// WorkerEvals[i] is how many energies evaluator worker i computed
 	// (one slot for serial runs). Its spread shows pool utilization.
 	WorkerEvals []int
-	// DeltaHits counts candidate energies computed on the trusted
-	// incremental path; DeltaFallbacks counts deltas whose trust gate failed
-	// and were recomputed cold. Both stay zero with DeltaEval off.
-	// DeltaHits + DeltaFallbacks == the delta-mode energy evaluations.
+	// DeltaHits and DeltaFallbacks are no longer counted and stay zero; they
+	// are removed with the benchmark's core.delta_hit_ratio probe.
 	DeltaHits      int
 	DeltaFallbacks int
-	// SnapshotBuilds counts full base provisions frozen for the delta path
-	// (one per accepted base topology the search evaluated candidates from).
-	// With the persistent evaluator a warm-started slot whose base topology
-	// matches the retained snapshot reports 0 builds.
-	SnapshotBuilds int
 	// ProvisionHits counts cold evaluations whose effective links were served
 	// from the topology memo (recorded in this or an earlier slot);
 	// ProvisionMisses counts the full provisionings that filled it.
@@ -232,7 +219,7 @@ type NetworkState struct {
 // Owan is the controller core. It is not safe for concurrent use; the
 // controller invokes it once per time slot. The evaluator behind
 // ComputeNetworkState — worker goroutines, per-worker optical and allocator
-// scratch, the delta snapshot — and the topology memo live as long as the Owan
+// scratch — and the topology memo live as long as the Owan
 // and is reused across slots; call Close when discarding a controller whose
 // Workers > 1 searches have run, to stop the pool goroutines.
 type Owan struct {
@@ -251,25 +238,25 @@ type Owan struct {
 	// the persistent evaluator never change a trajectory.
 	disablePersist bool
 	// onCacheHit, when set (tests), observes every energy served from the
-	// memo with the candidate topology and the energy returned. Only the
-	// classic (materialized) path invokes it; delta-mode memo activity is
-	// visible through SearchStats instead.
-	onCacheHit func(s *topology.LinkSet, energy float64)
-	// Scratch for delta-mode neighbor generation (see delta.go).
+	// memo with the candidate's site count, enumeration and energy.
+	onCacheHit func(n int, links []topology.Link, energy float64)
+	// onRound, when set (tests), observes the ladder and the best state
+	// after every round of the annealing loop has recycled what it dropped.
+	onRound func(rungs []rung, sBest *topology.LinkSet)
+	// Scratch for neighbor generation (see delta.go): the move merge, and
+	// ComputeNeighbor's enumeration and moves.
 	nbAcc    []pairDelta
 	nbPatch  []topology.Link
 	nbMerged []topology.Link
-	// nbLinks is swapOnce's enumeration scratch: one sorted-view copy per
-	// proposal was the other per-candidate allocation next to Clone.
-	nbLinks []topology.Link
-	// lsPool recycles candidate LinkSets through the annealing loop: a
-	// batch's rejected candidates and computeNeighbor's intermediate hops
-	// come back here and the next swapOnce copies over them instead of
-	// allocating a fresh Clone (map, buckets, sorted view) per proposal.
-	// Only pointers whose last reference is provably dropped may enter the
-	// pool; anything that escapes — the returned best state, any rung's
-	// current state — never does. Bounded by the largest round in flight
-	// (Replicas×BatchSize plus NeighborMoves intermediates).
+	nbLinks  []topology.Link
+	nbMoves  []swapMove
+	// lsPool recycles LinkSets through the annealing loop: a round's
+	// candidates and the states it replaced come back here once no rung
+	// holds them and they are not the best, and the next materialization
+	// copies over them instead of allocating a fresh Clone (map, buckets,
+	// sorted view). Only pointers whose last reference is provably dropped
+	// may enter the pool; anything that escapes — the returned best state,
+	// any rung's current state — never does.
 	lsPool []*topology.LinkSet
 	// Warm-start state: the previous slot's accepted (best) energy and the
 	// temperature its cooling schedule ended at. Recorded by every search
@@ -350,8 +337,8 @@ func energyOn(opt *optical.State, al *alloc.Allocator, theta float64, s *topolog
 // SetUnitRegenWeights forwards the regenerator-balancing ablation knob to
 // the optical layer. The knob changes what provisioning produces, so every
 // piece of provisioning-derived persistent state is invalidated: the memo is
-// cleared and the evaluator (whose retained snapshot and worker clones embed
-// the old weights) is dropped and lazily rebuilt.
+// cleared and the evaluator (whose worker clones embed the old weights) is
+// dropped and lazily rebuilt.
 func (o *Owan) SetUnitRegenWeights(on bool) {
 	o.opt.SetUnitRegenWeights(on)
 	if o.ev != nil {
@@ -422,27 +409,16 @@ func (o *Owan) ComputeNeighbor(s *topology.LinkSet) *topology.LinkSet {
 	return o.computeNeighbor(o.rng, s)
 }
 
-// computeNeighbor is ComputeNeighbor drawing from an explicit RNG, so every
-// rung can run its own reproducible chain. Rung 0 passes o.rng, the stream
-// ComputeNeighbor draws from.
+// computeNeighbor is ComputeNeighbor drawing from an explicit RNG: it draws
+// the moves (neighborMoves), then materializes them into a pooled LinkSet.
 func (o *Owan) computeNeighbor(rng *rand.Rand, s *topology.LinkSet) *topology.LinkSet {
-	out := s
-	for m := 0; m < o.cfg.NeighborMoves; m++ {
-		n := o.swapOnce(rng, out)
-		if n == nil {
-			if m > 0 {
-				return out
-			}
-			return nil
-		}
-		if out != s {
-			// Intermediate hop: its content was just copied into n and
-			// nothing else can reference it.
-			o.putLinkSet(out)
-		}
-		out = n
+	o.nbLinks = s.AppendLinks(o.nbLinks[:0])
+	moves, ok := o.neighborMoves(rng, o.nbLinks, s.TotalCircuits(), o.nbMoves[:0])
+	o.nbMoves = moves
+	if !ok {
+		return nil
 	}
-	return out
+	return o.materializeMoves(s, moves)
 }
 
 // takeLinkSet returns a mutable copy of src, reusing pooled storage when
@@ -462,59 +438,6 @@ func (o *Owan) takeLinkSet(src *topology.LinkSet) *topology.LinkSet {
 // it holds the last live reference.
 func (o *Owan) putLinkSet(s *topology.LinkSet) {
 	o.lsPool = append(o.lsPool, s)
-}
-
-// swapOnce applies one elementary 2-circuit swap, drawing from rng.
-func (o *Owan) swapOnce(rng *rand.Rand, s *topology.LinkSet) *topology.LinkSet {
-	links := s.AppendLinks(o.nbLinks[:0])
-	o.nbLinks = links
-	if len(links) == 0 || s.TotalCircuits() < 2 {
-		return nil
-	}
-	// Sample circuit instances weighted by multiplicity.
-	sample := func() (int, int) {
-		k := rng.Intn(s.TotalCircuits())
-		for _, l := range links {
-			if k < l.Count {
-				// Random orientation.
-				if rng.Intn(2) == 0 {
-					return l.U, l.V
-				}
-				return l.V, l.U
-			}
-			k -= l.Count
-		}
-		panic("unreachable")
-	}
-	for try := 0; try < 32; try++ {
-		u, v := sample()
-		p, q := sample()
-		// Moving capacity from (u,v)+(p,q) to (u,p)+(v,q).
-		if u == p || v == q {
-			continue
-		}
-		if u == v || p == q {
-			continue
-		}
-		// Reject a no-op (picking the same circuit twice when count==1 is
-		// fine to allow; the result still differs unless identical pairs).
-		// Validation reads the source topology, so rejected tries (up to 31
-		// per swap) never pay for a clone; only a committed swap does.
-		if s.Get(u, v) == 0 || s.Get(p, q) == 0 {
-			continue
-		}
-		// If (u,v) == (p,q) as a link, it must hold at least 2 circuits.
-		if canonEq(u, v, p, q) && s.Get(u, v) < 2 {
-			continue
-		}
-		n := o.takeLinkSet(s)
-		n.Add(u, v, -1)
-		n.Add(p, q, -1)
-		n.Add(u, p, 1)
-		n.Add(v, q, 1)
-		return n
-	}
-	return nil
 }
 
 func abs(x int) int {
@@ -553,10 +476,9 @@ func (o *Owan) ComputeNetworkState(current *topology.LinkSet, active []*transfer
 	demands := o.demands(active, slot, slotSeconds)
 
 	// The evaluator is controller-lifetime state: created once, then re-armed
-	// per slot by begin(). Its worker pool, per-worker optical and allocator
-	// scratch and delta snapshot all carry over, so a warm-started slot skips
-	// the snapshot rebuild, and its first energy usually finds its effective
-	// links in the memo.
+	// per slot by begin(). Its worker pool and per-worker optical and
+	// allocator scratch carry over, and a warm-started slot's first energy
+	// usually finds its effective links in the memo.
 	ev := o.ev
 	if ev == nil || o.disablePersist {
 		ev = newEvaluator(o)
@@ -642,11 +564,11 @@ func (o *Owan) warmStartTemp(eCur, coldT0 float64) (float64, bool) {
 // run on a ladder of Config.Replicas rungs (tempering.go). Every rung starts
 // from (sInit, eInit), rung 0 at temperature T; anneal returns the best state
 // any rung saw, its energy, and rung 0's final temperature. Each round
-// generates up to BatchSize neighbors per rung in rung order, evaluates the
-// whole round in one evaluator call, and reduces each rung's slice in
-// generation order with the Metropolis rule. At R = 1 this is the single
-// chain on o.rng, and the trajectory is the documented pure function of
-// (Seed, BatchSize). Each schedule rule holds for every R:
+// draws up to BatchSize move-list candidates per rung in rung order,
+// evaluates the whole round in one evaluator call, and reduces each rung's
+// slice in generation order with the Metropolis rule. With one rung this is
+// the single chain on o.rng, and the trajectory is the documented pure
+// function of (Seed, BatchSize). Each schedule rule holds for every R:
 //   - every rung runs at most MaxIterations, and the search ends when rung 0
 //     reaches the cap;
 //   - the ε rule applies to rung 0 at the top of each round and after each
@@ -658,9 +580,7 @@ func (o *Owan) warmStartTemp(eCur, coldT0 float64) (float64, bool) {
 //     that warm-started or run more than one rung, the early exit stops the
 //     search once the best energy stalls for convergeWindows windows.
 //
-// With DeltaEval at R = 1 candidates are move lists evaluated on the delta
-// path and materialized only when they become the best or the current state
-// (delta.go); otherwise they are LinkSets from the recycling pool.
+// Config.DeltaEval decides when a candidate is materialized (delta.go).
 func (o *Owan) anneal(ev *evaluator, current, sInit *topology.LinkSet, eInit, T, epsilon float64, stats *SearchStats) (*topology.LinkSet, float64, float64) {
 	R := o.cfg.Replicas
 	rungs := o.newRungs(sInit, eInit, T)
@@ -669,25 +589,18 @@ func (o *Owan) anneal(ev *evaluator, current, sInit *topology.LinkSet, eInit, T,
 		exRng = rand.New(rand.NewSource(mixSeed(o.cfg.Seed, o.slotSeq, -1)))
 	}
 	sBest, eBest := sInit, eInit
-	cands := make([]*topology.LinkSet, 0, R*o.cfg.BatchSize)
-	needEval := make([]bool, 0, R*o.cfg.BatchSize)
+	cands := make([]candidate, 0, R*o.cfg.BatchSize)
+	// movesBuf reuses the per-candidate move buffers across rounds.
+	movesBuf := make([][]swapMove, R*o.cfg.BatchSize)
 	var energies []float64
-	// Delta-mode state for rung 0: movesBuf reuses per-candidate move
-	// buffers across rounds; linksCur/totalCur/churnCur cache the
-	// enumeration, circuit count and churn of its current state, and baseSeq
-	// counts its replacements so the evaluator knows when to rebuild its
-	// snapshot (pointer identity is unreliable once old bases are garbage).
-	useDelta := o.cfg.DeltaEval && R == 1
-	var (
-		movesBuf [][]swapMove
-		linksCur []topology.Link
-		curValid bool
-		totalCur int
-		churnCur int
-		baseSeq  int
-	)
-	if useDelta {
-		movesBuf = make([][]swapMove, o.cfg.BatchSize)
+	// owned lists every LinkSet a round may drop: the best state and the
+	// rung states it began with, and each candidate it materialized.
+	var owned []*topology.LinkSet
+	materialize := func(c *candidate, base *topology.LinkSet) {
+		if c.s == nil {
+			c.s = o.materializeMoves(base, c.moves)
+			owned = append(owned, c.s)
+		}
 	}
 	// A cold single chain (every first slot, and every slot with WarmStart
 	// off) never early-exits: it runs the paper's schedule to ε.
@@ -700,51 +613,37 @@ func (o *Owan) anneal(ev *evaluator, current, sInit *topology.LinkSet, eInit, T,
 		// rung's current state; candidates outside the churn trust region
 		// around the slot's starting topology are rejected without an energy
 		// evaluation (the move would not be deployable as an incremental
-		// update) but still consume an iteration and a cooling step. In delta
-		// mode the churn bound is applied incrementally over the touched
-		// pairs; both paths draw from the RNG identically, so the
-		// trajectories coincide. A rung that finds no neighbor ends the
-		// search after this round.
-		cands, needEval = cands[:0], needEval[:0]
-		if useDelta && !curValid {
-			linksCur = rungs[0].sCur.AppendLinks(linksCur[:0])
-			totalCur = rungs[0].sCur.TotalCircuits()
-			if o.cfg.MaxChurn > 0 {
-				churnCur = current.Diff(rungs[0].sCur)
-			}
-			curValid = true
-		}
+		// update) but still consume an iteration and a cooling step. A rung
+		// that finds no neighbor ends the search after this round.
+		cands = cands[:0]
+		owned = append(owned[:0], sBest)
 		for r := range rungs {
 			g := &rungs[r]
+			owned = append(owned, g.sCur)
+			o.refresh(g, current)
 			k := min(o.cfg.BatchSize, o.cfg.MaxIterations-g.iters)
 			for g.n = 0; g.n < k; g.n++ {
-				if useDelta {
-					mv, ok := o.neighborMoves(linksCur, totalCur, movesBuf[g.n][:0])
-					movesBuf[g.n] = mv
-					if !ok {
-						stop = true
-						break
-					}
-					needEval = append(needEval, o.cfg.MaxChurn <= 0 || o.churnAfter(current, g.sCur, churnCur, mv) <= o.cfg.MaxChurn)
-					continue
-				}
-				sN := o.computeNeighbor(g.rng, g.sCur)
-				if sN == nil {
+				i := len(cands)
+				mv, ok := o.neighborMoves(g.rng, g.links, g.total, movesBuf[i][:0])
+				movesBuf[i] = mv
+				if !ok {
 					stop = true
 					break
 				}
-				cands = append(cands, sN)
-				needEval = append(needEval, o.cfg.MaxChurn <= 0 || current.Diff(sN) <= o.cfg.MaxChurn)
+				c := candidate{moves: mv, base: g.links, n: g.sCur.N, eval: o.cfg.MaxChurn <= 0}
+				if o.cfg.DeltaEval {
+					c.eval = c.eval || o.churnAfter(current, g.sCur, g.churn, mv) <= o.cfg.MaxChurn
+				} else {
+					materialize(&c, g.sCur)
+					c.eval = c.eval || current.Diff(c.s) <= o.cfg.MaxChurn
+				}
+				cands = append(cands, c)
 			}
 		}
-		if len(needEval) == 0 {
+		if len(cands) == 0 {
 			break
 		}
-		if useDelta {
-			energies = ev.energiesDelta(rungs[0].sCur, linksCur, baseSeq, movesBuf[:len(needEval)], needEval, energies)
-		} else {
-			energies = ev.energies(cands, needEval, energies)
-		}
+		energies = ev.energies(cands, energies)
 
 		// Deterministic reduction: walk each rung's slice in generation
 		// order, applying acceptance against the rung's evolving current
@@ -759,29 +658,21 @@ func (o *Owan) anneal(ev *evaluator, current, sInit *topology.LinkSet, eInit, T,
 			for i := off; i < off+g.n; i++ {
 				g.iters++
 				stats.Iterations++
-				if !needEval[i] {
+				c := &cands[i]
+				if !c.eval {
 					g.T *= o.cfg.Alpha
 					continue
 				}
 				eN := energies[i]
-				var sN *topology.LinkSet
-				if !useDelta {
-					sN = cands[i]
-				}
 				if eN > eBest {
-					if sN == nil {
-						sN = materializeMoves(base, movesBuf[i])
-					}
-					sBest, eBest = sN, eN
+					materialize(c, base)
+					sBest, eBest = c.s, eN
 				}
 				if accept(g.eCur, eN, g.T, g.rng) {
-					if sN == nil {
-						sN = materializeMoves(base, movesBuf[i])
-					}
-					g.sCur, g.eCur = sN, eN
+					materialize(c, base)
+					g.sCur, g.eCur = c.s, eN
+					g.fresh = false
 					stats.Accepted++
-					curValid = false
-					baseSeq++
 				}
 				g.T *= o.cfg.Alpha
 				if r == 0 && g.T <= epsilon {
@@ -791,14 +682,17 @@ func (o *Owan) anneal(ev *evaluator, current, sInit *topology.LinkSet, eInit, T,
 			}
 			off += g.n
 		}
-		// Recycle the round: a candidate that no rung holds as its current
+		// Recycle the round: a LinkSet that no rung holds as its current
 		// state and that is not the running best has dropped its last
 		// reference. (Exchanges only swap pointers rungs already hold, so
 		// this accounting stays exact across sweeps.)
-		for _, c := range cands {
-			if c != sBest && !held(rungs, c) {
-				o.putLinkSet(c)
+		for i, s := range owned {
+			if s != sBest && !held(rungs, s) && !slices.Contains(owned[:i], s) {
+				o.putLinkSet(s)
 			}
+		}
+		if o.onRound != nil {
+			o.onRound(rungs, sBest)
 		}
 
 		rounds++
@@ -819,6 +713,21 @@ func (o *Owan) anneal(ev *evaluator, current, sInit *topology.LinkSet, eInit, T,
 		}
 	}
 	return sBest, eBest, rungs[0].T
+}
+
+// refresh recomputes g's cached enumeration, circuit count and (when the
+// lazy churn sum needs it) churn from current, unless they still describe
+// its current state.
+func (o *Owan) refresh(g *rung, current *topology.LinkSet) {
+	if g.fresh {
+		return
+	}
+	g.links = g.sCur.AppendLinks(g.links[:0])
+	g.total = g.sCur.TotalCircuits()
+	if o.cfg.DeltaEval && o.cfg.MaxChurn > 0 {
+		g.churn = current.Diff(g.sCur)
+	}
+	g.fresh = true
 }
 
 // Reallocate provisions a given topology and computes the allocation on

@@ -114,8 +114,12 @@ func TestEnergyCacheCorrectness(t *testing.T) {
 		energy float64
 	}
 	var hits []hit
-	o.onCacheHit = func(s *topology.LinkSet, energy float64) {
-		hits = append(hits, hit{s: s.Clone(), energy: energy})
+	o.onCacheHit = func(n int, links []topology.Link, energy float64) {
+		s := topology.NewLinkSet(n)
+		for _, l := range links {
+			s.Add(l.U, l.V, l.Count)
+		}
+		hits = append(hits, hit{s: s, energy: energy})
 	}
 	st := o.ComputeNetworkState(topology.InitialTopology(net), ts, 0, 300)
 	if st.Stats.CacheHits == 0 {

@@ -18,7 +18,7 @@ func disablePersistence(o *Owan) {
 	o.memo = nil
 }
 
-// persistNets mixes the small comfortable networks of the delta harness with
+// persistNets mixes the small networks of the delta harness with
 // a >64-site ISP so the cross-slot contract is also pinned on the multi-word
 // mask paths.
 func persistNets() []*topology.Network {
@@ -34,7 +34,7 @@ func persistNets() []*topology.Network {
 
 // TestPersistentEvaluatorMatchesFresh is the cross-slot differential for the
 // persistent evaluator and the topology memo: across 300 randomized seeds, a
-// controller that keeps its evaluator (worker pool, delta snapshot) and memo
+// controller that keeps its evaluator (worker pool and scratch) and memo
 // across slots must produce bit-identical per-slot results to one that
 // rebuilds the evaluator each slot and has no memo — including across a
 // WithoutFiber failure event, after which both continue on fresh controllers
@@ -47,7 +47,7 @@ func TestPersistentEvaluatorMatchesFresh(t *testing.T) {
 	if testing.Short() {
 		seeds = 60
 	}
-	totalProvHits, totalEnergyHits, totalWarmSlots := 0, 0, 0
+	totalProvHits, totalEnergyHits := 0, 0
 	for seed := int64(0); seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(11000 + seed))
 		net := nets[int(seed)%len(nets)]
@@ -102,9 +102,6 @@ func TestPersistentEvaluatorMatchesFresh(t *testing.T) {
 			}
 			totalProvHits += got.Stats.ProvisionHits
 			totalEnergyHits += got.Stats.CacheHits
-			if slot > 0 && got.Stats.SnapshotBuilds < ref.Stats.SnapshotBuilds {
-				totalWarmSlots++ // retained snapshot saved a rebuild
-			}
 			curP, curF = got.Topology, ref.Topology
 		}
 		pers.Close()
@@ -116,26 +113,20 @@ func TestPersistentEvaluatorMatchesFresh(t *testing.T) {
 	if totalEnergyHits == 0 {
 		t.Fatal("no memo energies served across the run — the per-search half never fired")
 	}
-	t.Logf("links hits=%d, energy hits=%d, slots with a saved snapshot build=%d",
-		totalProvHits, totalEnergyHits, totalWarmSlots)
+	t.Logf("links hits=%d, energy hits=%d", totalProvHits, totalEnergyHits)
 }
 
-// TestPersistentSnapshotReuse pins the warm-start fast path directly: when a
-// slot starts from exactly the topology whose snapshot the evaluator retained,
-// the delta search must not rebuild it, and the slot's first energy must
-// find its links in the memo (seeded by the previous slot's final plan).
-func TestPersistentSnapshotReuse(t *testing.T) {
+// TestPersistentMemoReuse pins the warm-start fast path directly: when a
+// slot starts from the topology the previous slot returned, its first energy
+// must find its links in the memo (seeded by the previous slot's final plan).
+func TestPersistentMemoReuse(t *testing.T) {
 	net, ts := searchFixture()
 	o := New(Config{Net: net, Seed: 3, MaxIterations: 120, BatchSize: 2, DeltaEval: true})
 	defer o.Close()
 	cur := topology.InitialTopology(net)
 	first := o.ComputeNetworkState(cur, ts, 0, 300)
-	if first.Stats.SnapshotBuilds == 0 {
-		t.Fatalf("cold slot built no snapshot: %+v", first.Stats)
-	}
-	// Same demands, warm start from the slot's own output: the first base is
-	// the retained snapshot whenever the search ended on its last accepted
-	// state; regardless, the initial energy must hit the seeded memo.
+	// Same demands, warm start from the slot's own output: the initial
+	// energy must hit the seeded memo.
 	second := o.ComputeNetworkState(first.Topology, ts, 1, 300)
 	if second.Stats.ProvisionHits == 0 {
 		t.Fatalf("warm slot had no provision hits: %+v", second.Stats)

@@ -31,7 +31,9 @@ import (
 
 // rung is one chain of the ladder: its RNG, its current state, its cooling
 // schedule, how many iterations it has run, and how many candidates it
-// generated in the current round.
+// generated in the current round. While fresh, links, total and churn cache
+// the current state's sorted enumeration, circuit count and churn from the
+// slot's starting topology; accepting or exchanging a state clears fresh.
 type rung struct {
 	rng   *rand.Rand
 	sCur  *topology.LinkSet
@@ -39,6 +41,10 @@ type rung struct {
 	T     float64
 	iters int
 	n     int
+
+	links        []topology.Link
+	total, churn int
+	fresh        bool
 }
 
 // mixSeed derives an independent, reproducible RNG seed from the controller
@@ -101,6 +107,7 @@ func exchange(rungs []rung, rng *rand.Rand, par int, stats *SearchStats) {
 		if rng.Float64() < p {
 			a.sCur, b.sCur = b.sCur, a.sCur
 			a.eCur, b.eCur = b.eCur, a.eCur
+			a.fresh, b.fresh = false, false
 			stats.Exchanges++
 		}
 	}

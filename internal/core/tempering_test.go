@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"owan/internal/topology"
@@ -268,10 +270,10 @@ func TestWarmStateResetOnRegenWeights(t *testing.T) {
 }
 
 // TestTemperedSteadyStateAllocs bounds the per-slot allocations of a warm
-// tempered search on a persistent controller. The candidate recycling pool,
-// the enumeration scratch in swapOnce, and the static optical errors took
+// tempered search on a persistent controller. The LinkSet recycling pool,
+// the rungs' cached enumerations, and the static optical errors took
 // the tempered batch path from tens of thousands of allocations per slot to
-// a small residue (accepted states that escape the pool, cache bookkeeping);
+// a small residue (the returned best state, cache bookkeeping);
 // the bound has headroom over that residue but is far below what any
 // per-proposal Clone or per-failure Errorf regression would produce.
 func TestTemperedSteadyStateAllocs(t *testing.T) {
@@ -299,5 +301,56 @@ func TestTemperedSteadyStateAllocs(t *testing.T) {
 	t.Logf("allocs per warm tempered slot: %.0f (%d iterations total)", avg, iters)
 	if avg > 2000 {
 		t.Errorf("warm tempered slot allocates %.0f objects, want <= 2000", avg)
+	}
+}
+
+// TestPoolNeverAliasesLiveState checks the LinkSet pool's accounting after
+// every round, at one and three rungs with DeltaEval off and on: no pooled
+// LinkSet is a rung's current state, the best state, the caller's topology
+// or another pool entry. It also requires that states a rung replaced do
+// reach the pool, which the old loop dropped for the garbage collector.
+func TestPoolNeverAliasesLiveState(t *testing.T) {
+	net, ts := searchFixture()
+	for _, replicas := range []int{1, 3} {
+		for _, delta := range []bool{false, true} {
+			name := fmt.Sprintf("R%d delta=%v", replicas, delta)
+			o := New(Config{
+				Net: net, Policy: transfer.SJF, Seed: 11, MaxIterations: 200,
+				BatchSize: 3, Replicas: replicas, DeltaEval: delta, WarmStart: true,
+			})
+			var cur *topology.LinkSet
+			rounds, replacedPooled := 0, 0
+			prev := map[*topology.LinkSet]bool{}
+			o.onRound = func(rungs []rung, sBest *topology.LinkSet) {
+				rounds++
+				for i, p := range o.lsPool {
+					switch {
+					case p == sBest:
+						t.Fatalf("%s round %d: the best state is pooled", name, rounds)
+					case held(rungs, p):
+						t.Fatalf("%s round %d: a rung's current state is pooled", name, rounds)
+					case p == cur:
+						t.Fatalf("%s round %d: the caller's topology is pooled", name, rounds)
+					case slices.Contains(o.lsPool[:i], p):
+						t.Fatalf("%s round %d: a LinkSet is pooled twice", name, rounds)
+					}
+					if prev[p] {
+						replacedPooled++
+					}
+				}
+				clear(prev)
+				for r := range rungs {
+					prev[rungs[r].sCur] = true
+				}
+			}
+			cur = topology.InitialTopology(net)
+			for slot := 0; slot < 3; slot++ {
+				cur = o.ComputeNetworkState(cur, ts, slot, 300).Topology
+			}
+			o.Close()
+			if rounds == 0 || replacedPooled == 0 {
+				t.Fatalf("%s: %d rounds, %d replaced rung states pooled", name, rounds, replacedPooled)
+			}
+		}
 	}
 }

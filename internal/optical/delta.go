@@ -3,16 +3,17 @@ package optical
 import (
 	"math/bits"
 
-	"owan/internal/bitset"
 	"owan/internal/topology"
 )
 
-// This file implements the incremental (delta) provisioning path behind
-// core.Config.DeltaEval: a frozen per-batch Snapshot of the fully
-// provisioned base topology, against which a candidate that differs by a
-// few swapped circuits is evaluated by releasing only the removed links'
-// circuits and provisioning only the added ones, with an undo Journal so
-// the worker's state returns to the snapshot in O(delta).
+// This file implements incremental (delta) provisioning: a frozen Snapshot
+// of the fully provisioned base topology, against which a candidate that
+// differs by a few swapped circuits is evaluated by releasing only the
+// removed links' circuits and provisioning only the added ones, with an undo
+// Journal so the state returns to the snapshot occupancy in O(delta). The
+// annealing search no longer calls it — it evaluates every candidate cold,
+// through the topology memo (internal/core) — but the benchmark's layer
+// probes (bench/probes.go) still time it.
 //
 // Order-dependence and the trust rule. Cold provisioning walks all links in
 // (U, V)-sorted order, so wavelength and regenerator choices depend on
@@ -25,9 +26,9 @@ import (
 // and the delta path realize exactly the requested counts — so their
 // energies are bit-identical even though their occupancies differ. Every
 // condition that could break that equality is detected and reported as
-// !trusted, and the caller re-runs the cold path (a counted fallback, never
-// a silent divergence). The ≥300-seed differential harness in internal/core
-// asserts exactly this contract.
+// !trusted, and the caller must re-run the cold path (never a silent
+// divergence). TestProvisionDeltaTrustedMatchesCold asserts exactly this
+// contract over 300 seeds.
 
 // tightWaveMargin is the wavelength scarcity guard: a snapshot is "tight" —
 // and every delta against it falls back to cold evaluation — unless every
@@ -48,10 +49,9 @@ import (
 // cascade can empty a pool the delta never did. That is gated per delta
 // instead: any delta that consumes a regenerator leaving its pool below
 // tightRegenMargin, or releases one from a pool the base had already drawn
-// down that far, is flagged regenScarce and recomputed cold. The ≥300-seed
-// differential harnesses in internal/optical and internal/core — which
-// include ISP40-scale and regenerator-starved networks — assert that this
-// gate leaves zero silent divergence.
+// down that far, is flagged regenScarce and recomputed cold. The 300-seed
+// differential harness — which includes ISP40-scale and regenerator-starved
+// networks — asserts that this gate leaves zero silent divergence.
 const tightWaveMargin = 8
 
 // tightRegenMargin is the regenerator analogue of tightWaveMargin, applied
@@ -76,34 +76,17 @@ type snapLink struct {
 
 // Snapshot freezes the optical realization of one base topology: the
 // per-link circuit records (segments aliasing the State's immutable route
-// tables) plus the resulting occupancy. It is immutable after Build and may
-// be shared read-only across worker goroutines; its buffers are reused by
-// the next Build, so consumers must be done with generation g before
-// generation g+1 is built (the evaluator's batch barrier guarantees that).
+// tables). It is immutable after Build; its buffers are reused by the next
+// Build.
 type Snapshot struct {
-	n     int
 	links []snapLink
 	circs []snapCircuit
 	segs  []Segment
 	regs  []int
 
-	fiberUse  []waveSet
-	regenFree []int
-	// Frozen images of the State's persistent regenerator caches (see
-	// State.regenAvail/wRegen), so LoadSnapshot restores them with copies
-	// instead of an O(n) recompute.
-	regenAvail bitset.Set
-	wRegen     []float64
-	nextID     int
-
-	effLinks []topology.Link // (U, V)-sorted, Count == built
-
 	tight    bool // scarcity margin violated (or an alternate route was needed)
 	resShort bool // some shortfall was resource-driven, not static
 }
-
-// N returns the number of network-layer sites of the snapshot's topology.
-func (sn *Snapshot) N() int { return sn.n }
 
 // TrustedBase reports whether deltas against this snapshot are eligible for
 // trust at all. A base qualifies when no resource is near exhaustion (not
@@ -114,10 +97,6 @@ func (sn *Snapshot) N() int { return sn.n }
 // and therefore cannot diverge; a resource-driven shortfall, by contrast,
 // means some pool or fiber is exhausted and order starts to matter.
 func (sn *Snapshot) TrustedBase() bool { return !sn.resShort && !sn.tight }
-
-// EffLinks returns the (U, V)-sorted effective links. Read-only; valid until
-// the next Build on this Snapshot.
-func (sn *Snapshot) EffLinks() []topology.Link { return sn.effLinks }
 
 // findLink binary-searches the snapshot's sorted links for canonical (u, v).
 func (sn *Snapshot) findLink(u, v int) *snapLink {
@@ -143,18 +122,16 @@ func (sn *Snapshot) findLink(u, v int) *snapLink {
 // BuildSnapshot provisions the topology from scratch — making exactly the
 // same decisions as ProvisionTopology/ProvisionEffectiveEnum — and freezes the
 // result into snap, reusing snap's buffers. The receiver State is left
-// holding precisely the snapshot occupancy, i.e. already "loaded".
+// holding precisely the snapshot occupancy, which ProvisionDelta starts from.
 func (s *State) BuildSnapshot(snap *Snapshot, ls *topology.LinkSet) {
 	s.Reset()
 	sc := s.scratchBuf()
 	sc.links = ls.AppendLinks(sc.links[:0])
 
-	snap.n = ls.N
 	snap.links = snap.links[:0]
 	snap.circs = snap.circs[:0]
 	snap.segs = snap.segs[:0]
 	snap.regs = snap.regs[:0]
-	snap.effLinks = snap.effLinks[:0]
 	snap.tight = false
 	snap.resShort = false
 
@@ -175,30 +152,8 @@ func (s *State) BuildSnapshot(snap *Snapshot, ls *topology.LinkSet) {
 				snap.resShort = true
 			}
 		}
-		if sl.built > 0 {
-			snap.effLinks = append(snap.effLinks, topology.Link{U: l.U, V: l.V, Count: sl.built})
-		}
 		snap.links = append(snap.links, sl)
 	}
-
-	// Freeze occupancy.
-	if len(snap.fiberUse) != len(s.fiberUse) {
-		snap.fiberUse = make([]waveSet, len(s.fiberUse))
-	}
-	for id, w := range s.fiberUse {
-		if w == nil {
-			snap.fiberUse[id] = nil
-			continue
-		}
-		if len(snap.fiberUse[id]) != len(w) {
-			snap.fiberUse[id] = make(waveSet, len(w))
-		}
-		copy(snap.fiberUse[id], w)
-	}
-	snap.regenFree = append(snap.regenFree[:0], s.regenFree...)
-	snap.regenAvail = append(snap.regenAvail[:0], s.regenAvail...)
-	snap.wRegen = append(snap.wRegen[:0], s.wRegen...)
-	snap.nextID = s.nextID
 
 	// Scarcity guard.
 	for id, w := range s.fiberUse {
@@ -247,30 +202,6 @@ func (s *State) provisionSnap(snap *Snapshot, src, dst int) bool {
 	s.nextID++
 	snap.circs = append(snap.circs, c)
 	return true
-}
-
-// LoadSnapshot copies the snapshot occupancy into the State, which must
-// belong to the same Network. After this the State is positioned exactly as
-// if it had just provisioned the snapshot's base topology.
-func (s *State) LoadSnapshot(snap *Snapshot) {
-	for id, w := range snap.fiberUse {
-		if w == nil {
-			continue
-		}
-		copy(s.fiberUse[id], w)
-		// The availability index follows in the same pass: free is the
-		// capacity mask minus the snapshot occupancy (the invariant
-		// claimWave/freeWave maintain incrementally).
-		f0, ff := s.fiberFree0[id], s.fiberFree[id]
-		for j := range w {
-			ff[j] = f0[j] &^ w[j]
-		}
-	}
-	s.waveEpoch++
-	copy(s.regenFree, snap.regenFree)
-	s.regenAvail.Copy(snap.regenAvail)
-	copy(s.wRegen, snap.wRegen)
-	s.nextID = snap.nextID
 }
 
 // waveOp is one journaled wavelength-bit mutation.
@@ -371,10 +302,10 @@ func (s *State) lambdaAvoiding(ids []int, j *Journal) int {
 // snapshot base by the given net link changes: removed[i].Count circuits
 // torn down per removed pair, added[i].Count provisioned per added pair (a
 // pair must not appear in both). The State must hold the snapshot occupancy
-// (LoadSnapshot or a fresh Build). It returns the (U, V)-sorted patch of
-// NEW effective counts for every touched pair — the exact shape
-// alloc.(*Allocator).ThroughputPatched consumes — plus whether the result
-// is trusted to be bit-identical to cold provisioning of the candidate.
+// (a fresh Build, or a RevertDelta after one). It returns the (U, V)-sorted
+// patch of NEW effective counts for every touched pair — the shape
+// topology.MergePatch takes — plus whether the result is trusted to be
+// bit-identical to cold provisioning of the candidate.
 // Untrusted results must be recomputed on the cold path; either way the
 // caller must RevertDelta afterwards to restore the snapshot occupancy.
 func (s *State) ProvisionDelta(snap *Snapshot, removed, added []topology.Link, j *Journal) ([]topology.Link, bool) {
@@ -446,8 +377,8 @@ func (s *State) ProvisionDelta(snap *Snapshot, removed, added []topology.Link, j
 		j.patch = append(j.patch, topology.Link{U: a.U, V: a.V, Count: base + built})
 	}
 
-	// The patch came out in caller list order; ThroughputPatched and
-	// MergePatch need (U, V)-sorted.
+	// The patch came out in caller list order; MergePatch needs
+	// (U, V)-sorted.
 	for i := 1; i < len(j.patch); i++ {
 		for k := i; k > 0 && (j.patch[k].U < j.patch[k-1].U ||
 			(j.patch[k].U == j.patch[k-1].U && j.patch[k].V < j.patch[k-1].V)); k-- {

@@ -102,7 +102,7 @@ type State struct {
 	// is its empty-network image (the per-fiber capacity mask), immutable
 	// and shared by clones; free = fiberFree0 &^ fiberUse always. Both are
 	// maintained at the single wavelength mutation points claimWave/freeWave
-	// (plus the bulk images in Reset/LoadSnapshot), mirroring how setRegen
+	// (plus the bulk image in Reset), mirroring how setRegen
 	// maintains regenAvail/wRegen, so routeLambda intersects a handful of
 	// words instead of probing fiberUse bit by bit. waveEpoch counts
 	// wavelength-bit mutations; the per-pair segment cache in provScratch
@@ -308,8 +308,8 @@ func (s *State) freeWave(f, l int) {
 
 // setRegen is the single incremental mutation point for a site's regenerator
 // pool: it keeps regenFree, the availability mask, and the weight cache in
-// sync. Bulk pool updates (Reset, LoadSnapshot) restore the caches from
-// precomputed or snapshotted images instead.
+// sync. Reset, the bulk pool update, restores the caches from precomputed
+// images instead.
 func (s *State) setRegen(v, n int) {
 	s.regenFree[v] = n
 	if n > 0 {

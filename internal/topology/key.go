@@ -60,7 +60,7 @@ func KeyHash(key []byte) uint64 {
 // base count. The output is byte-for-byte the enumeration AppendLinks would
 // produce for the patched multiset, so a retained base list plus a small
 // patch substitutes for re-enumerating (and re-sorting) a whole LinkSet —
-// the warm-load trick behind alloc.(*Allocator).ThroughputPatched.
+// how the annealing search keys and evaluates a move-list candidate.
 func MergePatch(dst []Link, base []Link, patch []Link) []Link {
 	i, j := 0, 0
 	for i < len(base) && j < len(patch) {
