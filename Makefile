@@ -62,11 +62,13 @@ bench-module:
 # effective links against cold provisioning, the 300-seed search with
 # the memo and persistent evaluator against the no-memo reference, slot by
 # slot through a fiber cut, the move generator against the swapOnce
-# reference draw for draw, and the search, with candidates materialized
-# eagerly and lazily, against its committed fingerprint.
+# reference draw for draw, the search, with candidates materialized
+# eagerly and lazily, against its committed fingerprint, and the regenerator
+# route's exhaustion proof, query by query, against the materialized transit
+# graph and Yen and against a queue search for a feasible chain.
 claims:
 	$(GO) test -count=1 \
-		-run 'TestAllocatorMatchesReferenceGreedy|TestAllocatorMatchesReferenceSequential|TestAllocatorWideMatchesReference|TestAllocatorQuadMatchesReference|TestAllocatorReuseAcrossTopologySizes|TestClaimRepairDifferential|TestClaimReuseMatchesReference|TestLambdaIndexMatchesOccupancy|TestViewMatchesScratchSort|TestMemoLinksRoundTrip|TestWithoutFiberAlternateCacheMigration|TestPersistentEvaluatorMatchesFresh|TestNeighborMovesMatchesComputeNeighbor|TestSearchFingerprint' \
+		-run 'TestAllocatorMatchesReferenceGreedy|TestAllocatorMatchesReferenceSequential|TestAllocatorWideMatchesReference|TestAllocatorQuadMatchesReference|TestAllocatorReuseAcrossTopologySizes|TestClaimRepairDifferential|TestClaimReuseMatchesReference|TestLambdaIndexMatchesOccupancy|TestViewMatchesScratchSort|TestMemoLinksRoundTrip|TestWithoutFiberAlternateCacheMigration|TestPersistentEvaluatorMatchesFresh|TestNeighborMovesMatchesComputeNeighbor|TestSearchFingerprint|TestRegenRouteExhaustionProof' \
 		./internal/alloc/ ./internal/optical/ ./internal/topology/ ./internal/core/
 
 # update replays the flat update scheduler's pinning suite with the test

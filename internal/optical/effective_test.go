@@ -94,3 +94,34 @@ func BenchmarkProvisionEffective(b *testing.B) {
 		s.ProvisionEffectiveEnum(ls)
 	}
 }
+
+// BenchmarkProvisionEffectiveISP200Loaded measures the record-free
+// realization on 200 sites under load: a fixed, seeded topology that spends
+// every router port on random site pairs, most of them too far apart for one
+// segment. Many circuits then need regenerators, and the regenerator routes
+// run out of wavelengths, so findRegenRoute reaches its Yen fallback — the
+// case the simulator's 200-site slots spend their provisioning time in.
+func BenchmarkProvisionEffectiveISP200Loaded(b *testing.B) {
+	net := topology.ISP(200, 10, 1)
+	n := net.NumSites()
+	free := make([]int, n)
+	for i, site := range net.Sites {
+		free[i] = site.RouterPorts
+	}
+	rng := rand.New(rand.NewSource(1))
+	ls := topology.NewLinkSet(n)
+	for i := 0; i < 100*n; i++ {
+		if u, v := rng.Intn(n), rng.Intn(n); u != v && free[u] > 0 && free[v] > 0 {
+			ls.Add(u, v, 1)
+			free[u]--
+			free[v]--
+		}
+	}
+	s := NewState(net)
+	s.ProvisionEffectiveEnum(ls) // build the route tables and warm the scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.ProvisionEffectiveEnum(ls)
+	}
+}

@@ -191,6 +191,8 @@ type State struct {
 type provScratch struct {
 	nodes     []int           // regenerator-graph node list
 	nodeMaskW bitset.Set      // vertex set of the mask Dijkstra
+	reached   bitset.Set      // sites exhaustedFrom has reached
+	stack     []int           // exhaustedFrom's sites still to expand
 	need      []int           // per-site regenerator need (routeBuildable)
 	hops      []int           // hopsOf result buffer
 	tg        *graph.Graph    // regenerator transit graph, Reset per route
@@ -686,11 +688,26 @@ func (s *State) provision(src, dst int, record bool) (*Circuit, error) {
 }
 
 // findRegenRoute picks the sequence of sites (src, regenerators..., dst)
-// for a new circuit. It builds the regenerator graph, weights nodes by
-// 1/remaining-regenerators (endpoints weigh zero), transforms node weights
-// into edge weights on a directed graph (each directed edge carries the
-// weight of its head node, Figure 5 of the paper), and then iterates the
-// shortest feasible paths, checking per-segment wavelength availability.
+// for a new circuit. The regenerator graph has src, dst and every site with
+// a spare regenerator as vertices and an arc wherever a single segment is
+// within reach; nodes are weighted by 1/remaining-regenerators (endpoints
+// weigh zero) and node weights become edge weights on a directed graph (each
+// directed edge carries the weight of its head node, Figure 5 of the paper).
+// The shortest feasible paths are then tried in order, checking per-segment
+// wavelength availability.
+//
+// With the reach masks (reachMaskW non-nil) the graph is only built when
+// Yen's enumeration can succeed. The mask Dijkstra finds the shortest path
+// without it; if that path is not buildable, exhaustedFrom runs first, and
+// when it proves no chain of feasible segments joins src to dst the query
+// fails at once. That proof is exact: every Yen path is a simple path over
+// the same vertex set and the same reach arcs, and a simple path is
+// buildable exactly when each of its segments is feasible (its interior
+// sites are distinct and each has a spare regenerator). So the materialized
+// graph and Yen run only for the queries that may still succeed, and their
+// first path, the one just shown unbuildable, is not re-run on its own. With
+// reachMaskW nil every query builds the graph and runs the shortest path and
+// then Yen on it; the differential tests use that as the reference.
 //
 // The transit graph, node list, and path scratch are reused from the
 // State's scratch area; the returned hop slice is also scratch-owned and
@@ -713,38 +730,16 @@ func (s *State) findRegenRoute(src, dst int) ([]int, error) {
 	s.segmentOnly = false // this query needs the regenerator graph
 	ns := s.net.NumSites()
 	sc := s.scratchBuf()
-	// Mask fast path: run the node-weighted Dijkstra directly on the reach
-	// bitmasks — bit-identical to building the transit graph and searching
-	// it (see MaskShortestNodeWeightedW) — and only fall through to the
-	// materialized graph when the shortest route is not buildable and Yen's
-	// enumeration is needed. (With reachMaskW nil every query takes the
-	// materialized path; the differential tests use that as the reference.)
 	if s.reachMaskW != nil {
-		// The vertex set is the persistent availability mask regenAvail plus
-		// the endpoints — a word copy, not an O(n) scan — and the weights
-		// come straight from the persistent wRegen cache; both are
-		// maintained at every pool mutation. The endpoints join the set for
-		// the duration of the query with weight 0, exactly as the scan set
-		// them: w[src] is never read (no relaxation can beat dist[src] = 0
-		// with non-negative weights) and w[dst] must be 0. Where the
-		// availability bit is clear the cached weight is stale, but such
-		// vertices are outside the vertex set and the Dijkstra never reads
-		// them.
-		w := s.wRegen
-		sc.nodeMaskW = bitset.Grow(sc.nodeMaskW, ns)
-		sc.nodeMaskW.Copy(s.regenAvail)
-		sc.nodeMaskW.Set(src)
-		sc.nodeMaskW.Set(dst)
-		wSrc, wDst := w[src], w[dst]
-		w[src], w[dst] = 0, 0
-		hops, ok := graph.MaskShortestNodeWeightedW(&sc.sp, s.reachMaskW, s.maskW, sc.nodeMaskW, w, src, dst, sc.hops[:0])
-		w[src], w[dst] = wSrc, wDst
+		hops, ok := s.maskRoute(src, dst)
 		if !ok {
 			return nil, errNoRegenRoute
 		}
-		sc.hops = hops
 		if s.routeBuildable(hops) {
 			return hops, nil
+		}
+		if s.exhaustedFrom(src, dst) {
+			return nil, errExhausted
 		}
 	}
 	// Nodes of the regenerator graph: src, dst, and sites with spare regens.
@@ -786,16 +781,18 @@ func (s *State) findRegenRoute(src, dst int) ([]int, error) {
 			}
 		}
 	}
-	// Try the single shortest path first (cheap), then fall back to Yen's
-	// k-shortest enumeration only when it is not buildable: wavelengths may
-	// be exhausted on some segment, or an interior site may be short of
-	// regenerators for a path that revisits it.
-	sp := tg.ShortestPathScratch(&sc.sp, srcIdx, dstIdx)
-	if sp == nil {
-		return nil, errNoRegenRoute
-	}
-	if hops := s.hopsOf(sp, nodes); s.routeBuildable(hops) {
-		return hops, nil
+	if s.reachMaskW == nil {
+		// Try the single shortest path first (cheap), then fall back to
+		// Yen's k-shortest enumeration only when it is not buildable:
+		// wavelengths may be exhausted on some segment, or an interior site
+		// may be short of regenerators for a path that revisits it.
+		sp := tg.ShortestPathScratch(&sc.sp, srcIdx, dstIdx)
+		if sp == nil {
+			return nil, errNoRegenRoute
+		}
+		if hops := s.hopsOf(sp, nodes); s.routeBuildable(hops) {
+			return hops, nil
+		}
 	}
 	const kPaths = 6
 	paths := tg.KShortestPathsScratch(&sc.sp, srcIdx, dstIdx, kPaths)
@@ -806,6 +803,71 @@ func (s *State) findRegenRoute(src, dst int) ([]int, error) {
 		}
 	}
 	return nil, errExhausted
+}
+
+// maskRoute runs the node-weighted Dijkstra of findRegenRoute directly on
+// the reach bitmasks — bit-identical to building the transit graph and
+// searching it (see MaskShortestNodeWeightedW). It leaves the query's
+// vertex set in the scratch nodeMaskW for exhaustedFrom. The returned hops
+// are scratch-owned like findRegenRoute's.
+func (s *State) maskRoute(src, dst int) ([]int, bool) {
+	sc := s.scratchBuf()
+	// The vertex set is the persistent availability mask regenAvail plus
+	// the endpoints — a word copy, not an O(n) scan — and the weights come
+	// straight from the persistent wRegen cache; both are maintained at
+	// every pool mutation. The endpoints join the set for the duration of
+	// the query with weight 0, exactly as the scan set them: w[src] is never
+	// read (no relaxation can beat dist[src] = 0 with non-negative weights)
+	// and w[dst] must be 0. Where the availability bit is clear the cached
+	// weight is stale, but such vertices are outside the vertex set and the
+	// Dijkstra never reads them.
+	w := s.wRegen
+	sc.nodeMaskW = bitset.Grow(sc.nodeMaskW, s.net.NumSites())
+	sc.nodeMaskW.Copy(s.regenAvail)
+	sc.nodeMaskW.Set(src)
+	sc.nodeMaskW.Set(dst)
+	wSrc, wDst := w[src], w[dst]
+	w[src], w[dst] = 0, 0
+	hops, ok := graph.MaskShortestNodeWeightedW(&sc.sp, s.reachMaskW, s.maskW, sc.nodeMaskW, w, src, dst, sc.hops[:0])
+	w[src], w[dst] = wSrc, wDst
+	if ok {
+		sc.hops = hops
+	}
+	return hops, ok
+}
+
+// exhaustedFrom reports whether no chain of feasible segments joins src to
+// dst through the vertex set maskRoute left in nodeMaskW: a reachability
+// search from src that walks the reach rows a word at a time, masked by the
+// vertex set and the sites already reached, and follows an arc only where
+// segmentFeasible finds a wavelength on it. True means every path of the
+// regenerator graph has an infeasible segment.
+func (s *State) exhaustedFrom(src, dst int) bool {
+	sc := s.scratchBuf()
+	words := s.maskW
+	sc.reached = bitset.Grow(sc.reached, s.net.NumSites())
+	reached, through := sc.reached, sc.nodeMaskW
+	reached.Set(src)
+	sc.stack = append(sc.stack[:0], src)
+	for len(sc.stack) > 0 {
+		u := sc.stack[len(sc.stack)-1]
+		sc.stack = sc.stack[:len(sc.stack)-1]
+		row := s.reachMaskW[u*words : (u+1)*words]
+		for wi, rw := range row {
+			for m := rw & through[wi] &^ reached[wi]; m != 0; m &= m - 1 {
+				v := wi<<6 + bits.TrailingZeros64(m)
+				if _, l := s.segmentFeasible(u, v); l < 0 {
+					continue
+				}
+				if v == dst {
+					return false
+				}
+				reached[wi] |= m & -m
+				sc.stack = append(sc.stack, v)
+			}
+		}
+	}
+	return true
 }
 
 // hopsOf maps a path in the transformed regenerator graph back to site ids.

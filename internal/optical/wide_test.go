@@ -13,7 +13,7 @@ import (
 // differential: provisioning with the reach masks (reachMaskW, one row per
 // site at every network size) must produce exactly the effective topology
 // the materialized transit-graph path does, on networks inside one word
-// (ISP40, Internet2, InterDC-25) and past it (ISP80, ISP100). The
+// (ISP40, Internet2, InterDC-25) and past it (ISP80, ISP100, ISP200). The
 // materialized reference is obtained by nil-ing the mask on a sibling State —
 // the findRegenRoute branch falls through to building the regenerator graph.
 func TestWideMaskRoutingMatchesMaterialized(t *testing.T) {
@@ -23,6 +23,7 @@ func TestWideMaskRoutingMatchesMaterialized(t *testing.T) {
 		topology.InterDC(25, 5, 8, 2),
 		topology.ISP(100, 10, 1),
 		topology.ISP(80, 8, 2),
+		topology.ISP(200, 10, 1),
 	}
 	for ni, net := range nets {
 		n := net.NumSites()
