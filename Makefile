@@ -49,11 +49,13 @@ bench-module:
 	$(GO) test -C bench -count=1 .
 
 # claims replays the incremental-engine differentials with the test cache
-# defeated: the allocator's engines against the map-based reference
-# allocator — small graphs and every word-boundary size (2-256 sites), one-,
-# two- and three/four-word rows, row widths growing and shrinking on one
-# allocator, and claim-tree reuse with its fast-path, repair, extension and
-# cold-build paths each exercised — the
+# defeated: the allocator's two engines (the resumable bound sweep and the
+# claim search) against the map-based reference allocator — small graphs and
+# every word-boundary size (2-256 sites), one-, two- and three/four-word
+# rows, row widths growing and shrinking on one allocator, the bound sweep
+# across its sparse/dense frontier crossing, and claim-tree reuse with its
+# fast-path, repair, extension and cold-build paths each exercised, in the
+# tiered and the sequential variant — the
 # wavelength-availability index against the from-scratch occupancy scan, the
 # LinkSet's sorted view, view-merge Diff, view Equal and cached circuit total
 # against a scratch sort and the map walks they replaced, the memo's compact
@@ -68,7 +70,7 @@ bench-module:
 # graph and Yen and against a queue search for a feasible chain.
 claims:
 	$(GO) test -count=1 \
-		-run 'TestAllocatorMatchesReferenceGreedy|TestAllocatorMatchesReferenceSequential|TestAllocatorWideMatchesReference|TestAllocatorQuadMatchesReference|TestAllocatorReuseAcrossTopologySizes|TestClaimRepairDifferential|TestClaimReuseMatchesReference|TestLambdaIndexMatchesOccupancy|TestViewMatchesScratchSort|TestMemoLinksRoundTrip|TestWithoutFiberAlternateCacheMigration|TestPersistentEvaluatorMatchesFresh|TestNeighborMovesMatchesComputeNeighbor|TestSearchFingerprint|TestRegenRouteExhaustionProof' \
+		-run 'TestAllocatorMatchesReferenceGreedy|TestAllocatorMatchesReferenceSequential|TestAllocatorWideMatchesReference|TestAllocatorQuadMatchesReference|TestFrontierSparseDenseCrossing|TestAllocatorReuseAcrossTopologySizes|TestClaimRepairDifferential|TestClaimReuseMatchesReference|TestLambdaIndexMatchesOccupancy|TestViewMatchesScratchSort|TestMemoLinksRoundTrip|TestWithoutFiberAlternateCacheMigration|TestPersistentEvaluatorMatchesFresh|TestNeighborMovesMatchesComputeNeighbor|TestSearchFingerprint|TestRegenRouteExhaustionProof' \
 		./internal/alloc/ ./internal/optical/ ./internal/topology/ ./internal/core/
 
 # update replays the flat update scheduler's pinning suite with the test

@@ -58,7 +58,6 @@ type Allocator struct {
 	// two stores instead of four.
 	stampDist []int64 // rowGen<<32 | hop count, per (src, node)
 	prevNE    []int64 // prevEdge<<32 | prevNode, per (src, node)
-	queue     []int32
 	rowGen    []int32 // per src: gen of the latest search from src
 	gen       int32
 
@@ -81,21 +80,6 @@ type Allocator struct {
 	probeFull []bool
 	loadGen   int32
 
-	// BFS-tree reuse across takes. A minimum-hop tree depends only on WHICH
-	// edges have positive residual, not on the residual values, so a row
-	// stays exactly current — prev chains included, claims and all — until
-	// an edge its search scanned as a prev edge saturates. Removing any
-	// OTHER edge cannot change the tree: a skipped or unscanned edge
-	// contributed nothing, and shrinking the graph preserves unreachability.
-	//
-	// The books are bitsets over sources: usedBy[e] collects the sources
-	// whose current tree holds e as a prev edge (one OR per label), and a
-	// saturation clears exactly those sources from rowLive. Stale usedBy
-	// bits from superseded trees only ever force a redundant re-search,
-	// never a wrong answer.
-	rowLive []uint64 // mw
-	usedBy  []uint64 // m*mw
-
 	// act is the tier loop's active-demand list (indices with unmet rate
 	// and a reachable next tier), compacted in place each tier so the scan
 	// cost tracks the number of live demands instead of all of them.
@@ -105,17 +89,16 @@ type Allocator struct {
 	// internal/bitset layout (one word when n <= 64). liveAdj row v holds
 	// one bit per neighbor w reachable over an edge with positive residual;
 	// take clears bits as edges saturate, so a search's inner loop is
-	// `liveAdj[v] &^ labeled`, and word-ascending, bit-ascending iteration
+	// `liveAdj[v] &^ visited`, and word-ascending, bit-ascending iteration
 	// visits, labels, and enqueues in exactly the reference order — results
 	// stay bit-identical, which the differential suites assert.
 	// edgeOf[v*n+w] maps a live pair back to its edge id for the prev
 	// chain; entries for non-adjacent pairs are never read, so the array
-	// needs no clearing between loads. labeled is the per-search visited
-	// bitset.
+	// needs no clearing between loads.
 	mw      int
 	liveAdj []uint64 // n*mw
 	edgeOf  []int32  // n*n
-	labeled []uint64 // mw
+
 	// Failure cuts. Within one run residual capacities only decrease, so
 	// the node set V a failed search visited is a saturated cut that stays
 	// saturated: no member of V can reach a non-member for the rest of the
@@ -124,7 +107,7 @@ type Allocator struct {
 	// Monotone unions make duplicate cuts free.
 	doomed []uint64 // n*mw
 
-	// Claim-tree store (see the claim-repair comment in bidi.go).
+	// Claim-tree store (see the claim-repair comment in engines.go).
 	// claimSearch persists the canonical BFS tree it builds — labeling order
 	// (cQueue), level boundaries (cEnds), labeled bitmap (cVis), last
 	// complete level (cDepth) — per source, alongside the prev chains
@@ -141,25 +124,14 @@ type Allocator struct {
 	cVis   []uint64 // n*mw
 	cGen   []int32
 
-	// Resumable sweep rows (see bidi.go): per-source visited and frontier
-	// bitmaps (mw words each) plus the last completed level, so a suspended
-	// stamp sweep picks up where it stopped instead of re-walking the
-	// component. Validity rides on rowGen, like the stamps the sweep writes.
+	// Resumable sweep rows (see engines.go): per-source visited and
+	// frontier bitmaps (mw words each) plus the last completed level, so a
+	// suspended stamp sweep picks up where it stopped instead of re-walking
+	// the component. Validity rides on rowGen, like the stamps the sweep
+	// writes. sNext is the sweep's next-level accumulator (mw words).
 	sVis, sFront []uint64
 	sLevel       []int32
-
-	// Bidirectional-search scratch (see bidi.go): visited and frontier
-	// bitmaps for both ends plus the next-level accumulator (mw words
-	// each), the sparse frontier id lists (capacity n, so the level sweeps
-	// never allocate), and the sweep's private generation-stamped level
-	// arrays — private so a pure distance query never clobbers the probe
-	// memo rows.
-	bVisS, bVisD []uint64
-	bFrS, bFrD   []uint64
-	bNext        []uint64
-	bIDsS, bIDsD []int32
-	bLvS, bLvD   []int64
-	bGen         int32
+	sNext        []uint64
 
 	// Per-source frontier id list (resumeStamp): while a sweep's frontier
 	// holds at most bSparse nodes, its members are listed in the source's
@@ -237,29 +209,18 @@ func (a *Allocator) loadFromLinks(n int, theta float64) {
 		a.probeFull = make([]bool, n)
 	}
 	a.probeFull = a.probeFull[:n]
+	// Every row of this load is stamped above loadGen. Advancing gen here
+	// makes a claim tree built before any sweep of the load (the sequential
+	// variant runs no sweep at all) live for the rest of the load.
 	a.loadGen = a.gen
+	a.gen++
 
-	// Private level arrays for the bidirectional distance query; gen-stamped
-	// like stampDist so starting a query is O(1), with the same wrap guard.
-	if a.bGen > math.MaxInt32/2 {
-		clear(a.bLvS)
-		clear(a.bLvD)
-		a.bGen = 0
-	}
-	a.bLvS = grow64(a.bLvS, n)
-	a.bLvD = grow64(a.bLvD, n)
-	a.bIDsS = grow32(a.bIDsS, n)[:0]
-	a.bIDsD = grow32(a.bIDsD, n)[:0]
-	a.bVisS = growU(a.bVisS, mw)
-	a.bVisD = growU(a.bVisD, mw)
-	a.bFrS = growU(a.bFrS, mw)
-	a.bFrD = growU(a.bFrD, mw)
-	a.bNext = growU(a.bNext, mw)
 	// Sweep and claim-tree rows need no clearing: rowGen and cGen gate
 	// every read, and a stale stamp can never exceed the fresh loadGen.
 	a.sVis = growU(a.sVis, n*mw)
 	a.sFront = growU(a.sFront, n*mw)
 	a.sLevel = grow32(a.sLevel, n)
+	a.sNext = growU(a.sNext, mw)
 	a.sFrIDs = grow32(a.sFrIDs, n*bSparse)
 	a.sFrCnt = grow32(a.sFrCnt, n)
 	a.cQueue = grow32(a.cQueue, n*n)
@@ -272,11 +233,6 @@ func (a *Allocator) loadFromLinks(n int, theta float64) {
 	clear(a.liveAdj)
 	a.doomed = growU(a.doomed, n*mw) // residuals are fresh: no cut holds yet
 	clear(a.doomed)
-	a.usedBy = growU(a.usedBy, m*mw)
-	clear(a.usedBy)
-	a.rowLive = growU(a.rowLive, mw)
-	clear(a.rowLive)
-	a.labeled = growU(a.labeled, mw)
 	a.edgeOf = grow32(a.edgeOf, n*n)
 	for e, l := range a.links {
 		a.caps[e] = float64(l.Count) * theta
@@ -329,88 +285,6 @@ func (a *Allocator) doomCut(visited []uint64) {
 	}
 }
 
-// shortestResidual runs a minimum-hop BFS from src to dst over links with
-// positive residual capacity, leaving the prevNode/prevEdge chain and hop
-// count behind. It reports whether dst was reached. It serves the
-// sequential variant; the tiered loop uses the engines in bidi.go.
-//
-// Two exact shortcuts keep it cheap without changing a single result:
-//
-//   - Failure cuts. Within one run residual capacities only decrease (take
-//     subtracts, nothing adds), so when a BFS fails, every edge leaving its
-//     visited set V had residual <= eps and will keep it for the rest of the
-//     run. Any later query with src in V and dst outside V is doomed, and
-//     cutHit answers it from one bit test. Callers never read dist/prev
-//     after a failure, so skipping the search is observationally identical.
-//
-//   - Early exit. The search stops the moment dst is labeled rather than
-//     dequeued. dst's dist and prev chain are fixed at labeling time (the
-//     scan order is identical to the full BFS up to that point), and the
-//     nodes a full BFS would label afterwards influence nothing: bottleneck,
-//     take and materializePath only walk dst's prev chain.
-func (a *Allocator) shortestResidual(src, dst int) bool {
-	// Tree reuse: src's latest tree is exactly current if no prev edge of
-	// it has saturated since it was built (its rowLive bit). A labeled dst
-	// means its prev chain is ready to claim as-is; an unlabeled dst in a
-	// full scan is unreachable (and its cut was recorded by the search that
-	// built the tree). Only a truncated tree that stopped short of dst needs
-	// a fresh search.
-	sw, sb := src>>6, uint(src&63)
-	if a.rowGen[src] > a.loadGen && a.rowLive[sw]>>sb&1 == 1 {
-		if int32(a.stampDist[src*a.n+dst]>>32) == a.rowGen[src] {
-			return true
-		}
-		if a.probeFull[src] {
-			return false
-		}
-	}
-	if a.cutHit(src, dst) {
-		return false
-	}
-	a.gen++
-	n, mw := a.n, a.mw
-	stampDist := a.stampDist[src*n : src*n+n]
-	prevNE := a.prevNE[src*n : src*n+n]
-	edgeOf := a.edgeOf
-	stampDist[src] = int64(a.gen) << 32
-	a.rowGen[src] = a.gen
-	a.rowLive[sw] |= 1 << sb
-	lab := a.labeled[:mw]
-	clear(lab)
-	lab[sw] |= 1 << sb
-	a.queue = append(a.queue[:0], int32(src))
-	for head := 0; head < len(a.queue); head++ {
-		v := a.queue[head]
-		// dist+1 never carries into the stamp half (hop counts stay < n).
-		sdv := stampDist[v] + 1
-		vLow := int64(v)
-		vRow := a.liveAdj[int(v)*mw : int(v)*mw+mw]
-		for wi := 0; wi < mw; wi++ {
-			nw := vRow[wi] &^ lab[wi]
-			if nw == 0 {
-				continue
-			}
-			lab[wi] |= nw
-			base := wi << 6
-			for ; nw != 0; nw &= nw - 1 {
-				w := int32(base + bits.TrailingZeros64(nw))
-				e := edgeOf[int(v)*n+int(w)]
-				stampDist[w] = sdv
-				prevNE[w] = int64(e)<<32 | vLow
-				a.usedBy[int(e)*mw+sw] |= 1 << sb
-				if int(w) == dst {
-					a.probeFull[src] = false
-					return true
-				}
-				a.queue = append(a.queue, w)
-			}
-		}
-	}
-	a.probeFull[src] = true
-	a.doomCut(lab)
-	return false
-}
-
 // probe answers (src, dst) reachability questions from the tree src's
 // latest search this load left in its row. Because residuals only decrease
 // within a run, a labeled dst yields a permanent lower bound on the current
@@ -448,11 +322,12 @@ func (a *Allocator) bottleneck(src, dst int) float64 {
 }
 
 // take subtracts rate from every edge of the found path by walking the
-// prev chain. Probe memos need no invalidation here: removing capacity only
-// shrinks the positive-residual graph, which preserves every bound probe
-// is allowed to report. Edges that saturate leave the live-neighbor rows
-// immediately — the same <= resEps test the load applies, so the rows and
-// the capacities never disagree.
+// prev chain. Neither probe memos nor claim trees need invalidation here:
+// removing capacity only shrinks the positive-residual graph, which
+// preserves every bound probe is allowed to report, and claimSearch checks
+// a stored tree's prev edges lazily when it next reads it. Edges that
+// saturate leave the live-neighbor rows immediately — the same <= resEps
+// test the load applies, so the rows and the capacities never disagree.
 func (a *Allocator) take(src, dst int, rate float64) {
 	r := src * a.n
 	mw := a.mw
@@ -462,10 +337,6 @@ func (a *Allocator) take(src, dst int, rate float64) {
 		a.caps[e] -= rate
 		u := int32(pv)
 		if a.caps[e] <= resEps {
-			ub := a.usedBy[int(e)*mw : int(e)*mw+mw]
-			for wi, b := range ub {
-				a.rowLive[wi] &^= b // only trees holding e as a prev edge go stale
-			}
 			a.liveAdj[int(u)*mw+int(v)>>6] &^= 1 << uint(v&63)
 			a.liveAdj[int(v)*mw+int(u)>>6] &^= 1 << uint(u&63)
 		}
@@ -511,7 +382,7 @@ func (a *Allocator) runLoaded(demands []Demand, tiered bool, rec func(i int, rat
 			d := &demands[i]
 			unmet := d.RateGbps
 			for unmet > eps {
-				if !a.shortestResidual(d.Src, d.Dst) {
+				if found, _ := a.claimSearch(d.Src, d.Dst); !found {
 					break
 				}
 				rate := math.Min(unmet, a.bottleneck(d.Src, d.Dst))
@@ -554,20 +425,19 @@ func (a *Allocator) runLoaded(demands []Demand, tiered bool, rec func(i int, rat
 				continue
 			}
 			for a.unmet[i] > eps {
-				// Engine selection (see bidi.go). The two non-claiming
+				// Engine selection (see engines.go). The two non-claiming
 				// verdicts — unreachable, or reachable only beyond this tier
-				// — are settled without ever building a tree: a probe miss
-				// advances the source's resumable sweep row just far enough
-				// to bound dst (the row then feeds every later probe from
-				// this source), and a probe hit whose bound decayed (stamped
-				// at an earlier tier than is asking) is re-verified by the
-				// bidirectional query, cheap precisely because the bound was
-				// small. A bound that fits the tier falls through to the
+				// — are settled without building a tree where a bound
+				// already answers them: a probe miss advances the source's
+				// resumable sweep row just far enough to bound dst (the row
+				// then feeds every later probe from this source). A bound
+				// that fits the tier, or that decayed below it (stamped at
+				// an earlier tier than is asking), falls through to the
 				// stealth claim search, whose exact current distance either
-				// confirms the claim — leaving the canonical prev chain for
+				// confirms the claim — leaving the reference prev chain for
 				// bottleneck/take — or yields the exact deferral tier. Lower
 				// bounds only ever re-examine a demand EARLIER than the
-				// canonical flow would, where the claim search repeats the
+				// reference flow would, where the claim search repeats the
 				// comparison, so which claims happen, in which order, at
 				// which rates, is bit-identical.
 				//
@@ -586,17 +456,6 @@ func (a *Allocator) runLoaded(demands []Demand, tiered bool, rec func(i int, rat
 					if hops > l {
 						a.nextTier[i] = hops
 						break
-					}
-					if hops < l {
-						found, hops = a.searchBounded(d.Src, d.Dst)
-						if !found {
-							a.nextTier[i] = math.MaxInt
-							break
-						}
-						if hops > l {
-							a.nextTier[i] = hops
-							break
-						}
 					}
 				} else {
 					// Advance whichever side already holds a row; start one

@@ -145,7 +145,10 @@ func TestAllocatorMatchesReferenceGreedy(t *testing.T) {
 }
 
 // TestAllocatorMatchesReferenceSequential is the same differential for the
-// no-tier ablation variant.
+// no-tier ablation variant. Its loop claims through claimSearch alone, so
+// the run must also show the stored claim trees being reused — chain fast
+// path, subtree repair and extension — within each load; a load whose
+// trees did not outlive their first claim would cold-build every one.
 func TestAllocatorMatchesReferenceSequential(t *testing.T) {
 	al := NewAllocator()
 	for seed := int64(0); seed < 300; seed++ {
@@ -158,6 +161,12 @@ func TestAllocatorMatchesReferenceSequential(t *testing.T) {
 			ls, ds, theta := boundaryCase(rand.New(rand.NewSource(seed)), n)
 			sameResult(t, seed, greedySequentialReference(ls, theta, ds), al.GreedySequential(ls, theta, ds))
 		}
+	}
+	st := &al.stat
+	t.Logf("claim stats: calls=%d fast=%d repair=%d resume=%d", st.claim, st.claimFast, st.claimRepair, st.claimResume)
+	if st.claimFast == 0 || st.claimRepair == 0 || st.claimResume == 0 {
+		t.Fatalf("sequential claims never reused a stored tree: fast=%d repair=%d resume=%d",
+			st.claimFast, st.claimRepair, st.claimResume)
 	}
 }
 

@@ -1,30 +1,25 @@
 package alloc
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
-// Frontier-compacted and bidirectional searches over the live-neighbor
-// bitset rows. One implementation per engine serves every topology size: a
-// row is bitset.Words(n) words, one word up to 64 sites.
+// The two search engines over the live-neighbor bitset rows. One
+// implementation per engine serves every topology size: a row is
+// bitset.Words(n) words, one word up to 64 sites.
 //
 // The tiered greedy loop asks three kinds of question, and only one of them
 // needs a shortest-path TREE: claiming a path. The other two — "is dst
 // reachable at all?" and "is dst within this tier's hop budget?" — need just
 // a hop distance, and profiling the ISP200 energy case shows they dominate:
 // per evaluation roughly 280 searches end in a deferral and 30 in a failure,
-// against 75 claims. The canonical BFS pays prevNode/prevEdge stores, edgeOf
-// lookups and usedBy bookkeeping for every label — all of it thrown away
-// when the verdict is "too far, come back at tier 16". Worse, the canonical
-// engine re-walks a source's component from scratch every time a claim
-// overwrote its memo row, and on ISP-class residuals a component sweep is
-// expensive precisely because the graph is path-like: components run ~95% of
-// the sites and diameters reach the 30s.
+// against 75 claims. A claiming BFS pays prevNode/prevEdge stores and edgeOf
+// lookups for every label — all of it thrown away when the verdict is "too
+// far, come back at tier 16" — and on ISP-class residuals a component sweep
+// is expensive precisely because the graph is path-like: components run
+// ~95% of the sites and diameters reach the 30s.
 //
-// Three engines split the work; runLoaded picks between them on two signals,
-// whether probe() already holds a memo row for the source and whether the
-// row's bound is decayed (older than the tier asking):
+// Two engines split the work; runLoaded picks between them on whether
+// probe() already holds a memo row for the source and whether that row's
+// bound already answers the asking tier:
 //
 //   - resumeStamp (no bound for dst yet): a forward level-synchronous sweep
 //     over the live-adjacency bitmaps that writes exactly one word per label
@@ -52,82 +47,54 @@ import (
 //     frontier that empties proves the visited set is src's complete current
 //     component (unreachability is permanent), recorded as a failure cut.
 //
-//   - claimSearch (bound fits the tier): a stealth forward BFS that labels
-//     through a bitmap and writes ONLY the prevNode/prevEdge chains, leaving
-//     rowGen, the stamps, probeFull and the rowLive/usedBy books untouched —
-//     claiming no longer destroys the source's resumable row, which is what
-//     forced the canonical engine's re-sweeps. Its FIFO order and ascending-
-//     bit labeling are the canonical scan order, so the chain it leaves for
-//     bottleneck/take is bit-identical to the canonical engine's, and its
-//     exact current distance either confirms the claim or yields the exact
-//     deferral tier.
+//   - claimSearch (a bound that fits the tier or has decayed below it, and
+//     every question of the sequential variant): a stealth forward BFS that
+//     labels through a bitmap and writes ONLY the prevNode/prevEdge chains,
+//     leaving rowGen, the stamps and probeFull untouched — claiming does not
+//     destroy the source's resumable row. Its FIFO order and ascending-bit
+//     labeling are the reference's scan order, so the chain it leaves for
+//     bottleneck/take is bit-identical to the reference's, and its exact
+//     current distance either confirms the claim or yields the exact
+//     deferral tier. A decayed bound (stamped at an earlier tier than is
+//     asking) goes here too: the exact distance settles "claim now", "defer
+//     to tier d" and "unreachable" in one search, and the stored claim tree
+//     usually answers it by fast path or repair.
 //
-//   - searchBounded (bound present but decayed — stamped at an earlier tier
-//     than is asking): a bidirectional meet-in-the-middle sweep over the
-//     same bitmaps, growing the smaller frontier each round (the residual
-//     graph is undirected, so the reverse adjacency IS liveAdj). It writes
-//     its levels into private generation-stamped arrays, preserving
-//     whatever rows probe is still serving bounds from, and settles
-//     "distance grew past this tier" and "no longer reachable" verdicts
-//     without paying for prev chains: two balls of radius ~d/2 instead of
-//     one of radius d, and on failure the smaller exhausted side is the
-//     failure cut. On path-like ISP residuals (frontiers average ~3 nodes,
-//     ball volume grows linearly with radius) that is NOT a quadratic win —
-//     which is why it is reserved for decayed-bound re-verification rather
-//     than used as the primary engine (measured numbers in DESIGN.md §9).
+// A bidirectional meet-in-the-middle sweep does not pay for decayed bounds:
+// on path-like ISP residuals (frontiers average ~3 nodes, ball volume grows
+// linearly with radius) two balls of radius d/2 cost what one of radius d
+// does, and the stored claim tree usually answers without a search at all
+// (measured numbers in DESIGN.md §9).
 //
-// Why the answers are exactly the canonical ones:
+// Why the answers are exactly the reference's:
 //
-//   - Reachability is connectivity in the positive-residual graph.
-//     resumeStamp walks it to exhaustion before reporting failure, and the
-//     bidirectional sweep until a side exhausts — identical by definition.
-//     On failure the exhausted side's visited set is a complete component
-//     whose outgoing edges are all saturated, i.e. precisely the failure cut
-//     the canonical search would record, so the doomed-word memo composes
-//     unchanged; when the dst side exhausts first, src additionally learns
-//     it can never reach any member of dst's component.
+//   - Reachability is connectivity in the positive-residual graph. Both
+//     engines walk src's component to exhaustion before reporting failure.
+//     The exhausted visited set is a complete component whose outgoing
+//     edges are all saturated, i.e. precisely the failure cut the reference
+//     search would hit, so the doomed-word memo composes unchanged.
 //
 //   - Deferral tiers stay conservative and claims stay exact. resumeStamp's
-//     lower bounds can re-examine a demand earlier than the canonical flow
+//     lower bounds can re-examine a demand earlier than the reference flow
 //     would (never later), where claimSearch's exact current distance makes
-//     the same claim-or-defer decision the canonical search would make; the
-//     bidirectional distance is exact outright. For the latter the invariant
-//     is: after a round, each side has labeled exactly the nodes within its
-//     completed radius (rS resp. rD), with exact levels. A meet found while
-//     expanding, say, the src side to radius rS+1 has candidate cost
-//     c = rS+1+levD(w) <= rS+1+rD, and the minimum candidate of the round
-//     equals the true distance d: if d < min(c), pick the node u on a
-//     shortest path with levS(u) = min(rS+1, d). Either u = dst, which the
-//     src side labeled — but dst is a member of the dst side's visited set
-//     from initialization, so that labeling was itself a meet of cost d in
-//     this round; or levD(u) = d-rS-1 < rD+1, so u was labeled by both
-//     sides in earlier rounds, and whichever side labeled u second saw the
-//     meet then and returned. Both contradict d < min(c).
+//     the same claim-or-defer decision the reference search would make.
 //
 //   - Claimed paths are bit-identical. claimSearch builds prev chains on the
-//     current residuals in the canonical scan order, and what it builds is
-//     identical to the tree the canonical flow would have claimed from
-//     (whether memoized or freshly searched): a live memo tree differs from
-//     a fresh search only by edges that saturated since it was built, and
-//     those are all non-tree edges — edges a BFS skipped because their head
-//     was already labeled earlier in scan order, whose removal changes
-//     neither labels, order, nor parents (the same argument that makes the
-//     rowLive memo exact in the first place). The claim search additionally
-//     PERSISTS the tree it builds and repairs it across takes instead of
-//     rebuilding per call — see the claim-repair comment above claimSearch
-//     for why the reused answers are the fresh ones bit for bit.
-//
-// The resumable rows carry no prev chains, so the source's rowLive bit is
-// cleared when one is started: probe may read the stamps, the claim-capable
-// head of shortestResidual may not.
+//     current residuals in the reference scan order. It PERSISTS the tree it
+//     builds and repairs it across takes instead of rebuilding per call: a
+//     stored tree differs from a fresh search only where a tree edge has
+//     saturated since it was built — an edge a BFS skipped because its head
+//     was already labeled earlier in scan order changes neither labels,
+//     order, nor parents when it leaves. See the claim-repair comment above
+//     claimSearch for why the reused answers are the fresh ones bit for bit.
 const bSparse = 64
 
 // engineStats counts engine events at call granularity — increments live at
 // function entries, returns, and one per-call mode summary, never inside a
 // member loop — so the differential harnesses can assert the paths they mean
-// to force (bidirectional meets from either side, exhaustion early-outs,
-// sparse/dense frontier enumeration crossings) actually ran. A few hundred
-// increments per evaluation; cumulative across loads, reset only by tests.
+// to force (exhaustion early-outs, claim-tree reuse, sparse/dense frontier
+// enumeration crossings) actually ran. A few hundred increments per
+// evaluation; cumulative across loads, reset only by tests.
 type engineStats struct {
 	resume        uint64 // resumeStamp calls
 	resumeExhaust uint64 // sweeps that ran the component dry (failure cut)
@@ -137,11 +104,6 @@ type engineStats struct {
 	claimFast     uint64 // claims answered from a stored chain, no search
 	claimRepair   uint64 // tree resumes above a saturated tree edge
 	claimResume   uint64 // tree extensions past the stored levels
-	bidi          uint64 // searchBounded calls
-	bidiMeetS     uint64 // meets detected while expanding the src side
-	bidiMeetD     uint64 // meets detected while expanding the dst side
-	bidiExhaustS  uint64 // src side exhausted first
-	bidiExhaustD  uint64 // dst side exhausted first
 	sweepSparse   uint64 // resumeStamp calls with >=1 sparse-list level
 	sweepDense    uint64 // resumeStamp calls with >=1 word-swept level
 	sweepMixed    uint64 // calls that crossed the bSparse threshold
@@ -196,7 +158,6 @@ func (a *Allocator) resumeStamp(src, dst, l int) (bool, int) {
 	if a.rowGen[src] <= a.loadGen {
 		a.gen++
 		a.rowGen[src] = a.gen
-		a.rowLive[src>>6] &^= 1 << uint(src&63) // stamps without prev chains
 		a.probeFull[src] = false
 		sd[src] = int64(a.gen) << 32
 		clear(vis)
@@ -220,7 +181,7 @@ func (a *Allocator) resumeStamp(src, dst, l int) (bool, int) {
 	fr := a.sFront[src*mw : src*mw+mw]
 	ids := a.sFrIDs[src*bSparse : src*bSparse+bSparse]
 	gen := int64(a.rowGen[src])
-	nf := a.bNext[:mw]
+	nf := a.sNext[:mw]
 	clear(nf)
 	cnt := int(a.sFrCnt[src]) // listed frontier members; 0 = sweep the bitmap
 	usedSparse, usedDense := false, false
@@ -304,9 +265,9 @@ func (a *Allocator) resumeStamp(src, dst, l int) (bool, int) {
 
 // claimSearch is the stealth claiming BFS: it writes dst's prevNode/prevEdge
 // chain (the only state bottleneck/take read) and reports the exact current
-// hop count, touching neither the stamps nor any memo book — the source's
-// resumable row survives the claim. Scan order is canonical, so the chain is
-// bit-identical to the one shortestResidual would leave.
+// hop count, touching neither the stamps nor the probe rows — the source's
+// resumable row survives the claim. Scan order is the reference's, so the
+// chain is bit-identical to the one a fresh reference search would claim.
 //
 // Claim-tree repair. Each search persists the tree it builds — the labeling
 // order (cQueue), the level boundaries (cEnds), the labeled bitmap (cVis)
@@ -339,10 +300,11 @@ func (a *Allocator) resumeStamp(src, dst, l int) (bool, int) {
 //     its last complete level, paying only the levels it never built.
 //
 // A saturated NON-tree edge triggers none of this — the resume-point scan
-// checks exactly the stored prev edges, which is the rowLive/usedBy
-// criterion applied lazily at claim time instead of eagerly at take time.
-// Validity rides on cGen (a tree is live iff cGen[src] > loadGen); a source
-// with no live tree gets a cold build. Every claim this engine answers —
+// checks exactly the stored prev edges, lazily at claim time, so take keeps
+// no per-edge book of which trees use it. Validity rides on cGen (a tree is
+// live iff cGen[src] > loadGen; loadFromLinks advances gen past loadGen, so
+// a tree built before any sweep of the load is live too); a source with no
+// live tree gets a cold build. Every claim this engine answers —
 // fast path, repaired, resumed or cold — is bit-identical to the map
 // reference's fresh search, which the differential suites assert.
 //
@@ -477,142 +439,4 @@ func (a *Allocator) claimResumePoint(src int) int {
 		}
 	}
 	return depth
-}
-
-// searchBounded reports whether dst is currently reachable from src over
-// positive-residual edges and, if so, the exact minimum hop count. It is a
-// pure query: levels go into private arrays, so the probe memo rows of both
-// endpoints survive untouched; only the doomed rows are enriched when a
-// side exhausts. Frontiers are enumerated as in resumeStamp: from the
-// sparse id list up to bSparse members, by word sweep beyond.
-func (a *Allocator) searchBounded(src, dst int) (bool, int) {
-	if a.cutHit(src, dst) {
-		return false, 0
-	}
-	a.stat.bidi++
-	mw := a.mw
-	adj := a.liveAdj
-	visS := a.bVisS[:mw]
-	visD := a.bVisD[:mw]
-	frS := a.bFrS[:mw]
-	frD := a.bFrD[:mw]
-	nf := a.bNext[:mw]
-	for wi := range visS {
-		visS[wi], visD[wi], frS[wi], frD[wi] = 0, 0, 0, 0
-	}
-	a.bGen++
-	genS := int64(a.bGen)
-	a.bGen++
-	genD := int64(a.bGen)
-	lvS, lvD := a.bLvS, a.bLvD
-	lvS[src] = genS << 32
-	lvD[dst] = genD << 32
-	visS[src>>6] = 1 << uint(src&63)
-	visD[dst>>6] = 1 << uint(dst&63)
-	frS[src>>6] = 1 << uint(src&63)
-	frD[dst>>6] = 1 << uint(dst&63)
-	idsS := append(a.bIDsS[:0], int32(src))
-	idsD := append(a.bIDsD[:0], int32(dst))
-	cntS, cntD := 1, 1
-	dS, dD := 0, 0
-	for {
-		fromS := cntS <= cntD
-		fr, vis, ovis, ids, cnt := frD, visD, visS, idsD, cntD
-		lv, olv := lvD, lvS
-		ogen := genS
-		if fromS {
-			fr, vis, ovis, ids, cnt = frS, visS, visD, idsS, cntS
-			lv, olv = lvS, lvD
-			ogen = genD
-		}
-		clear(nf)
-		if cnt <= bSparse {
-			for _, v := range ids {
-				row := adj[int(v)*mw : int(v)*mw+mw]
-				for wi := range nf {
-					nf[wi] |= row[wi]
-				}
-			}
-		} else {
-			for wi2, fw := range fr {
-				base := wi2 << 6
-				for m := fw; m != 0; m &= m - 1 {
-					v := base + bits.TrailingZeros64(m)
-					row := adj[v*mw : v*mw+mw]
-					for wi := range nf {
-						nf[wi] |= row[wi]
-					}
-				}
-			}
-		}
-		var depth int
-		if fromS {
-			dS++
-			depth = dS
-		} else {
-			dD++
-			depth = dD
-		}
-		sd := int64(genD)<<32 | int64(depth)
-		if fromS {
-			sd = int64(genS)<<32 | int64(depth)
-		}
-		cnt = 0
-		ids = ids[:0]
-		best := math.MaxInt
-		for wi := range nf {
-			nw := nf[wi] &^ vis[wi]
-			nf[wi] = nw
-			if nw == 0 {
-				continue
-			}
-			vis[wi] |= nw
-			base := wi << 6
-			cnt += bits.OnesCount64(nw)
-			for m := nw; m != 0; m &= m - 1 {
-				w := base + bits.TrailingZeros64(m)
-				lv[w] = sd
-				ids = append(ids, int32(w))
-			}
-			for mm := nw & ovis[wi]; mm != 0; mm &= mm - 1 {
-				w := base + bits.TrailingZeros64(mm)
-				if olv[w]>>32 == ogen {
-					if c := depth + int(int32(olv[w])); c < best {
-						best = c
-					}
-				}
-			}
-		}
-		if best != math.MaxInt {
-			a.bIDsS, a.bIDsD = idsS[:0], idsD[:0]
-			if fromS {
-				a.stat.bidiMeetS++
-			} else {
-				a.stat.bidiMeetD++
-			}
-			return true, best
-		}
-		if cnt == 0 {
-			if fromS {
-				a.doomCut(visS)
-				a.stat.bidiExhaustS++
-			} else {
-				a.doomCut(visD)
-				row := a.doomed[src*mw : src*mw+mw]
-				for wi := range row {
-					row[wi] |= visD[wi] // src sits outside dst's component for good
-				}
-				a.stat.bidiExhaustD++
-			}
-			a.bIDsS, a.bIDsD = idsS[:0], idsD[:0]
-			return false, 0
-		}
-		if fromS {
-			frS, nf = nf, frS
-			idsS, cntS = ids, cnt
-		} else {
-			frD, nf = nf, frD
-			idsD, cntD = ids, cnt
-		}
-	}
 }

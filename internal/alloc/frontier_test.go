@@ -13,8 +13,8 @@ import (
 // the spine has gaps so some components disconnect (frontier-exhaustion
 // early-outs), demands are drawn from a small endpoint pool so pairs repeat
 // across IDs, and rates run hot against link counts so claims saturate edges
-// mid-run — which is what decays probe's stamped bounds and routes
-// re-verification through the bidirectional searchBounded.
+// mid-run — which is what decays probe's stamped bounds and sends
+// re-verification to the claim search.
 func randomQuadCase(rng *rand.Rand) (*topology.LinkSet, []Demand, float64) {
 	n := 129 + rng.Intn(122)
 	ls := topology.NewLinkSet(n)
@@ -59,10 +59,10 @@ func randomQuadCase(rng *rand.Rand) (*topology.LinkSet, []Demand, float64) {
 }
 
 // quadStatChecks asserts, over a whole differential run, that the engine
-// paths the quad cases are built to force all actually fired — both
-// bidirectional meet directions, sweep exhaustion on disconnected
-// components, claim-search failure cuts, and truncation-bound answers — so
-// the agreement the run proves is not vacuous.
+// paths the quad cases are built to force all actually fired — sweep
+// exhaustion on disconnected components, claim-search failure cuts, and
+// truncation-bound answers — so the agreement the run proves is not
+// vacuous.
 func quadStatChecks(t *testing.T, al *Allocator) {
 	t.Helper()
 	st := &al.stat
@@ -76,11 +76,6 @@ func quadStatChecks(t *testing.T, al *Allocator) {
 		{"resume exhaustion cuts", st.resumeExhaust},
 		{"claimSearch calls", st.claim},
 		{"claim failure cuts", st.claimCut},
-		{"searchBounded calls", st.bidi},
-		{"bidirectional meets on the src side", st.bidiMeetS},
-		{"bidirectional meets on the dst side", st.bidiMeetD},
-		{"bidirectional src-side exhaustions", st.bidiExhaustS},
-		{"bidirectional dst-side exhaustions", st.bidiExhaustD},
 	} {
 		if c.n == 0 {
 			t.Errorf("no %s across the run — the path was never exercised", c.name)

@@ -258,36 +258,17 @@ func TestWithClockReapsInstantly(t *testing.T) {
 	}
 }
 
-// TestVersionNegotiation covers the v1/v2 compatibility matrix: a v1
-// client negotiates down and keeps working (minus resync), a v0 client
-// is rejected with a typed error, and a futuristic client is capped at
-// the controller's version.
+// TestVersionNegotiation covers the version matrix: retired v1 and v0
+// clients are rejected with a typed error, and a futuristic client is
+// capped at the controller's version.
 func TestVersionNegotiation(t *testing.T) {
 	_, addr, gate := gatedServer(t, 8)
 	close(gate)
 
-	t.Run("v1-interop", func(t *testing.T) {
-		conn, w := rawHello(t, addr, 1)
-		if w.Type != MsgWelcome || w.Version != 1 {
-			t.Fatalf("v1 hello reply %+v, want welcome at version 1", w)
-		}
-		if err := WriteMsg(conn, &Message{Type: MsgSubmit, Seq: 2,
-			Request: &WireRequest{Src: 1, Dst: 2, SizeGbits: 10}}); err != nil {
-			t.Fatal(err)
-		}
-		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		m, err := ReadMsg(conn)
-		if err != nil || m.Type != MsgSubmitAck {
-			t.Fatalf("v1 submit reply %+v (err %v), want ack", m, err)
-		}
-		// Resync is a v2 exchange: a v1 connection asking for it violated
-		// the negotiated protocol.
-		if err := WriteMsg(conn, &Message{Type: MsgResync, Seq: 3, Site: 1}); err != nil {
-			t.Fatal(err)
-		}
-		m, err = ReadMsg(conn)
-		if err != nil || m.Type != MsgError || m.Code != ErrCodeProtocol {
-			t.Fatalf("v1 resync reply %+v (err %v), want protocol error", m, err)
+	t.Run("v1-rejected", func(t *testing.T) {
+		_, m := rawHello(t, addr, 1)
+		if m.Type != MsgError || m.Code != ErrCodeVersionMismatch {
+			t.Fatalf("v1 hello reply %+v, want version-mismatch", m)
 		}
 	})
 

@@ -51,16 +51,13 @@ type Client struct {
 	rngMu sync.Mutex
 	rng   *mrand.Rand
 
-	disconnects int           // guarded by mu; observable via Disconnects
-	overloads   int           // guarded by mu; observable via Overloads
-	lastSnap    *WireSnapshot // guarded by mu; most recent resync snapshot
+	overloads int // guarded by mu; observable via Overloads
 }
 
 // liveConn is one TCP connection's lifetime: its write lock, reply
 // channel, and failure latch.
 type liveConn struct {
 	conn net.Conn
-	ver  int // negotiated protocol version (welcome reply)
 
 	wmu sync.Mutex // serializes writes (RPCs vs heartbeats)
 
@@ -200,41 +197,31 @@ func (c *Client) connect(ctx context.Context) (*liveConn, error) {
 		conn.Close()
 		return nil, fmt.Errorf("controlplane: unexpected handshake reply %q", m.Type)
 	}
-	ver := m.Version
-	if ver <= 0 {
-		ver = 1 // a pre-negotiation controller omits the version field
-	}
-	// Snapshot resync (v2): replay our pending-transfer state in the same
+	// Snapshot resync: replay our pending-transfer state in the same
 	// round-trip budget as the handshake, so a reconnect (or a failover to
 	// a promoted standby) converges without resubmitting anything. The
 	// handshake deadline still covers this exchange.
-	if ver >= 2 {
-		if err := WriteMsg(conn, &Message{Type: MsgResync, Seq: c.nextSeq(), Site: c.o.site}); err != nil {
-			conn.Close()
-			return nil, fmt.Errorf("controlplane: resync: %w", err)
+	if err := WriteMsg(conn, &Message{Type: MsgResync, Seq: c.nextSeq(), Site: c.o.site}); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("controlplane: resync: %w", err)
+	}
+	sm, err := ReadMsg(conn)
+	if err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("controlplane: resync reply: %w", err)
+	}
+	if sm.Type != MsgSnapshot {
+		conn.Close()
+		if sm.Type == MsgError {
+			return nil, newServerError(sm)
 		}
-		sm, err := ReadMsg(conn)
-		if err != nil {
-			conn.Close()
-			return nil, fmt.Errorf("controlplane: resync reply: %w", err)
-		}
-		if sm.Type != MsgSnapshot {
-			conn.Close()
-			if sm.Type == MsgError {
-				return nil, newServerError(sm)
-			}
-			return nil, fmt.Errorf("controlplane: unexpected resync reply %q", sm.Type)
-		}
-		c.mu.Lock()
-		c.lastSnap = sm.Snapshot
-		c.mu.Unlock()
-		if c.o.onResync != nil && sm.Snapshot != nil {
-			c.o.onResync(sm.Snapshot)
-		}
+		return nil, fmt.Errorf("controlplane: unexpected resync reply %q", sm.Type)
+	}
+	if c.o.onResync != nil && sm.Snapshot != nil {
+		c.o.onResync(sm.Snapshot)
 	}
 	conn.SetDeadline(time.Time{})
 	lc := newLiveConn(conn)
-	lc.ver = ver
 	c.wg.Add(1)
 	go c.readLoop(lc)
 	if c.o.heartbeat > 0 {
@@ -435,9 +422,6 @@ func (c *Client) isClosed() bool {
 // WithOnDisconnect hook when registered, otherwise a single log line (so
 // a frame-decode error never spams per-frame and never vanishes).
 func (c *Client) noteDisconnect(err error) {
-	c.mu.Lock()
-	c.disconnects++
-	c.mu.Unlock()
 	if c.o.onDisconnect != nil {
 		c.o.onDisconnect(err)
 		return

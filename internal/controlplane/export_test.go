@@ -22,21 +22,6 @@ func (a *Agent) WaitTransfer(id int) (int64, error) {
 	return s.sent, s.err
 }
 
-// Disconnects reports how many times the connection has been lost.
-func (c *Client) Disconnects() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.disconnects
-}
-
-// LastSnapshot returns the most recent resync snapshot (nil before the
-// first v2 connect).
-func (c *Client) LastSnapshot() *WireSnapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastSnap
-}
-
 // ResyncPending returns the sites whose last rate push was dropped and
 // that have not resynced since (sorted; for tests and operators).
 func (c *Controller) ResyncPending() []int {

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -159,11 +160,12 @@ func TestReconnectReadoption(t *testing.T) {
 
 	var mu sync.Mutex
 	var got []WireRate
+	disconnects := 0
 	cl, err := Dial(context.Background(), addr,
 		WithSite(0),
 		WithHeartbeatInterval(30*time.Millisecond),
 		WithBackoff(10*time.Millisecond, 100*time.Millisecond),
-		WithOnDisconnect(func(error) {}),
+		WithOnDisconnect(func(error) { mu.Lock(); disconnects++; mu.Unlock() }),
 		WithOnRates(func(rs []WireRate) {
 			mu.Lock()
 			got = append(got, rs...)
@@ -217,7 +219,10 @@ func TestReconnectReadoption(t *testing.T) {
 		ctrl2.Tick()
 		time.Sleep(20 * time.Millisecond)
 	}
-	if cl.Disconnects() == 0 {
+	mu.Lock()
+	n := disconnects
+	mu.Unlock()
+	if n == 0 {
 		t.Error("client claims it never disconnected, but the controller was killed")
 	}
 }
@@ -271,6 +276,23 @@ func TestVersionMismatchTypedError(t *testing.T) {
 	}
 }
 
+// fakeHandshake plays the controller's side of a client's connect: it
+// reads the hello, welcomes it, and answers the resync that follows with an
+// empty snapshot. It reports whether both exchanges went through.
+func fakeHandshake(conn net.Conn) bool {
+	if _, err := ReadMsg(conn); err != nil { // hello
+		return false
+	}
+	if WriteMsg(conn, &Message{Type: MsgWelcome, Version: ProtoVersion}) != nil {
+		return false
+	}
+	m, err := ReadMsg(conn) // resync
+	if err != nil {
+		return false
+	}
+	return WriteMsg(conn, &Message{Type: MsgSnapshot, Seq: m.Seq, Snapshot: &WireSnapshot{}}) == nil
+}
+
 // TestDecodeErrorSurfacedOnce: a corrupt frame from the controller must
 // surface exactly once through WithOnDisconnect, not be swallowed (the old
 // readLoop dropped the error on the floor) and not spam per-frame.
@@ -288,12 +310,11 @@ func TestDecodeErrorSurfacedOnce(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		if _, err := ReadMsg(conn); err != nil { // hello
+		// Complete the handshake: the garbage must reach the read loop,
+		// not the handshake.
+		if !fakeHandshake(conn) {
 			return
 		}
-		// Speak v1: this fake doesn't implement the v2 resync exchange,
-		// and the garbage must reach the read loop, not the handshake.
-		WriteMsg(conn, &Message{Type: MsgWelcome, Version: 1})
 		// A well-framed, checksum-valid but undecodable payload.
 		body := []byte("junk")
 		hdr := make([]byte, 8)
@@ -353,12 +374,9 @@ func TestHeartbeatDetectsDeadController(t *testing.T) {
 		if err != nil {
 			return
 		}
-		if _, err := ReadMsg(conn); err != nil {
+		if !fakeHandshake(conn) {
 			return
 		}
-		// Speak v1 so the client skips the v2 resync exchange this fake
-		// doesn't implement.
-		WriteMsg(conn, &Message{Type: MsgWelcome, Version: 1})
 		// Go silent: never answer pings, never close. Only a heartbeat
 		// timeout can notice this.
 		select {}
@@ -429,7 +447,9 @@ func TestServerDetectsDeadClient(t *testing.T) {
 		t.Fatal("controller kept a silent client alive past its read timeout")
 	}
 	// A pinging client stays alive over the same wall-clock span.
-	cl, err := Dial(context.Background(), addr, WithSite(2), WithHeartbeatInterval(20*time.Millisecond))
+	var disconnects atomic.Int32
+	cl, err := Dial(context.Background(), addr, WithSite(2), WithHeartbeatInterval(20*time.Millisecond),
+		WithOnDisconnect(func(error) { disconnects.Add(1) }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +458,7 @@ func TestServerDetectsDeadClient(t *testing.T) {
 	if _, err := cl.Status(context.Background()); err != nil {
 		t.Errorf("heartbeating client was reaped: %v", err)
 	}
-	if cl.Disconnects() != 0 {
-		t.Errorf("heartbeating client disconnected %d times", cl.Disconnects())
+	if n := disconnects.Load(); n != 0 {
+		t.Errorf("heartbeating client disconnected %d times", n)
 	}
 }

@@ -29,17 +29,17 @@ import (
 // MinProtoVersion, and rejects anything older with a typed
 // ErrCodeVersionMismatch error instead of silently misbehaving.
 //
-// Version 1 added the hello/welcome handshake, heartbeats, request
-// sequence numbers, and idempotent submit tokens; version 0 is the
-// original unversioned protocol (a hello without a version field).
-// Version 2 added snapshot resync (MsgResync/MsgSnapshot) and admission
-// backpressure (ErrCodeOverloaded with a retry-after hint).
+// Version 2 is the hello/welcome handshake, heartbeats, request sequence
+// numbers, idempotent submit tokens, snapshot resync (MsgResync/
+// MsgSnapshot) and admission backpressure (ErrCodeOverloaded with a
+// retry-after hint). Versions 0 (no version field) and 1 (no resync) are
+// retired.
 const ProtoVersion = 2
 
 // MinProtoVersion is the oldest client version the controller still
-// serves. Version-1 clients interoperate (they simply never ask for a
-// resync snapshot); version 0 is rejected.
-const MinProtoVersion = 1
+// serves. Every client this module builds speaks ProtoVersion, so older
+// hellos are rejected.
+const MinProtoVersion = 2
 
 // MsgType discriminates protocol messages.
 type MsgType string

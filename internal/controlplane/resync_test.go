@@ -180,6 +180,7 @@ func TestResyncAfterPartitionE2E(t *testing.T) {
 			inj := faultnet.New(faultnet.Config{Seed: seed, DelayProb: 0.2, MaxDelay: time.Millisecond})
 			var mu sync.Mutex
 			ratesA, ratesB := 0, 0
+			var lastSnap *WireSnapshot // clA's latest resync snapshot, under mu
 			disconnected := make(chan struct{}, 4)
 			clA, err := Dial(context.Background(), addr,
 				WithSite(1),
@@ -194,6 +195,7 @@ func TestResyncAfterPartitionE2E(t *testing.T) {
 					}
 				}),
 				WithOnRates(func(rs []WireRate) { mu.Lock(); ratesA += len(rs); mu.Unlock() }),
+				WithOnResync(func(s *WireSnapshot) { mu.Lock(); lastSnap = s; mu.Unlock() }),
 			)
 			if err != nil {
 				t.Fatal(err)
@@ -246,13 +248,15 @@ func TestResyncAfterPartitionE2E(t *testing.T) {
 				time.Sleep(5 * time.Millisecond)
 			}
 
-			// Heal; A reconnects on its own and auto-resyncs (protocol
-			// v2), replaying both pending transfers.
+			// Heal; A reconnects on its own and auto-resyncs, replaying
+			// both pending transfers.
 			inj.Partition(false)
 			var snap *WireSnapshot
 			deadline := time.Now().Add(10 * time.Second)
 			for {
-				snap = clA.LastSnapshot()
+				mu.Lock()
+				snap = lastSnap
+				mu.Unlock()
 				if snap != nil && len(snap.Pending) == 2 {
 					break
 				}

@@ -173,7 +173,6 @@ type clientConn struct {
 	c          net.Conn
 	clk        Clock
 	site       int  // valid once registered
-	ver        int  // negotiated protocol version, valid once registered
 	registered bool // hello handshake completed; both guarded by Controller.mu
 	wt         time.Duration
 	mu         sync.Mutex // serializes writes
@@ -538,7 +537,6 @@ func (c *Controller) handshake(cc *clientConn) bool {
 		return false
 	}
 	cc.site = m.Site
-	cc.ver = ver
 	cc.registered = true
 	c.nRegistered++
 	// Adopt the connection as the site's rate-push target. Latest hello
@@ -586,11 +584,6 @@ func (c *Controller) handle(cc *clientConn) {
 			c.enqueueSubmit(cc, m)
 
 		case MsgResync:
-			if cc.ver < 2 {
-				cc.send(&Message{Type: MsgError, Seq: m.Seq, Code: ErrCodeProtocol,
-					Err: "resync requires protocol version 2"})
-				continue
-			}
 			snap := c.snapshotSite(cc.site)
 			c.ctr.resyncs.Add(1)
 			cc.send(&Message{Type: MsgSnapshot, Seq: m.Seq, Snapshot: snap})
