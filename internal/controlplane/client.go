@@ -50,8 +50,6 @@ type Client struct {
 	// overloaded rejection.
 	rngMu sync.Mutex
 	rng   *mrand.Rand
-
-	overloads int // guarded by mu; observable via Overloads
 }
 
 // liveConn is one TCP connection's lifetime: its write lock, reply
@@ -429,14 +427,6 @@ func (c *Client) noteDisconnect(err error) {
 	log.Printf("controlplane: connection to %s lost: %v (reconnecting)", c.addr, err)
 }
 
-// Overloads reports how many times an RPC was shed by controller
-// backpressure (and retried after the retry-after hint).
-func (c *Client) Overloads() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.overloads
-}
-
 func (c *Client) nextSeq() uint64 {
 	c.mu.Lock()
 	c.seq++
@@ -525,9 +515,6 @@ func (c *Client) rpc(ctx context.Context, req *Message, want MsgType) (*Message,
 						// hint (with jitter), then resend on the same
 						// connection — idempotency tokens make the resend
 						// safe even if it raced a commit.
-						c.mu.Lock()
-						c.overloads++
-						c.mu.Unlock()
 						select {
 						case <-time.After(c.overloadDelay(se)):
 							goto send

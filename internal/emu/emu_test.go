@@ -21,13 +21,24 @@ func baseSim(sched sim.Scheduler, reqs []transfer.Request) sim.Config {
 	}
 }
 
-func TestEmuSingleTransfer(t *testing.T) {
-	reqs := []transfer.Request{{ID: 0, Src: 7, Dst: 8, SizeGbits: 3000, Deadline: transfer.NoDeadline}}
-	cfg := Config{Sim: baseSim(&sim.TEScheduler{Approach: te.MaxFlow{}, Theta: 10, SlotSeconds: 300}, reqs)}
-	res, err := Run(cfg)
+// runEmu runs cfg on a fresh testbed.
+func runEmu(t *testing.T, cfg sim.Config) *sim.Result {
+	t.Helper()
+	tb, err := New(cfg.Net.ThetaGbps)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.DataPlane = tb
+	res, err := sim.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func TestEmuSingleTransfer(t *testing.T) {
+	reqs := []transfer.Request{{ID: 0, Src: 7, Dst: 8, SizeGbits: 3000, Deadline: transfer.NoDeadline}}
+	res := runEmu(t, baseSim(&sim.TEScheduler{Approach: te.MaxFlow{}, Theta: 10, SlotSeconds: 300}, reqs))
 	tr := res.Transfers[0]
 	if !tr.Done {
 		t.Fatal("transfer incomplete")
@@ -57,10 +68,7 @@ func TestValidationEmuVsSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	emuRes, err := Run(Config{Sim: baseSim(mkSched(), reqs)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	emuRes := runEmu(t, baseSim(mkSched(), reqs))
 	sAvg := metrics.Mean(metrics.CompletionTimes(simRes.Transfers, 300))
 	eAvg := metrics.Mean(metrics.CompletionTimes(emuRes.Transfers, 300))
 	if sAvg == 0 || eAvg == 0 {
@@ -79,15 +87,11 @@ func TestEmuRespectsLinkBudgets(t *testing.T) {
 		{ID: 0, Src: 0, Dst: 1, SizeGbits: 500, Deadline: transfer.NoDeadline},
 		{ID: 1, Src: 0, Dst: 1, SizeGbits: 500, Deadline: transfer.NoDeadline},
 	}
-	cfg := Config{Sim: sim.Config{
+	res := runEmu(t, sim.Config{
 		Net: net, Initial: topology.InitialTopology(net),
 		Scheduler: &sim.TEScheduler{Approach: te.MaxFlow{}, Theta: 10, SlotSeconds: 10},
 		Requests:  reqs, SlotSeconds: 10, MaxSlots: 200,
-	}}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	for i, thr := range res.SlotThroughput {
 		// Square max cut for 0->1 traffic: 20 Gbps.
 		if thr > 20+1e-6 {
@@ -97,29 +101,36 @@ func TestEmuRespectsLinkBudgets(t *testing.T) {
 }
 
 func TestEmuChunkQuantization(t *testing.T) {
-	// A rate below one chunk per step still makes progress via credits.
+	// A rate below one chunk per step still makes progress via credits: a
+	// 1 s slot has 0.01 s steps, and 5 Gbit demand-capped to 5 Gbps sends
+	// 0.05 Gbit per step, a tenth of a chunk.
 	net := topology.Square()
 	reqs := []transfer.Request{{ID: 0, Src: 0, Dst: 1, SizeGbits: 5, Deadline: transfer.NoDeadline}}
-	cfg := Config{
-		Sim: sim.Config{
-			Net: net, Initial: topology.InitialTopology(net),
-			Scheduler: &sim.TEScheduler{Approach: te.MaxFlow{}, Theta: 10, SlotSeconds: 10},
-			Requests:  reqs, SlotSeconds: 10, MaxSlots: 50,
-		},
-		StepsPerSlot: 1000, // 0.01 s steps; 0.5 Gbit chunks need 0.05 s at 10 Gbps
-		ChunkGbits:   0.5,
-	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runEmu(t, sim.Config{
+		Net: net, Initial: topology.InitialTopology(net),
+		Scheduler: &sim.TEScheduler{Approach: te.MaxFlow{}, Theta: 10, SlotSeconds: 1},
+		Requests:  reqs, SlotSeconds: 1, MaxSlots: 50,
+	})
 	if !res.Transfers[0].Done {
 		t.Error("small transfer never completed under quantization")
 	}
 }
 
-func TestEmuRejectsBadConfig(t *testing.T) {
-	if _, err := Run(Config{}); err == nil {
-		t.Error("empty config accepted")
+// TestEmuDarkSecondsExact: a transfer dark for 4 s of a 300 s slot earns
+// credit for exactly 296 s, as the fluid model sends, rather than for the
+// whole 3 s steps after the dark time.
+func TestEmuDarkSecondsExact(t *testing.T) {
+	net := topology.Square()
+	tb, err := New(net.ThetaGbps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := transfer.Request{ID: 0, Src: 0, Dst: 1, SizeGbits: 1000, Deadline: transfer.NoDeadline}
+	alloc := map[int][]transfer.PathRate{0: {{Path: []int{0, 1}, Rate: 1}}}
+	emuT, fluidT := transfer.NewTransfer(req), transfer.NewTransfer(req)
+	got := tb.Serve(0, 300, topology.InitialTopology(net), []*transfer.Transfer{emuT}, alloc, []float64{4})
+	want := fluidT.Serve(alloc[0], 0, 300, 4)
+	if math.Abs(got-want) > 1e-6 {
+		t.Errorf("emulated testbed sent %v Gbit in a slot dark for 4 s, fluid model %v", got, want)
 	}
 }

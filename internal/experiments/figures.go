@@ -574,28 +574,27 @@ func Validation(sc Scale) (*figdata.Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	mkSched := func() (sim.Scheduler, error) {
-		return Scheduler("maxflow", net, sc, false, 1, 0)
+	// The two runs differ only in their data plane.
+	run := func(dp sim.DataPlane) (*sim.Result, error) {
+		sched, err := Scheduler("maxflow", net, sc, false, 1, 0)
+		if err != nil {
+			return nil, err
+		}
+		return sim.Run(sim.Config{
+			Net: net, Initial: topology.InitialTopology(net), Scheduler: sched,
+			Requests: reqs, SlotSeconds: SlotSeconds, MaxSlots: 50 * sc.HorizonSlots,
+			DataPlane: dp,
+		})
 	}
-	s1, err := mkSched()
+	simRes, err := run(nil)
 	if err != nil {
 		return nil, err
 	}
-	simRes, err := sim.Run(sim.Config{
-		Net: net, Initial: topology.InitialTopology(net), Scheduler: s1,
-		Requests: reqs, SlotSeconds: SlotSeconds, MaxSlots: 50 * sc.HorizonSlots,
-	})
+	tb, err := emu.New(net.ThetaGbps)
 	if err != nil {
 		return nil, err
 	}
-	s2, err := mkSched()
-	if err != nil {
-		return nil, err
-	}
-	emuRes, err := emu.Run(emu.Config{Sim: sim.Config{
-		Net: net, Initial: topology.InitialTopology(net), Scheduler: s2,
-		Requests: reqs, SlotSeconds: SlotSeconds, MaxSlots: 50 * sc.HorizonSlots,
-	}})
+	emuRes, err := run(tb)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,8 @@ import "fmt"
 // behaviour that matters for correctness is the optical power budget: the
 // end-to-end loss must not exceed the transceiver budget after amplifier
 // gain, otherwise a provisioned circuit would not actually carry packets.
-// internal/emu uses this to sanity-check emulated circuits.
+// internal/emu checks it once when it builds its data plane: every emulated
+// circuit shares this one datapath design.
 
 // Typical per-element losses in dB from the paper.
 const (

@@ -1,10 +1,10 @@
 // Package sim is the flow-based discrete-time simulator used for the
 // paper's large-scale evaluation (§5.1): time is divided into slots, a
 // scheduler (Owan or a network-layer baseline) computes the topology and
-// per-transfer allocation at the start of each slot, and transfers then
-// progress fluidly at their allocated rates. Reconfiguration costs are
-// modelled by docking transmission time from transfers whose paths cross
-// links whose circuits changed in the slot.
+// per-transfer allocation at the start of each slot, and a data plane then
+// carries the slot's traffic (by default fluidly, at the allocated rates;
+// internal/emu sends chunks). Reconfiguration costs are modelled by docking
+// transmission time from transfers whose paths cross changed circuits.
 package sim
 
 import (
@@ -35,6 +35,23 @@ type Scheduler interface {
 	Schedule(slot int, topo *topology.LinkSet, active []*transfer.Transfer) (*topology.LinkSet, map[int][]transfer.PathRate)
 }
 
+// DataPlane carries each slot's traffic: Serve sends alloc over topo, active[i]
+// staying dark for the slot's first dark[i] seconds, and returns the gigabits.
+type DataPlane interface {
+	Serve(slot int, slotSeconds float64, topo *topology.LinkSet, active []*transfer.Transfer, alloc map[int][]transfer.PathRate, dark []float64) float64
+}
+
+// fluid, the default data plane, advances each transfer at its allocated rate.
+type fluid struct{}
+
+func (fluid) Serve(slot int, slotSeconds float64, _ *topology.LinkSet, active []*transfer.Transfer, alloc map[int][]transfer.PathRate, dark []float64) float64 {
+	sent := 0.0
+	for i, t := range active {
+		sent += t.Serve(alloc[t.ID], slot, slotSeconds, dark[i])
+	}
+	return sent
+}
+
 // Config describes one simulation run.
 type Config struct {
 	Net       *topology.Network
@@ -60,6 +77,8 @@ type Config struct {
 	// controller-side cost of each slot, planned end to end alongside the
 	// scheduling itself.
 	PlanUpdates bool
+	// DataPlane transmits each slot's allocation; nil selects the fluid model.
+	DataPlane DataPlane
 }
 
 // Result collects the outcome of a run.
@@ -121,7 +140,12 @@ func Run(cfg Config) (*Result, error) {
 	var (
 		prevLinks, nextLinks []topology.Link
 		changed              [][2]int
+		dark                 []float64
 	)
+	dp := cfg.DataPlane
+	if dp == nil {
+		dp = fluid{}
+	}
 	var planner *update.Planner
 	if cfg.PlanUpdates {
 		planner = update.NewPlanner(cfg.Net, cfg.Initial)
@@ -156,7 +180,7 @@ func Run(cfg Config) (*Result, error) {
 		nextLinks = newTopo.AppendLinks(nextLinks[:0])
 		changed = changedPairs(changed[:0], prevLinks, nextLinks)
 
-		sent := 0.0
+		dark = dark[:0]
 		for _, t := range active {
 			outage := 0.0
 			if churn > 0 && cfg.ReconfigSeconds > 0 && crossesChanged(alloc[t.ID], changed) {
@@ -164,8 +188,9 @@ func Run(cfg Config) (*Result, error) {
 				// the optical reconfiguration completes.
 				outage = cfg.ReconfigSeconds
 			}
-			sent += t.Serve(alloc[t.ID], slot, cfg.SlotSeconds, outage)
+			dark = append(dark, outage)
 		}
+		sent := dp.Serve(slot, cfg.SlotSeconds, newTopo, active, alloc, dark)
 		res.SlotThroughput = append(res.SlotThroughput, sent/cfg.SlotSeconds)
 		res.Churn = append(res.Churn, churn)
 		res.Slots++

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -254,22 +255,32 @@ func TestDeliveredByDeadlineTracked(t *testing.T) {
 
 func TestRunRejectsBadConfig(t *testing.T) {
 	net := topology.Square()
-	base := Config{
-		Net: net, Initial: topology.InitialTopology(net),
-		Scheduler:   &TEScheduler{Approach: te.MaxFlow{}, Theta: 10, SlotSeconds: 10},
-		SlotSeconds: 10, MaxSlots: 10,
-	}
-	for _, mod := range []func(*Config){
-		func(c *Config) { c.Net = nil },
-		func(c *Config) { c.Initial = nil },
-		func(c *Config) { c.Scheduler = nil },
-		func(c *Config) { c.SlotSeconds = 0 },
-		func(c *Config) { c.MaxSlots = 0 },
-	} {
-		c := base
-		mod(&c)
-		if _, err := Run(c); err == nil {
-			t.Error("bad config accepted")
+	valid := func() Config {
+		return Config{
+			Net: net, Initial: topology.InitialTopology(net),
+			Scheduler:   &TEScheduler{Approach: te.MaxFlow{}, Theta: 10, SlotSeconds: 10},
+			Requests:    squareRequests(),
+			SlotSeconds: 10, MaxSlots: 20,
 		}
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+		want   error
+	}{
+		{"nil Net", func(c *Config) { c.Net = nil }, ErrMissingConfig},
+		{"nil Initial", func(c *Config) { c.Initial = nil }, ErrMissingConfig},
+		{"nil Scheduler", func(c *Config) { c.Scheduler = nil }, ErrMissingConfig},
+		{"zero SlotSeconds", func(c *Config) { c.SlotSeconds = 0 }, ErrBadSlots},
+		{"zero MaxSlots", func(c *Config) { c.MaxSlots = 0 }, ErrBadSlots},
+	} {
+		cfg := valid()
+		tc.mutate(&cfg)
+		if _, err := Run(cfg); !errors.Is(err, tc.want) {
+			t.Errorf("%s: Run returned %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	if _, err := Run(valid()); err != nil {
+		t.Errorf("valid config rejected: %v", err)
 	}
 }
