@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -113,6 +114,31 @@ func TestEmuChunkQuantization(t *testing.T) {
 	})
 	if !res.Transfers[0].Done {
 		t.Error("small transfer never completed under quantization")
+	}
+}
+
+// TestEmuRejectsBadConfig: a run with the testbed as its data plane is
+// still refused when the network, topology, scheduler or slot settings are
+// missing, before any chunk is sent.
+func TestEmuRejectsBadConfig(t *testing.T) {
+	tb, err := New(topology.Square().ThetaGbps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Run(sim.Config{DataPlane: tb}); !errors.Is(err, sim.ErrMissingConfig) {
+		t.Errorf("empty config: Run returned %v, want %v", err, sim.ErrMissingConfig)
+	}
+	net := topology.Square()
+	cfg := sim.Config{
+		Net: net, Initial: topology.InitialTopology(net),
+		Scheduler: &sim.TEScheduler{Approach: te.MaxFlow{}, Theta: 10, SlotSeconds: 10},
+		DataPlane: tb,
+	}
+	if _, err := sim.Run(cfg); !errors.Is(err, sim.ErrBadSlots) {
+		t.Errorf("zero slots: Run returned %v, want %v", err, sim.ErrBadSlots)
+	}
+	if len(tb.credits) != 0 {
+		t.Errorf("rejected runs left chunk credits %v on the testbed", tb.credits)
 	}
 }
 
